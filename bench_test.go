@@ -305,7 +305,10 @@ func BenchmarkMultiVMScaling(b *testing.B) {
 // source, b.N clones stamped from it. No clone runs, which is exactly
 // the warm-spare shape the microsecond cost targets — a clone costs a
 // frame-map copy and per-page refcount bumps, with shadow tables
-// deferred to first dispatch and memory deferred to first write.
+// deferred to first dispatch and memory deferred to first write. Each
+// clone is halted and destroyed with the timer stopped, so every
+// iteration clones into the same small fleet instead of one that grows
+// with b.N.
 func BenchmarkVMClone(b *testing.B) {
 	img, startPC := multiVMImage(b)
 	k := core.New(8<<20, core.Config{})
@@ -326,9 +329,16 @@ func BenchmarkVMClone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Clone(src, ""); err != nil {
+		vm, err := k.Clone(src, "")
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		k.HaltVM(vm, "bench")
+		if err := k.DestroyVM(vm); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

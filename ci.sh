@@ -76,7 +76,9 @@ if [ "${1:-}" = "bench" ]; then
                     n = split(line, parts, " ")
                     for (i = 1; i < n; i++) {
                         key = parts[i]; val = parts[i+1]
-                        if (key == "name:") name = val
+                        # Drop the -GOMAXPROCS suffix a multi-core host
+                        # appends, so records from different hosts match.
+                        if (key == "name:") { name = val; sub(/-[0-9]+$/, "", name) }
                         if (key == "ns_per_op:")     tab[name ":ns"] = val
                         if (key == "allocs_per_op:") tab[name ":allocs"] = val
                     }
@@ -237,7 +239,7 @@ awk -v off="$off" -v on="$on" 'BEGIN {
     if (delta > 5) { print "  REGRESSION: recorder-on E3 more than 5% slower"; exit 1 }
 }'
 
-echo "== translation-tier gate (superblock vs interpreter instr/sec, <2x fails)"
+echo "== translation-tier gate (superblock vs interpreter instr/sec, <1.5x fails)"
 best_rate() {
     awk '/^Benchmark/ {
         for (i = 2; i <= NF; i++)
@@ -245,11 +247,19 @@ best_rate() {
     } END { print best + 0 }'
 }
 # Interleave baseline/tier measurements (three alternating pairs, best
-# of each) so host noise lands on both sides of the ratio.
+# of each) so host noise lands on both sides of the ratio. 20000 runs of
+# the 2003-instruction loop keep each measurement near a second; a
+# handful of runs measured scheduler noise, not the tiers.
+#
+# The threshold: tier-off replay runs register/literal instructions in
+# their pre-bound form too, so the tier's remaining edge is dispatch and
+# interrupt-poll hoisting, measured at 2.0-2.7x best-of-3 (2-vCPU
+# shared host). 1.5x sits below that noise band and well above the
+# ~1.0x of a tier that stopped entering superblocks.
 base=0; tier=0
 for pass in 1 2 3; do
-    b=$(go test -run '^$' -bench 'BenchmarkInterpreterThroughput$' -benchtime 5x . | best_rate)
-    t=$(go test -run '^$' -bench 'BenchmarkTranslationThroughput$' -benchtime 5x . | best_rate)
+    b=$(go test -run '^$' -bench 'BenchmarkInterpreterThroughput$' -benchtime 20000x . | best_rate)
+    t=$(go test -run '^$' -bench 'BenchmarkTranslationThroughput$' -benchtime 20000x . | best_rate)
     if [ "$(echo "$b $base" | awk '{print ($1 > $2)}')" = 1 ]; then base=$b; fi
     if [ "$(echo "$t $tier" | awk '{print ($1 > $2)}')" = 1 ]; then tier=$t; fi
 done
@@ -257,7 +267,7 @@ echo "  instr/sec (best of 3 interleaved): interpreter $base, translation $tier"
 awk -v base="$base" -v tier="$tier" 'BEGIN {
     if (base + 0 == 0 || tier + 0 == 0) { print "  no benchmark output"; exit 1 }
     printf "  translation speedup %.2fx\n", tier / base
-    if (tier / base < 2) { print "  REGRESSION: translation tier under 2x the interpreter"; exit 1 }
+    if (tier / base < 1.5) { print "  REGRESSION: translation tier under 1.5x the interpreter"; exit 1 }
 }'
 
 echo "== experiments output identical with translation off"

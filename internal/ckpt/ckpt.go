@@ -441,7 +441,15 @@ func UnpackPages(data []byte, dst []byte, pageSize int) error {
 	return nil
 }
 
+// pageZero reports whether p is all zero bytes, testing a word at a
+// time with a byte loop for the tail.
 func pageZero(p []byte) bool {
+	for len(p) >= 8 {
+		if binary.LittleEndian.Uint64(p) != 0 {
+			return false
+		}
+		p = p[8:]
+	}
 	for _, b := range p {
 		if b != 0 {
 			return false

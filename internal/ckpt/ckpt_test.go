@@ -169,6 +169,35 @@ func TestPackPagesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPageZeroMatchesByteLoop pins the word-at-a-time zero test to the
+// plain byte loop: one non-zero byte at every offset of a page, and
+// lengths that are not a multiple of the word size (the tail path).
+func TestPageZeroMatchesByteLoop(t *testing.T) {
+	byteLoop := func(p []byte) bool {
+		for _, b := range p {
+			if b != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 17, 511, 512, 513} {
+		buf := make([]byte, n)
+		if !pageZero(buf) {
+			t.Fatalf("len %d: all-zero buffer reported non-zero", n)
+		}
+		for i := range buf {
+			for _, v := range []byte{0x01, 0x80} {
+				buf[i] = v
+				if got, want := pageZero(buf), byteLoop(buf); got != want {
+					t.Fatalf("len %d, byte %#x at %d: pageZero = %v, byte loop %v", n, v, i, got, want)
+				}
+				buf[i] = 0
+			}
+		}
+	}
+}
+
 func TestUnpackPagesRejectsBadRuns(t *testing.T) {
 	const page = 512
 	dst := make([]byte, 4*page)

@@ -10,7 +10,9 @@ import (
 // through the MMU; the cache keys fully decoded instructions (opcode
 // row + specifier templates + length) by the physical address of the
 // opcode byte, so re-execution translates the PC once and replays the
-// templates.
+// templates. Entries whose operands are all registers and literals are
+// also bound when recorded (sbBind), and a hit on one runs the bound
+// form without the cursor or the generic handler.
 //
 // Keying by physical address makes invalidation precise: a write to a
 // physical page drops the decodes from that page no matter which
@@ -59,10 +61,11 @@ type dcEntry struct {
 	tag2     uint32 // physical address of the second page's first byte (straddle)
 	ie       *instrEntry
 	valid    bool
-	straddle bool   // recorded bytes span a page boundary
-	opLen    uint8  // opcode length (2 for 0xFD-prefixed)
-	n        uint8  // recorded items
-	heat     uint16 // replays seen by the superblock tier (sblock.go)
+	straddle bool    // recorded bytes span a page boundary
+	opLen    uint8   // opcode length (2 for 0xFD-prefixed)
+	n        uint8   // recorded items
+	heat     uint16  // replays seen by the superblock tier (sblock.go)
+	bound    sbBound // pre-bound form (fbNone: replay through the handler)
 	items    [dcItemsMax]ditem
 }
 
@@ -206,6 +209,7 @@ func (c *CPU) execOneAt(pa uint32, paOK bool) error {
 		e := &c.dc.entries[pa&(dcSlots-1)]
 		if e.valid && e.tag == pa &&
 			(!e.straddle || c.straddleValid(e)) {
+			c.Stats.DecodeHits++
 			return c.execReplay(e)
 		}
 	}
@@ -220,11 +224,16 @@ func (c *CPU) straddleValid(e *dcEntry) bool {
 	return ok && pa2 == e.tag2
 }
 
-// execReplay runs a cached decoded instruction: PC skips the opcode
-// byte(s), the precharged cost matches the cold path, and the handler
-// consumes the recorded items through the cursor.
+// execReplay runs a cached decoded instruction whose opcode is at
+// instStartPC. A pre-bound entry runs its bound form; any other replays
+// through its handler: PC skips the opcode byte(s), the precharged cost
+// matches the cold path, and the handler consumes the recorded items
+// through the cursor.
 func (c *CPU) execReplay(e *dcEntry) error {
-	c.Stats.DecodeHits++
+	if e.bound.kind != fbNone {
+		c.execBound(&e.bound, c.instStartPC)
+		return nil
+	}
 	cu := &c.cur
 	cu.mode = curReplay
 	cu.n = 0
@@ -339,6 +348,7 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	e.n = cu.n
 	e.heat = 0
 	e.items = cu.items
+	e.bound = sbBind(e)
 	e.valid = true
 	c.dc.markPage(pa / vax.PageSize)
 }

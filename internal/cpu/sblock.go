@@ -76,11 +76,10 @@ const (
 const sbPSLGuard = vax.PSLIPLMask | vax.PSLPrvMask | vax.PSLCurMask |
 	vax.PSLIS | vax.PSLFPD | vax.PSLVM
 
-// sbStep is one pre-bound instruction of a superblock.
+// sbStep is one instruction of a superblock.
 type sbStep struct {
-	va    uint32  // virtual address this step must execute at
-	bound sbBound // fully pre-bound form (fbNone: use the generic path)
-	ent   dcEntry // private copy of the decoded entry (survives eviction)
+	va  uint32  // virtual address this step must execute at
+	ent dcEntry // private copy of the decoded entry, binding included (survives eviction)
 }
 
 // sbPage is one code-page translation a block depends on.
@@ -252,25 +251,18 @@ func (c *CPU) execBlock(b *sblock) {
 			c.Stats.SBEarlyExits++
 			break
 		}
-		if st.bound.kind != fbNone {
+		e := &st.ent
+		if e.bound.kind != fbNone {
 			// Pre-bound step: register/literal operands only, so it
 			// cannot fault, store, halt, wait or touch guarded PSL
-			// fields — no snapshot, no cursor, no exit checks.
-			c.execBound(&st.bound)
+			// fields — no snapshot, no exit checks.
+			c.execBound(&e.bound, st.va)
 			done++
 			continue
 		}
 		c.regSnapshot = c.R
 		c.instStartPC = st.va
-		e := &st.ent
-		cu := &c.cur
-		cu.mode = curReplay
-		cu.n = 0
-		cu.ent = e
-		c.R[RegPC] += uint32(e.opLen)
-		c.Cycles += uint64(e.ie.cost)
-		err := e.ie.fn(c, e.ie)
-		cu.mode = curOff
+		err := c.execReplay(e)
 		done++
 		if err != nil {
 			c.handleError(err, st.va)
@@ -351,10 +343,7 @@ func (c *CPU) sbBuildAppend(err error) {
 }
 
 // sbFinishBuild installs the recorded trace (if long enough to be
-// worth entering) and leaves building mode. Installation is also when
-// each step gets its pre-bound form: templates whose operands are all
-// registers and literals compile to an sbBound the executor runs
-// without the cursor or the generic handler.
+// worth entering) and leaves building mode.
 func (c *CPU) sbFinishBuild() {
 	sb := c.sb
 	b := sb.bld
@@ -365,10 +354,6 @@ func (c *CPU) sbFinishBuild() {
 	}
 	for i := uint8(0); i < b.nPages; i++ {
 		sb.markPage(b.pages[i].pa / vax.PageSize)
-	}
-	for i := uint8(0); i < b.nSteps; i++ {
-		st := &b.steps[i]
-		st.bound = sbBind(st.va, &st.ent)
 	}
 	b.valid = true
 	c.Stats.SBBuilds++
@@ -419,26 +404,27 @@ const (
 	fbcCS
 )
 
-// sbBound is a fully pre-bound step: operation kind, operand a (the
-// literal imm when aLit, else R[ra]), register operand b, and the
-// precomputed successor PCs. cost is the instruction's up-front cycle
+// sbBound is a fully pre-bound instruction: operation kind, operand a
+// (the literal imm when aLit, else R[ra]), register operand b, and the
+// successor PCs as offsets from the opcode (one physical page may be
+// mapped at several VAs). cost is the instruction's up-front cycle
 // charge (register shapes never pay CostMemOperand).
 type sbBound struct {
 	kind  uint8
 	aLit  bool
 	ra    uint8
 	rb    uint8
-	imm   uint32
-	next  uint32 // PC after the instruction (fallthrough)
-	taken uint32 // branch target (branch kinds)
+	next  uint8 // fallthrough offset (the instruction's length)
 	cost  uint16
+	imm   uint32
+	taken uint32 // branch target offset (branch kinds; wraps backwards)
 }
 
 // sbBind compiles one decoded entry into its pre-bound form, or fbNone
 // when any operand is outside the register/literal subset. The entry's
 // recorded items must cover the whole instruction (partial entries
 // replay generically).
-func sbBind(va uint32, e *dcEntry) sbBound {
+func sbBind(e *dcEntry) sbBound {
 	// Specifier accessors over the recorded items; every bound shape
 	// consumes all items, so the last one's end offset is the
 	// instruction length.
@@ -481,7 +467,7 @@ func sbBind(va uint32, e *dcEntry) sbBound {
 				return sbBound{}
 			}
 			fb.kind = fbTstl
-			fb.next = va + uint32(a.endOff)
+			fb.next = a.endOff
 			return fb
 		}
 		b, ok := spec(1)
@@ -489,7 +475,7 @@ func sbBind(va uint32, e *dcEntry) sbBound {
 			return sbBound{}
 		}
 		fb.rb = b.reg
-		fb.next = va + uint32(b.endOff)
+		fb.next = b.endOff
 		switch e.ie.op {
 		case vax.OpMOVL:
 			fb.kind = fbMovl
@@ -515,7 +501,7 @@ func sbBind(va uint32, e *dcEntry) sbBound {
 			return sbBound{}
 		}
 		fb.rb = t.reg
-		fb.next = va + uint32(t.endOff)
+		fb.next = t.endOff
 		switch e.ie.op {
 		case vax.OpCLRL:
 			fb.kind = fbClrl
@@ -539,8 +525,8 @@ func sbBind(va uint32, e *dcEntry) sbBound {
 		if e.ie.op == vax.OpSOBGTR {
 			fb.kind = fbSobgtr
 		}
-		fb.next = va + uint32(off)
-		fb.taken = fb.next + uint32(int32(int8(d)))
+		fb.next = off
+		fb.taken = uint32(fb.next) + uint32(int32(int8(d)))
 		return fb
 	case vax.OpBRB:
 		d, off, ok := raw(0, diByte)
@@ -548,8 +534,8 @@ func sbBind(va uint32, e *dcEntry) sbBound {
 			return sbBound{}
 		}
 		fb.kind = fbBr
-		fb.next = va + uint32(off)
-		fb.taken = fb.next + uint32(int32(int8(d)))
+		fb.next = off
+		fb.taken = uint32(fb.next) + uint32(int32(int8(d)))
 		return fb
 	case vax.OpBRW:
 		d, off, ok := raw(0, diWord)
@@ -557,8 +543,8 @@ func sbBind(va uint32, e *dcEntry) sbBound {
 			return sbBound{}
 		}
 		fb.kind = fbBr
-		fb.next = va + uint32(off)
-		fb.taken = fb.next + uint32(int32(int16(d)))
+		fb.next = off
+		fb.taken = uint32(fb.next) + uint32(int32(int16(d)))
 		return fb
 	case vax.OpBNEQ, vax.OpBEQL, vax.OpBGTR, vax.OpBLEQ,
 		vax.OpBGEQ, vax.OpBLSS, vax.OpBGTRU, vax.OpBLEQU,
@@ -594,20 +580,20 @@ func sbBind(va uint32, e *dcEntry) sbBound {
 		default:
 			fb.ra = fbcCS
 		}
-		fb.next = va + uint32(off)
-		fb.taken = fb.next + uint32(int32(int8(d)))
+		fb.next = off
+		fb.taken = uint32(fb.next) + uint32(int32(int8(d)))
 		return fb
 	}
 	return sbBound{}
 }
 
-// execBound runs one pre-bound step. Condition-code updates replicate
-// setNZ/setNZVC and the handlers' f callbacks bit for bit; cycle
-// charges match the interpreter (no memory operands, so never
-// CostMemOperand).
-func (c *CPU) execBound(fb *sbBound) {
+// execBound runs one pre-bound instruction whose opcode is at base.
+// Condition-code updates replicate setNZ/setNZVC and the handlers' f
+// callbacks bit for bit; cycle charges match the interpreter (no memory
+// operands, so never CostMemOperand).
+func (c *CPU) execBound(fb *sbBound, base uint32) {
 	c.Cycles += uint64(fb.cost)
-	c.R[RegPC] = fb.next
+	c.R[RegPC] = base + uint32(fb.next)
 	a := fb.imm
 	if !fb.aLit {
 		a = c.R[fb.ra]
@@ -662,7 +648,7 @@ func (c *CPU) execBound(fb *sbBound) {
 		b := c.R[fb.rb]
 		c.setNZVC(int32(a) < int32(b), a == b, false, a < b)
 	case fbBr:
-		c.R[RegPC] = fb.taken
+		c.R[RegPC] = base + fb.taken
 	case fbBcond:
 		p := uint32(c.psl)
 		var cond bool
@@ -693,7 +679,7 @@ func (c *CPU) execBound(fb *sbBound) {
 			cond = p&vax.PSLC != 0
 		}
 		if cond {
-			c.R[RegPC] = fb.taken
+			c.R[RegPC] = base + fb.taken
 		}
 	case fbSobgtr, fbSobgeq:
 		r := c.R[fb.ra] - 1
@@ -701,7 +687,7 @@ func (c *CPU) execBound(fb *sbBound) {
 		c.setNZ(r, 4)
 		if fb.kind == fbSobgtr && int32(r) > 0 ||
 			fb.kind == fbSobgeq && int32(r) >= 0 {
-			c.R[RegPC] = fb.taken
+			c.R[RegPC] = base + fb.taken
 		}
 	}
 }
