@@ -191,3 +191,52 @@ func TestHaltedVMRunsRecycledAfterParallelRun(t *testing.T) {
 	}
 	_ = vm
 }
+
+// TestPagesInUseLeakGate pins the measure the soak's leak gate compares
+// before and after its gated epoch. Runs parked for reuse — in the
+// global pool, in a shard's run cache, or as a shard's span remainder —
+// are not in use, so a burst that carves one more run than the warm-up
+// did leaves PagesInUse at its baseline while FreePages drops; a page
+// allocated after the baseline and never returned still trips it.
+func TestPagesInUseLeakGate(t *testing.T) {
+	k := New(16<<20, Config{})
+	s := k.newWorkerShard()
+	k.workerShards = append(k.workerShards, s)
+	mustRun := func(v *VMM, n uint32) uint32 {
+		t.Helper()
+		p, err := v.allocRun(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	// Warm-up: one 4-page run through the root, one 2-page run through
+	// the shard (which carves a whole span for it).
+	k.freeRun(mustRun(k, 4), 4)
+	s.freeRun(mustRun(s, 2), 2)
+	base, free := k.PagesInUse(), k.FreePages()
+
+	// The gated burst holds two runs of each size at once: the pool has
+	// one 4-page run, so the second is carved fresh; the shard's cache
+	// has one 2-page run, so the second comes from its span. All go
+	// back to the pool and the shard's cache.
+	a, b := mustRun(k, 4), mustRun(k, 4)
+	k.freeRun(a, 4)
+	k.freeRun(b, 4)
+	c, d := mustRun(s, 2), mustRun(s, 2)
+	s.freeRun(c, 2)
+	s.freeRun(d, 2)
+	if k.FreePages() >= free {
+		t.Fatalf("free pages %d, want below %d: the burst carved nothing", k.FreePages(), free)
+	}
+	if got := k.PagesInUse(); got != base {
+		t.Fatalf("pages in use %d after pool growth, want baseline %d", got, base)
+	}
+
+	// A page deliberately leaked after the baseline.
+	mustRun(k, 1)
+	if got := k.PagesInUse(); got != base+1 {
+		t.Fatalf("pages in use %d after a leaked page, want %d", got, base+1)
+	}
+}

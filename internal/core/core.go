@@ -646,6 +646,35 @@ func (k *VMM) CarvedPages() uint32 {
 	return k.shared.nextPage
 }
 
+// PagesInUse reports the carved pages not parked for reuse: CarvedPages
+// minus the recycled-run pool, the worker shards' run caches and their
+// unused span remainders. Unlike FreePages it does not fall when the
+// pool grows, so it returns to baseline after destroy even when a
+// burst carved a run the pool then kept. Call it between runs, not
+// while RunParallel is executing (the shard caches are unlocked).
+func (k *VMM) PagesInUse() uint32 {
+	parked := k.alloc.parked()
+	for _, s := range k.workerShards {
+		parked += s.alloc.parked()
+	}
+	k.shared.mu.Lock()
+	defer k.shared.mu.Unlock()
+	for n, runs := range k.shared.pageRuns {
+		parked += n * uint32(len(runs))
+	}
+	return k.shared.nextPage - parked
+}
+
+// parked counts the pages an allocator cache holds for reuse: its
+// cached runs and its span remainder.
+func (a *allocCache) parked() uint32 {
+	pages := a.spanLeft
+	for n, runs := range a.runs {
+		pages += n * uint32(len(runs))
+	}
+	return pages
+}
+
 // NominalPages sums every VM's configured memory in pages — what the
 // fleet would occupy if each clone held private copies of all its
 // pages. Clones make this exceed physical memory; CarvedPages is what

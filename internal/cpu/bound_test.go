@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -16,58 +17,143 @@ import (
 // recorded at, and stores into bound code must take effect on the next
 // execution.
 
-// boundEdges are the operand values every bound shape is run against.
-var boundEdges = []uint32{0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF}
+// boundEdges are the source values every bound shape is run against:
+// the size boundaries, then byte and word sources whose register holds
+// high bits that a byte or word access must ignore (or keep, when the
+// register is the destination).
+var boundEdges = []uint32{
+	0, 1, 0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
+	0xA5A5A57F, 0x5A5A5A80, 0xC3C37FFF, 0x3C3C8000,
+}
+
+// ashlCounts are the ASHL shift counts run from a register, each also
+// with garbage above the count byte.
+func ashlCounts() []uint32 {
+	var vs []uint32
+	for _, n := range []int32{-128, -33, -32, -31, -1, 0, 1, 31, 32, 33, 127} {
+		vs = append(vs, uint32(n), 0x5A5A5A00|uint32(uint8(n)))
+	}
+	return vs
+}
+
+// boundCases are the bound shapes the differential test replays both
+// ways: every bound row, with register and literal sources, aliased
+// operands and sized destinations.
+var boundCases = []struct {
+	src  string // instruction at label start; back/fwd are branch targets
+	kind uint8
+}{
+	{"movl r1, r2", fbMov},
+	{"movl #63, r2", fbMov},
+	{"movl #0x80000000, r2", fbMov},
+	{"movw r1, r2", fbMov},
+	{"movw #0x8000, r2", fbMov},
+	{"movb r1, r2", fbMov},
+	{"movb #0x80, r2", fbMov},
+	{"movzbl r1, r2", fbMov},
+	{"movzbl #0xFF, r2", fbMov},
+	{"movzwl r1, r2", fbMov},
+	{"clrl r2", fbMov},
+	{"clrw r2", fbMov},
+	{"clrb r2", fbMov},
+	{"tstl r1", fbTst},
+	{"tstl #0", fbTst},
+	{"tstw r1", fbTst},
+	{"tstb r1", fbTst},
+	{"tstb #0x80", fbTst},
+	{"mnegl r1, r2", fbMneg},
+	{"mnegl #5, r2", fbMneg},
+	{"mcomb r1, r2", fbMcom},
+	{"mcomb #0x0F, r2", fbMcom},
+	{"addl2 r1, r2", fbAdd},
+	{"addl2 r2, r2", fbAdd},
+	{"addl2 #0x7FFFFFFF, r2", fbAdd},
+	{"addl3 r1, r2, r3", fbAdd},
+	{"addl3 r1, r2, r2", fbAdd},
+	{"addl3 r1, r1, r1", fbAdd},
+	{"addl3 #1, r2, r3", fbAdd},
+	{"subl2 r1, r2", fbSub},
+	{"subl2 r2, r2", fbSub},
+	{"subl3 r1, r2, r3", fbSub},
+	{"subl3 r2, #5, r1", fbSub},
+	{"bisl2 r1, r2", fbBis},
+	{"bisl3 r1, r2, r3", fbBis},
+	{"bicl2 r1, r2", fbBic},
+	{"bicl3 #0xF0, r2, r3", fbBic},
+	{"xorl2 r1, r2", fbXor},
+	{"xorl3 r1, r2, r3", fbXor},
+	{"mull2 r1, r2", fbMul},
+	{"mull2 r2, r2", fbMul},
+	{"mull3 r1, r2, r3", fbMul},
+	{"mull3 r2, #3, r4", fbMul},
+	{"incl r2", fbAdd},
+	{"decl r2", fbSub},
+	{"ashl r1, r2, r3", fbAsh},
+	{"ashl r1, r2, r2", fbAsh},
+	{"ashl r1, r1, r1", fbAsh},
+	{"ashl #1, r2, r2", fbAsh},
+	{"ashl #31, r2, r3", fbAsh},
+	{"ashl #32, r2, r3", fbAsh},
+	{"ashl #33, r2, r3", fbAsh},
+	{"ashl #-1, r2, r3", fbAsh},
+	{"ashl #-32, r2, r3", fbAsh},
+	{"ashl #-128, r2, r3", fbAsh},
+	{"ashl #127, r2, r3", fbAsh},
+	{"ashl #1, #0x40000000, r3", fbAsh},
+	{"cvtbl r1, r2", fbCvt},
+	{"cvtbl #0x80, r2", fbCvt},
+	{"cvtbw r1, r2", fbCvt},
+	{"cvtwl r1, r2", fbCvt},
+	{"cvtwb r1, r2", fbCvt},
+	{"cvtlb r1, r2", fbCvt},
+	{"cvtlb #0x12345, r2", fbCvt},
+	{"cvtlw r1, r2", fbCvt},
+	{"cmpl r1, r2", fbCmp},
+	{"cmpl #1, r2", fbCmp},
+	{"cmpl r1, #1", fbCmp},
+	{"cmpl r1, #0x80000000", fbCmp},
+	{"cmpw r1, r2", fbCmp},
+	{"cmpw #0x8000, r2", fbCmp},
+	{"cmpb r1, r2", fbCmp},
+	{"cmpb r1, #0x80", fbCmp},
+	{"bitl r1, r2", fbBit},
+	{"bitl #1, r2", fbBit},
+	{"bitl r1, #0x80000000", fbBit},
+	{"brb back", fbBr},
+	{"brb fwd", fbBr},
+	{"brw back", fbBr},
+	{"sobgtr r1, back", fbSobgtr},
+	{"sobgeq r1, back", fbSobgeq},
+	{"sobgtr r1, fwd", fbSobgtr},
+	{"sobgeq r1, fwd", fbSobgeq},
+	{"aoblss r1, r2, back", fbAoblss},
+	{"aoblss #5, r2, fwd", fbAoblss},
+	{"aobleq r1, r2, back", fbAobleq},
+	{"aobleq r2, r2, fwd", fbAobleq},
+	{"blbs r1, fwd", fbBlbs},
+	{"blbs #1, back", fbBlbs},
+	{"blbc r1, back", fbBlbc},
+	{"bneq fwd", fbBcond},
+	{"beql back", fbBcond},
+	{"bgtr fwd", fbBcond},
+	{"bleq fwd", fbBcond},
+	{"bgeq fwd", fbBcond},
+	{"blss fwd", fbBcond},
+	{"bgtru fwd", fbBcond},
+	{"blequ fwd", fbBcond},
+	{"bvc fwd", fbBcond},
+	{"bvs fwd", fbBcond},
+	{"bcc fwd", fbBcond},
+	{"bcs back", fbBcond},
+}
 
 // TestBoundMatchesGenericReplay records each bound shape once, then
 // replays its entry both ways from identical states: every pair of
-// edge values in R1/R2 and every NZVC combination on entry. Registers
-// (PC included), PSL and cycles must agree.
+// edge values in R1/R2 (shift counts in R1 for "ashl r1, ..."), the
+// other registers holding a fixed pattern, and every NZVC combination
+// on entry. R0-R15 (PC included), PSL and cycles must agree.
 func TestBoundMatchesGenericReplay(t *testing.T) {
-	cases := []struct {
-		src  string // instruction at label start; back/fwd are branch targets
-		kind uint8
-	}{
-		{"movl r1, r2", fbMovl},
-		{"movl #63, r2", fbMovl},
-		{"movl #0x80000000, r2", fbMovl},
-		{"clrl r2", fbClrl},
-		{"tstl r1", fbTstl},
-		{"tstl #0", fbTstl},
-		{"addl2 r1, r2", fbAddl2},
-		{"addl2 r2, r2", fbAddl2},
-		{"addl2 #0x7FFFFFFF, r2", fbAddl2},
-		{"subl2 r1, r2", fbSubl2},
-		{"subl2 r2, r2", fbSubl2},
-		{"bisl2 r1, r2", fbBisl2},
-		{"bicl2 r1, r2", fbBicl2},
-		{"xorl2 r1, r2", fbXorl2},
-		{"mull2 r1, r2", fbMull2},
-		{"mull2 r2, r2", fbMull2},
-		{"incl r2", fbIncl},
-		{"decl r2", fbDecl},
-		{"cmpl r1, r2", fbCmpl},
-		{"cmpl #1, r2", fbCmpl},
-		{"brb back", fbBr},
-		{"brb fwd", fbBr},
-		{"brw back", fbBr},
-		{"sobgtr r1, back", fbSobgtr},
-		{"sobgeq r1, back", fbSobgeq},
-		{"sobgtr r1, fwd", fbSobgtr},
-		{"bneq fwd", fbBcond},
-		{"beql back", fbBcond},
-		{"bgtr fwd", fbBcond},
-		{"bleq fwd", fbBcond},
-		{"bgeq fwd", fbBcond},
-		{"blss fwd", fbBcond},
-		{"bgtru fwd", fbBcond},
-		{"blequ fwd", fbBcond},
-		{"bvc fwd", fbBcond},
-		{"bvs fwd", fbBcond},
-		{"bcc fwd", fbBcond},
-		{"bcs back", fbBcond},
-	}
-	for _, tc := range cases {
+	for _, tc := range boundCases {
 		t.Run(tc.src, func(t *testing.T) {
 			ma := newMachine(t, StandardVAX, "back:\thalt\nstart:\t"+tc.src+"\n\thalt\nfwd:\thalt\n")
 			c := ma.c
@@ -89,7 +175,9 @@ func TestBoundMatchesGenericReplay(t *testing.T) {
 				cycles uint64
 			}
 			run := func(ent *dcEntry, a, b, cc uint32) state {
-				c.R = [16]uint32{}
+				for i := range c.R {
+					c.R[i] = 0xE1D2C3B4 ^ uint32(i)*0x01010101
+				}
 				c.R[1], c.R[2], c.R[RegPC] = a, b, start
 				c.psl = c.psl&^vax.PSL(vax.PSLN|vax.PSLZ|vax.PSLV|vax.PSLC) | vax.PSL(cc)
 				c.Cycles = 0
@@ -100,7 +188,11 @@ func TestBoundMatchesGenericReplay(t *testing.T) {
 				}
 				return state{c.R, c.psl, c.Cycles}
 			}
-			for _, a := range boundEdges {
+			as := boundEdges
+			if strings.HasPrefix(tc.src, "ashl r1") {
+				as = ashlCounts()
+			}
+			for _, a := range as {
 				for _, b := range boundEdges {
 					for cc := uint32(0); cc < 16; cc++ {
 						got, want := run(e, a, b, cc), run(&generic, a, b, cc)
@@ -112,6 +204,63 @@ func TestBoundMatchesGenericReplay(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBindRows pins which dispatch rows bind and in which shapes: the
+// register/literal shapes of boundCases bind to their kinds, while DIVL
+// (a zero divisor traps), literal destinations (a reserved-operand
+// fault) and every memory or index operand replay through the handler.
+// The rows whose dispatch entries carry a bound kind must be exactly
+// those boundCases exercise.
+func TestBindRows(t *testing.T) {
+	cases := append([]struct {
+		src  string
+		kind uint8
+	}{
+		{"divl2 r1, r2", fbNone},
+		{"divl3 #2, r1, r2", fbNone},
+		{".byte 0xC0, 0x51, 0x02 ; addl2 r1, #2: literal destination", fbNone},
+		{"addl2 (r1), r2", fbNone},
+		{"addl3 r1, r2, (r3)", fbNone},
+		{"mull3 4(r1), r2, r3", fbNone},
+		{"ashl #1, (r1)+, r2", fbNone},
+		{"movl r1, -(sp)", fbNone},
+		{".byte 0x90, 0x42, 0x61, 0x53 ; movb (r1)[r2], r3", fbNone},
+		{"cmpl r1, @#0x3000", fbNone},
+		{"cvtbl (r1), r2", fbNone},
+		{"sobgtr (r1), fwd", fbNone},
+		{"blbs (r1), fwd", fbNone},
+		{"clrl (r1)", fbNone},
+		{"pushl r1", fbNone},
+		{"movab (r1), r2", fbNone},
+	}, boundCases...)
+	boundOps := map[uint16]bool{}
+	for _, tc := range cases {
+		ma := newMachine(t, StandardVAX, "back:\thalt\nstart:\t"+tc.src+"\n\thalt\nfwd:\thalt\n")
+		c := ma.c
+		start := ma.prog.MustSymbol("start")
+		c.R[1], c.R[2], c.R[3] = 0x3000, 1, 0x3100
+		c.Step()
+		e := &c.dc.entries[start&(dcSlots-1)]
+		if !e.valid || e.tag != start {
+			t.Errorf("%s: instruction was not recorded in the decode cache", tc.src)
+			continue
+		}
+		if e.bound.kind != tc.kind {
+			t.Errorf("%s: bound kind = %d, want %d", tc.src, e.bound.kind, tc.kind)
+		}
+		if tc.kind != fbNone {
+			boundOps[e.ie.op] = true
+		}
+	}
+	for _, table := range [][256]*instrEntry{dispatchOne, dispatchStdFD, dispatchModFD} {
+		for _, row := range table {
+			if row != nil && (row.bind != fbNone) != boundOps[row.op] {
+				t.Errorf("opcode %#x: row binds %v, boundCases bind %v",
+					row.op, row.bind != fbNone, boundOps[row.op])
+			}
+		}
 	}
 }
 

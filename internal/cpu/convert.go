@@ -21,20 +21,25 @@ func (c *CPU) execCVT(e *instrEntry) error {
 	if err != nil {
 		return err
 	}
-	s := signExt(v, srcSize)
-	r := uint32(s)
-	ovf := false
-	switch dstSize {
-	case 1:
-		ovf = s < -128 || s > 127
-	case 2:
-		ovf = s < -32768 || s > 32767
-	}
+	r, ovf := cvt(v, srcSize, dstSize)
 	if err := c.writeOp(dst, r); err != nil {
 		return err
 	}
 	c.setNZVC(signExt(r, dstSize) < 0, signExt(r, dstSize) == 0, ovf, false)
 	return nil
+}
+
+// cvt converts v, read at srcSize bytes, to dstSize bytes: the value
+// sign-extended, and whether it overflows the destination.
+func cvt(v uint32, srcSize, dstSize int) (uint32, bool) {
+	s := signExt(v, srcSize)
+	switch dstSize {
+	case 1:
+		return uint32(s), s < -128 || s > 127
+	case 2:
+		return uint32(s), s < -32768 || s > 32767
+	}
+	return uint32(s), false
 }
 
 // execACBL implements add-compare-branch: index += add; branch (word

@@ -40,20 +40,14 @@ const (
 	dcItemsMax = 6    // recorded decode items per instruction
 )
 
-// Decode item kinds: one item per operand specifier or raw
-// instruction-stream fetch (branch displacements), in stream order.
+// Decode items: one per operand specifier or raw instruction-stream
+// fetch (branch displacements), in stream order. A specifier item is
+// its template; a raw item is a dspec of one of the kinds below, with
+// the value in imm and endOff the PC offset after the fetch.
 const (
-	diSpec uint8 = iota // an operand specifier template
-	diByte              // a raw byte fetched via fetchStream8
-	diWord              // a raw word fetched via fetchStream16
+	diByte = evDispDef + 1 + iota // a raw byte fetched via fetchStream8
+	diWord                        // a raw word fetched via fetchStream16
 )
-
-type ditem struct {
-	kind   uint8
-	endOff uint8  // PC offset from instruction start after this item
-	val    uint32 // raw value (diByte/diWord)
-	spec   dspec  // template (diSpec)
-}
 
 // dcEntry is one cached decoded instruction.
 type dcEntry struct {
@@ -66,7 +60,7 @@ type dcEntry struct {
 	n        uint8   // recorded items
 	heat     uint16  // replays seen by the superblock tier (sblock.go)
 	bound    sbBound // pre-bound form (fbNone: replay through the handler)
-	items    [dcItemsMax]ditem
+	items    [dcItemsMax]dspec
 }
 
 type dcache struct {
@@ -109,11 +103,11 @@ type cursor struct {
 	aborted  bool  // record: the instruction stored into its own pages
 	recPage  uint32
 	ent      *dcEntry // replay source
-	items    [dcItemsMax]ditem
+	items    [dcItemsMax]dspec
 }
 
 // record captures one decode item while recording (no-op otherwise).
-func (cu *cursor) record(it ditem) {
+func (cu *cursor) record(it dspec) {
 	if cu.mode != curRecord {
 		return
 	}
@@ -133,10 +127,10 @@ func (cu *cursor) record(it ditem) {
 // live stream instead (always correct: PC tracks every replayed item).
 func (cu *cursor) nextSpec() (dspec, bool) {
 	e := cu.ent
-	if cu.n >= e.n || e.items[cu.n].kind != diSpec {
+	if cu.n >= e.n || e.items[cu.n].kind >= diByte {
 		return dspec{}, false
 	}
-	t := e.items[cu.n].spec
+	t := e.items[cu.n]
 	cu.n++
 	return t, true
 }
@@ -149,7 +143,7 @@ func (cu *cursor) nextRaw(kind uint8) (uint32, uint8, bool) {
 	}
 	it := &e.items[cu.n]
 	cu.n++
-	return it.val, it.endOff, true
+	return it.imm, it.endOff, true
 }
 
 // fetchStream8 reads the next instruction-stream byte through the
@@ -166,7 +160,7 @@ func (c *CPU) fetchStream8() (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.cur.record(ditem{kind: diByte, endOff: uint8(c.R[RegPC] - c.instStartPC), val: uint32(b)})
+	c.cur.record(dspec{kind: diByte, endOff: uint8(c.R[RegPC] - c.instStartPC), imm: uint32(b)})
 	return b, nil
 }
 
@@ -182,7 +176,7 @@ func (c *CPU) fetchStream16() (uint16, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.cur.record(ditem{kind: diWord, endOff: uint8(c.R[RegPC] - c.instStartPC), val: uint32(w)})
+	c.cur.record(dspec{kind: diWord, endOff: uint8(c.R[RegPC] - c.instStartPC), imm: uint32(w)})
 	return w, nil
 }
 

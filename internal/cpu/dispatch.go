@@ -19,6 +19,8 @@ type instrEntry struct {
 	nOps    uint8  // operand-specifier count
 	opSize  uint8  // primary operand access size in bytes
 	opSize2 uint8  // secondary operand size (CVT destination)
+	bind    uint8  // bound kind for register/literal shapes (sblock.go), fbNone if never bound
+	cond    uint8  // branch predicate (fbBcond rows)
 }
 
 // The one-byte opcode page is variant-independent: the sensitive
@@ -73,24 +75,34 @@ func regVariantFD(op uint16, nOps, opSize int, modFn func(*CPU, *instrEntry) err
 	}
 }
 
-func regBranch(op uint16, cond func(*CPU) bool) {
-	reg(op, 0, 1, CostBase, func(c *CPU, _ *instrEntry) error {
-		return c.branchIf(cond(c))
-	})
+// bound marks a row as bindable (sblock.go): its register/literal
+// shapes run as the given three-address kind.
+func (e *instrEntry) bound(kind uint8) *instrEntry {
+	e.bind = kind
+	return e
 }
 
-func regBinop(op2, op3 uint16, extra uint16, divide bool, f func(a, b uint32) (uint32, bool, bool)) {
+func regBranch(op uint16, cond uint8) {
+	e := reg(op, 0, 1, CostBase, func(c *CPU, e *instrEntry) error {
+		return c.branchIf(condHolds(uint32(c.psl), e.cond))
+	}).bound(fbBcond)
+	e.cond = cond
+}
+
+// regBinop installs the two- and three-operand forms of a longword
+// operation; kind binds both (fbNone keeps them generic).
+func regBinop(op2, op3 uint16, extra uint16, kind uint8, divide bool, f func(a, b uint32) (uint32, bool, bool)) {
 	h := func(c *CPU, e *instrEntry) error {
 		return c.execBinop(e.nOps == 3, divide, f)
 	}
-	reg(op2, 2, 4, CostBase+extra, h)
-	reg(op3, 3, 4, CostBase+extra, h)
+	reg(op2, 2, 4, CostBase+extra, h).bound(kind)
+	reg(op3, 3, 4, CostBase+extra, h).bound(kind)
 }
 
 func regCVT(op uint16, srcSize, dstSize int) {
 	e := reg(op, 2, srcSize, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execCVT(e)
-	})
+	}).bound(fbCvt)
 	e.opSize2 = uint8(dstSize)
 }
 
@@ -136,21 +148,21 @@ func init() {
 	}{{vax.OpMOVL, 4}, {vax.OpMOVW, 2}, {vax.OpMOVB, 1}} {
 		reg(m.op, 2, m.size, CostBase, func(c *CPU, e *instrEntry) error {
 			return c.execMove(int(e.opSize))
-		})
+		}).bound(fbMov)
 	}
 	reg(vax.OpMOVZBL, 2, 1, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execMovz(int(e.opSize))
-	})
+	}).bound(fbMov)
 	reg(vax.OpMOVZWL, 2, 2, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execMovz(int(e.opSize))
-	})
+	}).bound(fbMov)
 	for _, m := range []struct {
 		op   uint16
 		size int
 	}{{vax.OpCLRL, 4}, {vax.OpCLRW, 2}, {vax.OpCLRB, 1}} {
 		reg(m.op, 1, m.size, CostBase, func(c *CPU, e *instrEntry) error {
 			return c.execClr(int(e.opSize))
-		})
+		}).bound(fbMov)
 	}
 	for _, m := range []struct {
 		op   uint16
@@ -158,16 +170,16 @@ func init() {
 	}{{vax.OpTSTL, 4}, {vax.OpTSTW, 2}, {vax.OpTSTB, 1}} {
 		reg(m.op, 1, m.size, CostBase, func(c *CPU, e *instrEntry) error {
 			return c.execTst(int(e.opSize))
-		})
+		}).bound(fbTst)
 	}
-	reg(vax.OpMNEGL, 2, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execMNEGL() })
-	reg(vax.OpMCOMB, 2, 1, CostBase, func(c *CPU, _ *instrEntry) error { return c.execMCOMB() })
+	reg(vax.OpMNEGL, 2, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execMNEGL() }).bound(fbMneg)
+	reg(vax.OpMCOMB, 2, 1, CostBase, func(c *CPU, _ *instrEntry) error { return c.execMCOMB() }).bound(fbMcom)
 	reg(vax.OpINCL, 1, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execIncDec(e.op == vax.OpINCL)
-	})
+	}).bound(fbAdd)
 	reg(vax.OpDECL, 1, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execIncDec(e.op == vax.OpINCL)
-	})
+	}).bound(fbSub)
 	reg(vax.OpPUSHL, 1, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execPUSHL() })
 	// MOVAB shares MOVAL's longword address context (see execMoveAddr).
 	reg(vax.OpMOVAL, 2, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execMoveAddr() })
@@ -180,28 +192,29 @@ func init() {
 	}{{vax.OpCMPL, 4}, {vax.OpCMPW, 2}, {vax.OpCMPB, 1}} {
 		reg(m.op, 2, m.size, CostBase, func(c *CPU, e *instrEntry) error {
 			return c.execCompare(int(e.opSize))
-		})
+		}).bound(fbCmp)
 	}
-	reg(vax.OpBITL, 2, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execBITL() })
+	reg(vax.OpBITL, 2, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execBITL() }).bound(fbBit)
 
 	// --- longword arithmetic and logic ---
-	regBinop(vax.OpADDL2, vax.OpADDL3, 0, false, func(a, b uint32) (uint32, bool, bool) {
+	regBinop(vax.OpADDL2, vax.OpADDL3, 0, fbAdd, false, func(a, b uint32) (uint32, bool, bool) {
 		r := b + a
 		ovf := (a^r)&(b^r)&0x80000000 != 0
 		return r, ovf, r < a
 	})
-	regBinop(vax.OpSUBL2, vax.OpSUBL3, 0, false, func(a, b uint32) (uint32, bool, bool) {
+	regBinop(vax.OpSUBL2, vax.OpSUBL3, 0, fbSub, false, func(a, b uint32) (uint32, bool, bool) {
 		// a is the subtrahend: result = b - a.
 		r := b - a
 		ovf := (a^b)&(b^r)&0x80000000 != 0
 		return r, ovf, b < a
 	})
-	regBinop(vax.OpMULL2, vax.OpMULL3, CostMul, false, func(a, b uint32) (uint32, bool, bool) {
+	regBinop(vax.OpMULL2, vax.OpMULL3, CostMul, fbMul, false, func(a, b uint32) (uint32, bool, bool) {
 		full := int64(int32(a)) * int64(int32(b))
 		r := uint32(full)
 		return r, full != int64(int32(r)), false
 	})
-	regBinop(vax.OpDIVL2, vax.OpDIVL3, CostDiv, true, func(a, b uint32) (uint32, bool, bool) {
+	// DIVL stays generic in every shape: a zero divisor traps.
+	regBinop(vax.OpDIVL2, vax.OpDIVL3, CostDiv, fbNone, true, func(a, b uint32) (uint32, bool, bool) {
 		// a is the divisor: result = b / a. Zero divisor handled by the
 		// caller via divide check.
 		if a == 0 {
@@ -212,16 +225,16 @@ func init() {
 		}
 		return uint32(int32(b) / int32(a)), false, false
 	})
-	regBinop(vax.OpBISL2, vax.OpBISL3, 0, false, func(a, b uint32) (uint32, bool, bool) {
+	regBinop(vax.OpBISL2, vax.OpBISL3, 0, fbBis, false, func(a, b uint32) (uint32, bool, bool) {
 		return b | a, false, false
 	})
-	regBinop(vax.OpBICL2, vax.OpBICL3, 0, false, func(a, b uint32) (uint32, bool, bool) {
+	regBinop(vax.OpBICL2, vax.OpBICL3, 0, fbBic, false, func(a, b uint32) (uint32, bool, bool) {
 		return b &^ a, false, false
 	})
-	regBinop(vax.OpXORL2, vax.OpXORL3, 0, false, func(a, b uint32) (uint32, bool, bool) {
+	regBinop(vax.OpXORL2, vax.OpXORL3, 0, fbXor, false, func(a, b uint32) (uint32, bool, bool) {
 		return b ^ a, false, false
 	})
-	reg(vax.OpASHL, 3, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execASHL() })
+	reg(vax.OpASHL, 3, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execASHL() }).bound(fbAsh)
 
 	// --- integer convert ---
 	regCVT(vax.OpCVTBL, 1, 4)
@@ -232,26 +245,26 @@ func init() {
 	regCVT(vax.OpCVTLW, 4, 2)
 
 	// --- control flow ---
-	regBranch(vax.OpBRB, func(*CPU) bool { return true })
-	regBranch(vax.OpBNEQ, func(c *CPU) bool { return !c.cc(vax.PSLZ) })
-	regBranch(vax.OpBEQL, func(c *CPU) bool { return c.cc(vax.PSLZ) })
-	regBranch(vax.OpBGTR, func(c *CPU) bool { return !c.cc(vax.PSLZ) && !c.cc(vax.PSLN) })
-	regBranch(vax.OpBLEQ, func(c *CPU) bool { return c.cc(vax.PSLZ) || c.cc(vax.PSLN) })
-	regBranch(vax.OpBGEQ, func(c *CPU) bool { return !c.cc(vax.PSLN) })
-	regBranch(vax.OpBLSS, func(c *CPU) bool { return c.cc(vax.PSLN) })
-	regBranch(vax.OpBGTRU, func(c *CPU) bool { return !c.cc(vax.PSLC) && !c.cc(vax.PSLZ) })
-	regBranch(vax.OpBLEQU, func(c *CPU) bool { return c.cc(vax.PSLC) || c.cc(vax.PSLZ) })
-	regBranch(vax.OpBVC, func(c *CPU) bool { return !c.cc(vax.PSLV) })
-	regBranch(vax.OpBVS, func(c *CPU) bool { return c.cc(vax.PSLV) })
-	regBranch(vax.OpBCC, func(c *CPU) bool { return !c.cc(vax.PSLC) })
-	regBranch(vax.OpBCS, func(c *CPU) bool { return c.cc(vax.PSLC) })
-	reg(vax.OpBRW, 0, 2, CostBase, func(c *CPU, _ *instrEntry) error { return c.execBRW() })
+	reg(vax.OpBRB, 0, 1, CostBase, func(c *CPU, _ *instrEntry) error { return c.branchIf(true) }).bound(fbBr)
+	regBranch(vax.OpBNEQ, fbcNEQ)
+	regBranch(vax.OpBEQL, fbcEQL)
+	regBranch(vax.OpBGTR, fbcGTR)
+	regBranch(vax.OpBLEQ, fbcLEQ)
+	regBranch(vax.OpBGEQ, fbcGEQ)
+	regBranch(vax.OpBLSS, fbcLSS)
+	regBranch(vax.OpBGTRU, fbcGTRU)
+	regBranch(vax.OpBLEQU, fbcLEQU)
+	regBranch(vax.OpBVC, fbcVC)
+	regBranch(vax.OpBVS, fbcVS)
+	regBranch(vax.OpBCC, fbcCC)
+	regBranch(vax.OpBCS, fbcCS)
+	reg(vax.OpBRW, 0, 2, CostBase, func(c *CPU, _ *instrEntry) error { return c.execBRW() }).bound(fbBr)
 	reg(vax.OpBLBS, 1, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execBLB(e.op == vax.OpBLBS)
-	})
+	}).bound(fbBlbs)
 	reg(vax.OpBLBC, 1, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execBLB(e.op == vax.OpBLBS)
-	})
+	}).bound(fbBlbc)
 	reg(vax.OpBBS, 2, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execBB(e.op == vax.OpBBS)
 	})
@@ -266,14 +279,14 @@ func init() {
 	reg(vax.OpACBL, 3, 4, CostBase, func(c *CPU, _ *instrEntry) error { return c.execACBL() })
 	reg(vax.OpAOBLSS, 2, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execAOB(e.op == vax.OpAOBLEQ)
-	})
+	}).bound(fbAoblss)
 	reg(vax.OpAOBLEQ, 2, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execAOB(e.op == vax.OpAOBLEQ)
-	})
+	}).bound(fbAobleq)
 	reg(vax.OpSOBGEQ, 1, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execSOB(e.op == vax.OpSOBGTR)
-	})
+	}).bound(fbSobgeq)
 	reg(vax.OpSOBGTR, 1, 4, CostBase, func(c *CPU, e *instrEntry) error {
 		return c.execSOB(e.op == vax.OpSOBGTR)
-	})
+	}).bound(fbSobgtr)
 }

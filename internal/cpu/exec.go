@@ -327,30 +327,31 @@ func (c *CPU) execASHL() error {
 	if err != nil {
 		return err
 	}
-	n := int(int8(cv))
-	var r uint32
-	ovf := false
-	switch {
-	case n >= 32:
-		r = 0
-		ovf = sv != 0
-	case n > 0:
-		r = sv << n
-		if int32(r)>>n != int32(sv) {
-			ovf = true
-		}
-	case n <= -32:
-		r = uint32(int32(sv) >> 31)
-	case n < 0:
-		r = uint32(int32(sv) >> uint(-n))
-	default:
-		r = sv
-	}
+	r, ovf := ashl(cv, sv)
 	if err := c.writeOp(dst, r); err != nil {
 		return err
 	}
 	c.setNZVC(int32(r) < 0, r == 0, ovf, false)
 	return nil
+}
+
+// ashl shifts sv arithmetically by the signed byte count cnt (left
+// when positive): the result, and whether a left shift lost
+// significant bits.
+func ashl(cnt, sv uint32) (uint32, bool) {
+	n := int(int8(cnt))
+	switch {
+	case n >= 32:
+		return 0, sv != 0
+	case n > 0:
+		r := sv << n
+		return r, int32(r)>>n != int32(sv)
+	case n <= -32:
+		return uint32(int32(sv) >> 31), false
+	case n < 0:
+		return uint32(int32(sv) >> uint(-n)), false
+	}
+	return sv, false
 }
 
 // --- control flow ---

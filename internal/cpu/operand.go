@@ -97,7 +97,7 @@ func (c *CPU) decodeOperand(size int, wantAddr bool) (operand, error) {
 	if err != nil {
 		return operand{}, err
 	}
-	c.cur.record(ditem{kind: diSpec, endOff: t.endOff, spec: t})
+	c.cur.record(t)
 	return c.evalSpec(t)
 }
 

@@ -362,33 +362,47 @@ func (c *CPU) sbFinishBuild() {
 	}
 }
 
-// Pre-bound step kinds. Each mirrors its interpreter handler exactly
-// (exec.go / dispatch.go), restricted to register and literal operands
-// — the shapes that cannot fault, touch memory, or change guarded PSL
-// fields. Everything else stays fbNone and takes the generic replay
-// path through the handler.
+// Bound kinds: one per operation, whatever the operand count. Each
+// mirrors its interpreter handler (exec.go, convert.go, dispatch.go)
+// restricted to register and literal operands, the shapes that cannot
+// fault, touch memory, halt, wait or change guarded PSL fields. A
+// two-operand ALU form binds as its three-operand kind with b = d, and
+// the one-operand forms read and write the same register (CLRx moves
+// an implicit #0 into it; INCL and DECL add or subtract an implicit
+// #1). DIVL and every memory or index shape stay fbNone and replay
+// through the handler.
+//
+// The order matters to sbBind: the kinds up to fbAobleq write d, and
+// the kinds from fbSobgtr through fbBcond end with a branch
+// displacement.
 const (
 	fbNone   uint8 = iota
-	fbMovl         // R[rb] = a; N,Z; V=0, C kept
-	fbClrl         // R[rb] = 0
-	fbTstl         // CC from a
-	fbAddl2        // R[rb] += a
-	fbSubl2        // R[rb] -= a
-	fbBisl2        // R[rb] |= a
-	fbBicl2        // R[rb] &^= a
-	fbXorl2        // R[rb] ^= a
-	fbMull2        // R[rb] *= a (signed, V on 32-bit overflow)
-	fbIncl         // R[rb]++
-	fbDecl         // R[rb]--
-	fbCmpl         // CC from a vs R[rb]
-	fbBr           // PC = taken (BRB/BRW)
-	fbBcond        // PC = taken when the ra-coded predicate holds
-	fbSobgtr       // R[ra]--; PC = taken while > 0
-	fbSobgeq       // R[ra]--; PC = taken while >= 0
+	fbMov          // d = a; N,Z at d's size; V=0, C kept (MOVx, MOVZxL, CLRx)
+	fbCvt          // d = a sign-extended or truncated; V on truncation (CVTxy)
+	fbMneg         // d = -a
+	fbMcom         // d = ^a
+	fbAdd          // d = b + a (ADDL2/3, INCL)
+	fbSub          // d = b - a (SUBL2/3, DECL)
+	fbBis          // d = b | a
+	fbBic          // d = b &^ a
+	fbXor          // d = b ^ a
+	fbMul          // d = b * a (signed, V on 32-bit overflow)
+	fbAsh          // d = b shifted arithmetically by the signed byte a
+	fbSobgtr       // d = b - 1; branch while > 0
+	fbSobgeq       // d = b - 1; branch while >= 0
+	fbAoblss       // d = b + 1; branch while < a
+	fbAobleq       // d = b + 1; branch while <= a
+	fbBlbs         // branch when a's low bit is set
+	fbBlbc         // branch when a's low bit is clear
+	fbBr           // branch always (BRB/BRW)
+	fbBcond        // branch when the cond predicate holds
+	fbTst          // CC from a
+	fbCmp          // CC from a vs b
+	fbBit          // CC from a & b
 )
 
-// Condition-branch predicate codes (sbBound.ra for fbBcond), in the
-// order of dispatch.go's regBranch table.
+// Condition-branch predicate codes (sbBound.cond and the dispatch rows
+// of the conditional branches).
 const (
 	fbcNEQ uint8 = iota
 	fbcEQL
@@ -404,291 +418,238 @@ const (
 	fbcCS
 )
 
-// sbBound is a fully pre-bound instruction: operation kind, operand a
-// (the literal imm when aLit, else R[ra]), register operand b, and the
-// successor PCs as offsets from the opcode (one physical page may be
-// mapped at several VAs). cost is the instruction's up-front cycle
-// charge (register shapes never pay CostMemOperand).
+// condHolds evaluates a branch predicate against the PSL's condition
+// codes; the generic and the bound conditional branches share it.
+func condHolds(p uint32, cond uint8) bool {
+	switch cond {
+	case fbcNEQ:
+		return p&vax.PSLZ == 0
+	case fbcEQL:
+		return p&vax.PSLZ != 0
+	case fbcGTR:
+		return p&(vax.PSLZ|vax.PSLN) == 0
+	case fbcLEQ:
+		return p&(vax.PSLZ|vax.PSLN) != 0
+	case fbcGEQ:
+		return p&vax.PSLN == 0
+	case fbcLSS:
+		return p&vax.PSLN != 0
+	case fbcGTRU:
+		return p&(vax.PSLC|vax.PSLZ) == 0
+	case fbcLEQU:
+		return p&(vax.PSLC|vax.PSLZ) != 0
+	case fbcVC:
+		return p&vax.PSLV == 0
+	case fbcVS:
+		return p&vax.PSLV != 0
+	case fbcCC:
+		return p&vax.PSLC == 0
+	default:
+		return p&vax.PSLC != 0
+	}
+}
+
+// sbOpnd is one bound operand: a literal or a register, accessed at
+// size bytes. Reading it is R[reg]&mask | imm with no branch: a literal
+// has a zero mask (imm holds the value), a register a zero imm.
+type sbOpnd struct {
+	reg  uint8
+	size uint8
+	mask uint32
+	imm  uint32
+}
+
+// get reads a source operand.
+func (c *CPU) get(o *sbOpnd) uint32 { return c.R[o.reg]&o.mask | o.imm }
+
+// put stores r to a register operand; byte and word writes keep the
+// register's high bits, as writeOp does.
+func (c *CPU) put(o *sbOpnd, r uint32) { c.R[o.reg] = c.R[o.reg]&^o.mask | r&o.mask }
+
+// sbBound is a fully pre-bound instruction in three-address form:
+// sources a and b, destination register d, and the successor PCs as
+// offsets from the opcode (one physical page may be mapped at several
+// VAs). cost is the instruction's up-front cycle charge (register
+// shapes never pay CostMemOperand).
 type sbBound struct {
 	kind  uint8
-	aLit  bool
-	ra    uint8
-	rb    uint8
+	cond  uint8 // fbBcond predicate
 	next  uint8 // fallthrough offset (the instruction's length)
 	cost  uint16
-	imm   uint32
+	a, b  sbOpnd
+	d     sbOpnd
 	taken uint32 // branch target offset (branch kinds; wraps backwards)
 }
 
-// sbBind compiles one decoded entry into its pre-bound form, or fbNone
-// when any operand is outside the register/literal subset. The entry's
-// recorded items must cover the whole instruction (partial entries
-// replay generically).
+// sizeMask is the register mask of an access size.
+func sizeMask(size uint8) uint32 {
+	switch size {
+	case 1:
+		return 0xFF
+	case 2:
+		return 0xFFFF
+	}
+	return 0xFFFFFFFF
+}
+
+// sbBind compiles one decoded entry into its three-address form, or
+// fbNone when the row is never bound or any operand is outside the
+// register/literal subset. The entry's recorded items must cover the
+// whole instruction (partial entries replay generically).
 func sbBind(e *dcEntry) sbBound {
-	// Specifier accessors over the recorded items; every bound shape
-	// consumes all items, so the last one's end offset is the
-	// instruction length.
-	spec := func(i uint8) (dspec, bool) {
-		if i < e.n && e.items[i].kind == diSpec {
-			t := e.items[i].spec
-			if t.xreg == noIndex && (t.kind == evLiteral || t.kind == evRegister) {
-				return t, true
-			}
-		}
-		return dspec{}, false
+	kind := e.ie.bind
+	if kind == fbNone {
+		return sbBound{}
 	}
-	raw := func(i uint8, kind uint8) (uint32, uint8, bool) {
-		if i < e.n && e.items[i].kind == kind {
-			return e.items[i].val, e.items[i].endOff, true
-		}
-		return 0, 0, false
+	fb := sbBound{kind: kind, cond: e.ie.cond, cost: e.ie.cost}
+	n := e.ie.nOps
+	items := n
+	if kind >= fbSobgtr && kind <= fbBcond {
+		items++ // the branch displacement
 	}
-	// bindA fills operand a from a literal-or-register template.
-	bindA := func(fb *sbBound, t dspec) {
-		if t.kind == evLiteral {
-			fb.aLit = true
-			fb.imm = t.imm
-		} else {
-			fb.ra = t.reg
-		}
+	if e.n != items {
+		return sbBound{}
 	}
-	fb := sbBound{cost: e.ie.cost}
-	switch e.ie.op {
-	case vax.OpMOVL, vax.OpTSTL, vax.OpCMPL,
-		vax.OpADDL2, vax.OpSUBL2, vax.OpBISL2, vax.OpBICL2,
-		vax.OpXORL2, vax.OpMULL2:
-		a, ok := spec(0)
-		if !ok || a.size != 4 {
+	var ops [3]sbOpnd
+	for i := uint8(0); i < n; i++ {
+		t := &e.items[i]
+		if t.xreg != noIndex {
 			return sbBound{}
 		}
-		bindA(&fb, a)
-		if e.ie.op == vax.OpTSTL {
-			if e.n != 1 {
-				return sbBound{}
-			}
-			fb.kind = fbTstl
-			fb.next = a.endOff
-			return fb
-		}
-		b, ok := spec(1)
-		if !ok || b.kind != evRegister || b.size != 4 || e.n != 2 {
-			return sbBound{}
-		}
-		fb.rb = b.reg
-		fb.next = b.endOff
-		switch e.ie.op {
-		case vax.OpMOVL:
-			fb.kind = fbMovl
-		case vax.OpCMPL:
-			fb.kind = fbCmpl
-		case vax.OpADDL2:
-			fb.kind = fbAddl2
-		case vax.OpSUBL2:
-			fb.kind = fbSubl2
-		case vax.OpBISL2:
-			fb.kind = fbBisl2
-		case vax.OpBICL2:
-			fb.kind = fbBicl2
-		case vax.OpXORL2:
-			fb.kind = fbXorl2
-		case vax.OpMULL2:
-			fb.kind = fbMull2
-		}
-		return fb
-	case vax.OpCLRL, vax.OpINCL, vax.OpDECL:
-		t, ok := spec(0)
-		if !ok || t.kind != evRegister || t.size != 4 || e.n != 1 {
-			return sbBound{}
-		}
-		fb.rb = t.reg
-		fb.next = t.endOff
-		switch e.ie.op {
-		case vax.OpCLRL:
-			fb.kind = fbClrl
-		case vax.OpINCL:
-			fb.kind = fbIncl
+		switch t.kind {
+		case evLiteral:
+			ops[i] = sbOpnd{size: t.size, imm: t.imm}
+		case evRegister:
+			ops[i] = sbOpnd{reg: t.reg, size: t.size, mask: sizeMask(t.size)}
 		default:
-			fb.kind = fbDecl
-		}
-		return fb
-	case vax.OpSOBGTR, vax.OpSOBGEQ:
-		t, ok := spec(0)
-		if !ok || t.kind != evRegister || t.size != 4 {
 			return sbBound{}
 		}
-		d, off, ok := raw(1, diByte)
-		if !ok || e.n != 2 {
-			return sbBound{}
-		}
-		fb.ra = t.reg
-		fb.kind = fbSobgeq
-		if e.ie.op == vax.OpSOBGTR {
-			fb.kind = fbSobgtr
-		}
-		fb.next = off
-		fb.taken = uint32(fb.next) + uint32(int32(int8(d)))
-		return fb
-	case vax.OpBRB:
-		d, off, ok := raw(0, diByte)
-		if !ok || e.n != 1 {
-			return sbBound{}
-		}
-		fb.kind = fbBr
-		fb.next = off
-		fb.taken = uint32(fb.next) + uint32(int32(int8(d)))
-		return fb
-	case vax.OpBRW:
-		d, off, ok := raw(0, diWord)
-		if !ok || e.n != 1 {
-			return sbBound{}
-		}
-		fb.kind = fbBr
-		fb.next = off
-		fb.taken = uint32(fb.next) + uint32(int32(int16(d)))
-		return fb
-	case vax.OpBNEQ, vax.OpBEQL, vax.OpBGTR, vax.OpBLEQ,
-		vax.OpBGEQ, vax.OpBLSS, vax.OpBGTRU, vax.OpBLEQU,
-		vax.OpBVC, vax.OpBVS, vax.OpBCC, vax.OpBCS:
-		d, off, ok := raw(0, diByte)
-		if !ok || e.n != 1 {
-			return sbBound{}
-		}
-		fb.kind = fbBcond
-		switch e.ie.op {
-		case vax.OpBNEQ:
-			fb.ra = fbcNEQ
-		case vax.OpBEQL:
-			fb.ra = fbcEQL
-		case vax.OpBGTR:
-			fb.ra = fbcGTR
-		case vax.OpBLEQ:
-			fb.ra = fbcLEQ
-		case vax.OpBGEQ:
-			fb.ra = fbcGEQ
-		case vax.OpBLSS:
-			fb.ra = fbcLSS
-		case vax.OpBGTRU:
-			fb.ra = fbcGTRU
-		case vax.OpBLEQU:
-			fb.ra = fbcLEQU
-		case vax.OpBVC:
-			fb.ra = fbcVC
-		case vax.OpBVS:
-			fb.ra = fbcVS
-		case vax.OpBCC:
-			fb.ra = fbcCC
+	}
+	fb.next = e.items[items-1].endOff
+	if items > n {
+		switch it := &e.items[n]; it.kind {
+		case diByte:
+			fb.taken = uint32(fb.next) + uint32(int32(int8(it.imm)))
+		case diWord:
+			fb.taken = uint32(fb.next) + uint32(int32(int16(it.imm)))
 		default:
-			fb.ra = fbcCS
+			return sbBound{}
 		}
-		fb.next = off
-		fb.taken = uint32(fb.next) + uint32(int32(int8(d)))
+	}
+	if kind > fbAobleq {
+		// Tests and branches: every specifier is a source.
+		fb.a, fb.b = ops[0], ops[1]
 		return fb
 	}
-	return sbBound{}
+	// The last specifier is the destination; a literal (zero mask)
+	// there is a reserved-operand fault, left to the handler.
+	srcs := n - 1
+	fb.d = ops[srcs]
+	if fb.d.mask == 0 {
+		return sbBound{}
+	}
+	switch srcs {
+	case 0: // CLRx, INCL, DECL, SOBxxx: the operand is also source b
+		fb.b = fb.d
+		fb.a = sbOpnd{size: fb.d.size}
+		if kind != fbMov {
+			fb.a.imm = 1
+		}
+	case 1: // a two-operand form: b = d
+		fb.a, fb.b = ops[0], fb.d
+	default:
+		fb.a, fb.b = ops[0], ops[1]
+	}
+	return fb
 }
 
 // execBound runs one pre-bound instruction whose opcode is at base.
-// Condition-code updates replicate setNZ/setNZVC and the handlers' f
-// callbacks bit for bit; cycle charges match the interpreter (no memory
-// operands, so never CostMemOperand).
+// Condition-code updates replicate setNZ/setNZVC and the handlers bit
+// for bit; cycle charges match the interpreter (no memory operands, so
+// never CostMemOperand). Only the rows of fbMov, fbCvt and fbMcom have
+// byte or word destinations, so only they write through put; the
+// other kinds store d whole.
 func (c *CPU) execBound(fb *sbBound, base uint32) {
 	c.Cycles += uint64(fb.cost)
 	c.R[RegPC] = base + uint32(fb.next)
-	a := fb.imm
-	if !fb.aLit {
-		a = c.R[fb.ra]
-	}
+	a, b := c.get(&fb.a), c.get(&fb.b)
 	switch fb.kind {
-	case fbMovl:
-		c.R[fb.rb] = a
-		c.setNZ(a, 4)
-	case fbClrl:
-		c.R[fb.rb] = 0
-		c.setNZ(0, 4)
-	case fbTstl:
-		c.setNZ(a, 4)
-	case fbAddl2:
-		b := c.R[fb.rb]
+	case fbMov:
+		c.put(&fb.d, a)
+		c.setNZ(a, int(fb.d.size))
+	case fbCvt:
+		r, ovf := cvt(a, int(fb.a.size), int(fb.d.size))
+		c.put(&fb.d, r)
+		s := signExt(r, int(fb.d.size))
+		c.setNZVC(s < 0, s == 0, ovf, false)
+	case fbMneg:
+		r := uint32(-int32(a))
+		c.R[fb.d.reg] = r
+		c.setNZVC(int32(r) < 0, r == 0, a == 0x80000000, a != 0)
+	case fbMcom:
+		r := ^a & fb.d.mask
+		c.put(&fb.d, r)
+		c.setNZ(r, int(fb.d.size))
+	case fbAdd:
 		r := b + a
-		c.R[fb.rb] = r
+		c.R[fb.d.reg] = r
 		c.setNZVC(int32(r) < 0, r == 0, (a^r)&(b^r)&0x80000000 != 0, r < a)
-	case fbSubl2:
-		b := c.R[fb.rb]
+	case fbSub:
 		r := b - a
-		c.R[fb.rb] = r
+		c.R[fb.d.reg] = r
 		c.setNZVC(int32(r) < 0, r == 0, (a^b)&(b^r)&0x80000000 != 0, b < a)
-	case fbBisl2:
-		r := c.R[fb.rb] | a
-		c.R[fb.rb] = r
+	case fbBis:
+		r := b | a
+		c.R[fb.d.reg] = r
 		c.setNZVC(int32(r) < 0, r == 0, false, false)
-	case fbBicl2:
-		r := c.R[fb.rb] &^ a
-		c.R[fb.rb] = r
+	case fbBic:
+		r := b &^ a
+		c.R[fb.d.reg] = r
 		c.setNZVC(int32(r) < 0, r == 0, false, false)
-	case fbXorl2:
-		r := c.R[fb.rb] ^ a
-		c.R[fb.rb] = r
+	case fbXor:
+		r := b ^ a
+		c.R[fb.d.reg] = r
 		c.setNZVC(int32(r) < 0, r == 0, false, false)
-	case fbMull2:
-		full := int64(int32(a)) * int64(int32(c.R[fb.rb]))
+	case fbMul:
+		full := int64(int32(a)) * int64(int32(b))
 		r := uint32(full)
-		c.R[fb.rb] = r
+		c.R[fb.d.reg] = r
 		c.setNZVC(int32(r) < 0, r == 0, full != int64(int32(r)), false)
-	case fbIncl:
-		v := c.R[fb.rb]
-		r := v + 1
-		c.R[fb.rb] = r
-		c.setNZVC(int32(r) < 0, r == 0, v == 0x7FFFFFFF, v == 0xFFFFFFFF)
-	case fbDecl:
-		v := c.R[fb.rb]
-		r := v - 1
-		c.R[fb.rb] = r
-		c.setNZVC(int32(r) < 0, r == 0, v == 0x80000000, v == 0)
-	case fbCmpl:
-		b := c.R[fb.rb]
-		c.setNZVC(int32(a) < int32(b), a == b, false, a < b)
+	case fbAsh:
+		r, ovf := ashl(a, b)
+		c.R[fb.d.reg] = r
+		c.setNZVC(int32(r) < 0, r == 0, ovf, false)
+	case fbSobgtr, fbSobgeq:
+		r := b - 1
+		c.R[fb.d.reg] = r
+		c.setNZ(r, 4)
+		if int32(r) > 0 || fb.kind == fbSobgeq && r == 0 {
+			c.R[RegPC] = base + fb.taken
+		}
+	case fbAoblss, fbAobleq:
+		r := b + 1
+		c.R[fb.d.reg] = r
+		c.setNZ(r, 4)
+		if int32(r) < int32(a) || fb.kind == fbAobleq && r == a {
+			c.R[RegPC] = base + fb.taken
+		}
+	case fbBlbs, fbBlbc:
+		if a&1 == 1 == (fb.kind == fbBlbs) {
+			c.R[RegPC] = base + fb.taken
+		}
 	case fbBr:
 		c.R[RegPC] = base + fb.taken
 	case fbBcond:
-		p := uint32(c.psl)
-		var cond bool
-		switch fb.ra {
-		case fbcNEQ:
-			cond = p&vax.PSLZ == 0
-		case fbcEQL:
-			cond = p&vax.PSLZ != 0
-		case fbcGTR:
-			cond = p&(vax.PSLZ|vax.PSLN) == 0
-		case fbcLEQ:
-			cond = p&(vax.PSLZ|vax.PSLN) != 0
-		case fbcGEQ:
-			cond = p&vax.PSLN == 0
-		case fbcLSS:
-			cond = p&vax.PSLN != 0
-		case fbcGTRU:
-			cond = p&(vax.PSLC|vax.PSLZ) == 0
-		case fbcLEQU:
-			cond = p&(vax.PSLC|vax.PSLZ) != 0
-		case fbcVC:
-			cond = p&vax.PSLV == 0
-		case fbcVS:
-			cond = p&vax.PSLV != 0
-		case fbcCC:
-			cond = p&vax.PSLC == 0
-		default:
-			cond = p&vax.PSLC != 0
-		}
-		if cond {
+		if condHolds(uint32(c.psl), fb.cond) {
 			c.R[RegPC] = base + fb.taken
 		}
-	case fbSobgtr, fbSobgeq:
-		r := c.R[fb.ra] - 1
-		c.R[fb.ra] = r
-		c.setNZ(r, 4)
-		if fb.kind == fbSobgtr && int32(r) > 0 ||
-			fb.kind == fbSobgeq && int32(r) >= 0 {
-			c.R[RegPC] = base + fb.taken
-		}
+	case fbTst:
+		c.setNZ(a, int(fb.a.size))
+	case fbCmp:
+		sa, sb := signExt(a, int(fb.a.size)), signExt(b, int(fb.a.size))
+		c.setNZVC(sa < sb, sa == sb, false, a < b)
+	case fbBit:
+		c.setNZ(a&b, 4)
 	}
 }
 

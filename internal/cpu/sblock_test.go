@@ -52,11 +52,16 @@ func TestSuperblockLoop(t *testing.T) {
 	}
 }
 
-// TestSuperblockMatchesInterpreter runs the same self-patching program
-// with the tier on and off: registers, instruction count and the cycle
-// account must be identical — the tier changes speed, not semantics.
+// TestSuperblockMatchesInterpreter runs the same program with the tier
+// on and off: registers, instruction count and the cycle account must
+// be identical — the tier changes speed, not semantics. The programs
+// are a self-patching loop and a MULL3/ASHL compute loop (the shape of
+// workload.Compute, widened with converts, zero-extends, bit tests and
+// an AOBLSS) in which every instruction binds, so tier on runs it as
+// bound superblock steps and tier off as bound decode-cache replays.
 func TestSuperblockMatchesInterpreter(t *testing.T) {
-	src := `
+	for _, tc := range []struct{ name, src string }{
+		{"self-patching", `
 start:	clrl r0
 	movl #2, r3
 outer:	movl #200, r1
@@ -65,25 +70,49 @@ loop:	addl2 #3, r0
 	movb #9, @#loop+1
 	sobgtr r3, outer
 	halt
-`
-	off := newMachine(t, StandardVAX, src)
-	off.run(t, 100000)
-	on := newMachine(t, StandardVAX, src)
-	enableHot(on.c)
-	on.run(t, 100000)
+`},
+		{"bound compute loop", `
+start:	movl #300, r11
+	clrl r2
+	movl #7, r3
+	clrl r5
+	clrl r8
+loop:	addl2 r3, r2
+	mull3 r2, #3, r4
+	xorl2 r4, r2
+	ashl #1, r2, r2
+	cvtwl r2, r6
+	movzbl r4, r7
+	bitl #1, r6
+	blbc r7, skip
+	incl r5
+skip:	aoblss #1000, r8, next
+next:	sobgtr r11, loop
+	halt
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			off := newMachine(t, StandardVAX, tc.src)
+			off.run(t, 100000)
+			on := newMachine(t, StandardVAX, tc.src)
+			enableHot(on.c)
+			on.run(t, 100000)
 
-	if on.c.R != off.c.R {
-		t.Errorf("registers diverge:\n tier on  %v\n tier off %v", on.c.R, off.c.R)
-	}
-	if on.c.Stats.Instructions != off.c.Stats.Instructions {
-		t.Errorf("instructions: tier on %d, tier off %d",
-			on.c.Stats.Instructions, off.c.Stats.Instructions)
-	}
-	if on.c.Cycles != off.c.Cycles {
-		t.Errorf("cycles: tier on %d, tier off %d", on.c.Cycles, off.c.Cycles)
-	}
-	if on.c.Stats.SBEnters == 0 {
-		t.Error("tier-on run never entered a superblock")
+			if on.c.R != off.c.R {
+				t.Errorf("registers diverge:\n tier on  %v\n tier off %v", on.c.R, off.c.R)
+			}
+			if on.c.Stats.Instructions != off.c.Stats.Instructions {
+				t.Errorf("instructions: tier on %d, tier off %d",
+					on.c.Stats.Instructions, off.c.Stats.Instructions)
+			}
+			if on.c.Cycles != off.c.Cycles {
+				t.Errorf("cycles: tier on %d, tier off %d", on.c.Cycles, off.c.Cycles)
+			}
+			if on.c.Stats.SBSteps < on.c.Stats.Instructions/2 {
+				t.Errorf("only %d of %d instructions retired in superblocks",
+					on.c.Stats.SBSteps, on.c.Stats.Instructions)
+			}
+		})
 	}
 }
 

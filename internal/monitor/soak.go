@@ -20,8 +20,9 @@ import (
 // in-process HTTP server, exercising the whole stack — client, mux,
 // registry dispatch, fleet manager, monitor, page recycling — exactly
 // as an external operator would. It reports latency histograms and
-// verifies the fleet leaks neither VMs nor pages: after the run, every
-// carved page is back in the free pool at the warm-up baseline.
+// verifies the fleet leaks neither VMs nor pages: after the run, the
+// pages in use (carved and not parked for reuse) are back at the
+// warm-up baseline.
 
 // SoakOptions tunes a soak run.
 type SoakOptions struct {
@@ -47,15 +48,16 @@ type SoakReport struct {
 	// Latency histograms in microseconds, one per lifecycle phase.
 	Clone, Snapshot, Restore, Destroy trace.Hist
 
-	// Leak accounting: free pages at the post-warm-up baseline and
-	// after the run, and VMs left beyond the golden image.
-	BaselineFree, FinalFree uint32
-	LeakedVMs               int
+	// Leak accounting: pages in use (core.VMM.PagesInUse) at the
+	// post-warm-up baseline and after the run, and VMs left beyond the
+	// golden image.
+	BaselineInUse, FinalInUse uint32
+	LeakedVMs                 int
 }
 
 // Leaked reports whether the run leaked VMs or pages.
 func (r *SoakReport) Leaked() bool {
-	return r.LeakedVMs > 0 || r.FinalFree != r.BaselineFree
+	return r.LeakedVMs > 0 || r.FinalInUse != r.BaselineInUse
 }
 
 // String renders the report's summary lines.
@@ -73,7 +75,7 @@ func (r *SoakReport) String() string {
 	row("snapshot", &r.Snapshot)
 	row("restore", &r.Restore)
 	row("destroy", &r.Destroy)
-	fmt.Fprintf(&b, "  pages: baseline-free %d  final-free %d  leaked-vms %d", r.BaselineFree, r.FinalFree, r.LeakedVMs)
+	fmt.Fprintf(&b, "  pages: baseline-in-use %d  final-in-use %d  leaked-vms %d", r.BaselineInUse, r.FinalInUse, r.LeakedVMs)
 	return b.String()
 }
 
@@ -258,44 +260,24 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		return clients
 	}
 
-	// Two identical epochs. The first reaches steady state: the bump
-	// allocator carves pages on first touch and never un-carves, so
-	// FreePages legitimately drops while peak demand is discovered. The
-	// second epoch must then run entirely from the recycled-run pool —
-	// any further FreePages drop is a real page leak, and any VM beyond
-	// the golden image is a lifecycle leak.
+	// Two identical epochs. The first reaches steady state (the golden
+	// image's own shadow and COW footprint); the second is gated. The
+	// gate counts pages in use, not FreePages: the bump allocator never
+	// un-carves, so a gated epoch that happens to overlap one more
+	// restore than the warm-up carves a run the pool then keeps, and
+	// FreePages drops with nothing leaked. Pages in use return to the
+	// baseline unless a page really leaked, and any VM beyond the
+	// golden image is a lifecycle leak.
 	warm := epoch()
-
-	// The warm-up epoch discovers demand by timing: how many restores
-	// overlap decides how many contiguous runs get carved, so a lucky
-	// schedule can leave the pool short of the worst case. Carve the
-	// peak deterministically — every client holding one full-geometry
-	// VM at once — and hand the runs back, so the gated epoch can never
-	// see a pool miss the warm-up happened to dodge.
 	mu.Lock()
-	held := make([]int, 0, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		info, err := mgr.Create(fleet.Spec{Workload: "stamp"})
-		if err != nil {
-			mu.Unlock()
-			return nil, fmt.Errorf("soak: pre-warming run pool: %w", err)
-		}
-		held = append(held, info.ID)
-	}
-	for _, id := range held {
-		if _, err := mgr.Destroy(id); err != nil {
-			mu.Unlock()
-			return nil, fmt.Errorf("soak: releasing pre-warm vm%d: %w", id, err)
-		}
-	}
-	baseline := k.FreePages()
+	baseline := k.PagesInUse()
 	baseVMs := len(k.VMs())
 	mu.Unlock()
-	logf("soak: warm-up epoch done (%d lifecycles), baseline free pages %d", opts.Lifecycles, baseline)
+	logf("soak: warm-up epoch done (%d lifecycles), baseline pages in use %d", opts.Lifecycles, baseline)
 	clients := epoch()
 	mgr.Stop()
 
-	rep := &SoakReport{Lifecycles: 2 * opts.Lifecycles, BaselineFree: baseline}
+	rep := &SoakReport{Lifecycles: 2 * opts.Lifecycles, BaselineInUse: baseline}
 	for _, c := range warm {
 		rep.Restores += c.restores
 		rep.Errors += c.errs
@@ -309,7 +291,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		rep.Errors += c.errs
 	}
 	mu.Lock()
-	rep.FinalFree = k.FreePages()
+	rep.FinalInUse = k.PagesInUse()
 	rep.LeakedVMs = len(k.VMs()) - baseVMs
 	mu.Unlock()
 	return rep, nil
