@@ -90,6 +90,45 @@ func BenchmarkE10FaultCampaign(b *testing.B)  { benchExperiment(b, "E10") }
 // Section 5 extended: recoverable deaths roll back to checkpoints.
 func BenchmarkE11RecoveryCampaign(b *testing.B) { benchExperiment(b, "E11") }
 
+// BenchmarkE3RecorderOverhead prices the flight recorder: each
+// iteration runs E3 once with the recorder off and once with it on
+// (rings of 1024 events, as VAX_TRACE=1024 selects), and the side that
+// runs first alternates. It reports the mean of each side as off-ns/op
+// and on-ns/op. Interleaving the two sides inside one process is the
+// point: on a shared host, separate processes running the same code
+// differ by up to ±20% (CPU placement, memory layout), which swamps a
+// few-percent recording cost; within one process those effects hit
+// both sides alike. ci.sh's trace-overhead gate takes the median on/off
+// ratio over nine such processes.
+func BenchmarkE3RecorderOverhead(b *testing.B) {
+	spec, ok := exp.ByID("E3")
+	if !ok {
+		b.Fatal("unknown experiment E3")
+	}
+	defer func(c int) { exp.RecorderCap = c }(exp.RecorderCap)
+	var off, on time.Duration
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 2; j++ {
+			traced := (i+j)%2 == 1
+			exp.RecorderCap = 0
+			if traced {
+				exp.RecorderCap = 1024
+			}
+			start := time.Now()
+			if _, err := spec.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if traced {
+				on += time.Since(start)
+			} else {
+				off += time.Since(start)
+			}
+		}
+	}
+	b.ReportMetric(float64(off.Nanoseconds())/float64(b.N), "off-ns/op")
+	b.ReportMetric(float64(on.Nanoseconds())/float64(b.N), "on-ns/op")
+}
+
 // benchThroughput measures the raw execution rate of a tight guest
 // compute loop, after the decoded-instruction cache (and, tier-on, the
 // superblock cache) is warm. It reports guest instructions per second

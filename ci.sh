@@ -220,33 +220,42 @@ go test -race ./...
 echo "== benchmark module: go vet, go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "== trace-overhead smoke (E3: recorder off vs on, >5% ns/op delta fails)"
-min_ns() {
-    awk '/^BenchmarkE3/ {
-        for (i = 2; i <= NF; i++)
-            if ($(i) == "ns/op" && (best == 0 || $(i-1) + 0 < best)) best = $(i-1) + 0
-    } END { print best + 0 }'
-}
-# Interleave the off/on measurements (three alternating pairs, min of
-# each) so slow drift on a noisy host lands on both sides instead of
-# biasing whichever block ran second. 200 runs of E3 (5-7 ms each) keep
-# each measurement near a second, as in the tier gate below. On a 2-vCPU
-# shared host the gate's delta spanned -25%..+25% at 5 runs and
-# -8%..+9% at 200 (ten gates each, recorder cost near 0%): the host's
-# speed drifts in phases longer than a measurement, so this gate can
-# still fail without a regression.
-off=0; on=0
-for pass in 1 2 3; do
-    o=$(go test -run '^$' -bench BenchmarkE3FaultsPerSwitch -benchtime 200x . | min_ns)
-    n=$(VAX_TRACE=1024 go test -run '^$' -bench BenchmarkE3FaultsPerSwitch -benchtime 200x . | min_ns)
-    if [ "$off" = 0 ] || [ "$o" -lt "$off" ]; then off=$o; fi
-    if [ "$on" = 0 ] || [ "$n" -lt "$on" ]; then on=$n; fi
+echo "== trace-overhead smoke (E3: recorder off vs on, median per-pair delta >5% fails)"
+# Noise model: nine off/on pairs, gated on the median of the per-pair
+# on/off ratios. A pair is one run of BenchmarkE3RecorderOverhead: 200
+# iterations, each running E3 once with the recorder off and once with
+# it on, the side that runs first alternating. On a 2-vCPU shared host,
+# separate processes running the same code differ by up to +-20% (CPU
+# placement, memory layout, the neighbours' phase); pairing the two
+# sides inside one process cancels that, and the median ignores up to
+# four pairs hit by a burst. Pairs built from two processes each swung
+# the gate's median from -2% to +10% and failed 3 of 10 runs with the
+# recorder's cost near 2%.
+benchbin=$(mktemp)
+go test -c -o "$benchbin" .
+pairs=""
+for pass in 1 2 3 4 5 6 7 8 9; do
+    pair=$("$benchbin" -test.run '^$' -test.bench 'BenchmarkE3RecorderOverhead$' -test.benchtime 200x |
+        awk '/^BenchmarkE3/ {
+            for (i = 2; i <= NF; i++) {
+                if ($(i) == "off-ns/op") off = $(i-1)
+                if ($(i) == "on-ns/op") on = $(i-1)
+            }
+        } END { print off + 0 ":" on + 0 }')
+    pairs="$pairs $pair"
 done
-echo "  E3 ns/op (min of 3 interleaved): recorder off $off, on $on"
-awk -v off="$off" -v on="$on" 'BEGIN {
-    if (off + 0 == 0 || on + 0 == 0) { print "  no benchmark output"; exit 1 }
-    delta = (on - off) / off * 100
-    printf "  recorder-on delta %+.1f%%\n", delta
+rm -f "$benchbin"
+echo "$pairs" | awk '{
+    for (i = 1; i <= NF; i++) {
+        split($(i), p, ":")
+        if (p[1] + 0 == 0 || p[2] + 0 == 0) { print "  no benchmark output"; exit 1 }
+        r[i] = p[2] / p[1]
+        printf "  pair %d: off %d on %d ns/op (%+.1f%%)\n", i, p[1], p[2], (r[i] - 1) * 100
+    }
+    for (i = 2; i <= NF; i++)
+        for (j = i; j > 1 && r[j] < r[j-1]; j--) { t = r[j]; r[j] = r[j-1]; r[j-1] = t }
+    delta = (r[int((NF + 1) / 2)] - 1) * 100
+    printf "  recorder-on delta (median of %d pairs) %+.1f%%\n", NF, delta
     if (delta > 5) { print "  REGRESSION: recorder-on E3 more than 5% slower"; exit 1 }
 }'
 

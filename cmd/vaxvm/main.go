@@ -77,11 +77,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	k := core.New(uint32(16+8*(*nvms))<<20, core.Config{},
-		core.WithScheme(scheme),
-		core.WithShadowCacheSlots(*slots),
-		core.WithPrefetchGroup(*prefetch),
-		core.WithMMIO(*mmio))
+	k := core.New(uint32(16+8*(*nvms))<<20, core.Config{
+		Scheme:           scheme,
+		ShadowCacheSlots: *slots,
+		PrefetchGroup:    *prefetch,
+		MMIOEmulatedIO:   *mmio,
+	})
 	if *audit > 0 {
 		k.EnableAudit(*audit)
 	}

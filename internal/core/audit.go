@@ -169,7 +169,8 @@ func (k *VMM) AuditDropped() uint64 {
 // shard's cycle count only (sequencing happens at the merge, so the
 // per-event path shares nothing); the root logs directly into the
 // shared ring (single-threaded by construction) and sequences as it
-// goes.
+// goes. Callers that format a detail string check k.audit first, so a
+// disabled trail costs no formatting.
 func (k *VMM) record(vm *VM, kind AuditKind, detail string) {
 	if k.audit == nil {
 		return

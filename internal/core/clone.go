@@ -169,8 +169,10 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 
 	k.nextID++
 	k.vms = append(k.vms, vm)
-	k.record(vm, AuditVMCreated,
-		fmt.Sprintf("cloned from %s (%d shared pages)", src.name, pages))
+	if k.audit != nil {
+		k.record(vm, AuditVMCreated,
+			fmt.Sprintf("cloned from %s (%d shared pages)", src.name, pages))
+	}
 	return vm, nil
 }
 
@@ -203,8 +205,8 @@ func (k *VMM) ensureShadow(vm *VM) bool {
 // cowDemote strips every writable mapping from a frames-backed VM's
 // shadow tables so newly shared frames cannot be stored to without a
 // fault: the process slots, P1 and S shadows reset to null PTEs (they
-// refill on demand, and shadowPTEFor holds M clear on shared frames),
-// and the identity table is rebuilt the same way. Runs once per
+// refill on demand, and the shadow-PTE rule holds M clear on shared
+// frames), and the identity table is rebuilt the same way. Runs once per
 // clone-burst: the first Clone after the VM installed a writable
 // mapping pays it, subsequent Clones see cowClean and skip it.
 func (k *VMM) cowDemote(vm *VM) error {
@@ -346,7 +348,7 @@ func (k *VMM) cowModifyFault(vm *VM, va uint32) {
 		// process slot for a P0 address.
 		pfn := vax.VPN(va)
 		if pfn >= uint32(len(vm.frames)) {
-			k.haltVM(vm, fmt.Sprintf("reference to nonexistent VM-physical page %#x", pfn))
+			k.haltNonexistent(vm, pfn)
 			return
 		}
 		if !k.cowBreak(vm, pfn) {
@@ -359,22 +361,28 @@ func (k *VMM) cowModifyFault(vm *VM, va uint32) {
 		return
 	}
 	gpte, gf := k.guestPTE(vm, va, true)
-	if gf != nil || vm.halted || !gpte.Valid() || gpte.Prot().Reserved() {
-		// The guest PTE changed since the fault was raised; the retry
-		// resolves whatever state it finds through the normal paths.
+	if vm.halted {
+		return
+	}
+	_, m := k.shadowPTEFor(vm, gpte, k.cfg.ReadOnlyShadow)
+	switch {
+	case gf == nil && m == noMapNonexistent:
+		k.haltNonexistent(vm, gpte.PFN())
+		return
+	case gf != nil || m != mapped:
+		// The guest's tables changed without a TBIS and no longer map
+		// va. Drop the stale shadow entry — left in place, its clear M
+		// bit would fault the retry here forever — so the retry
+		// resolves the new state through the demand fill.
+		vm.shadow.invalidate(k, va)
 		k.resumeVM(vm)
 		return
 	}
-	pfn := gpte.PFN()
-	if pfn*vax.PageSize >= vm.MemSize {
-		k.haltVM(vm, fmt.Sprintf("reference to nonexistent VM-physical page %#x", pfn))
+	if !k.cowBreak(vm, gpte.PFN()) {
 		return
 	}
-	if !k.cowBreak(vm, pfn) {
-		return
-	}
+	spte, _ := k.shadowPTEFor(vm, gpte.WithModify(true), k.cfg.ReadOnlyShadow)
 	if slot, ok := vm.shadow.shadowSlot(va); ok {
-		spte := vax.NewPTE(true, gpte.Prot().Compress(), true, vm.frames[pfn])
 		_ = k.Mem.StoreLong(slot, uint32(spte))
 	}
 	k.setGuestPTEModify(vm, va)

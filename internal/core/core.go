@@ -192,8 +192,7 @@ type Config struct {
 	MemCache *mem.Cache
 
 	// Quota is the whole-monitor admission limit on VMs and nominal
-	// pages (see quota.go); the zero value admits everything. Usually
-	// set via WithQuota.
+	// pages (see quota.go); the zero value admits everything.
 	Quota Quota
 }
 

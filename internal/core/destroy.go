@@ -60,7 +60,9 @@ func (k *VMM) DestroyVM(vm *VM) error {
 	case k.cur > idx:
 		k.cur--
 	}
-	k.record(vm, AuditVMDestroyed, fmt.Sprintf("%d KB recycled", vm.MemSize/1024))
+	if k.audit != nil {
+		k.record(vm, AuditVMDestroyed, fmt.Sprintf("%d KB recycled", vm.MemSize/1024))
+	}
 	return nil
 }
 

@@ -117,7 +117,7 @@ func TestQuotaBackstop(t *testing.T) {
 		PreMapped: true, SBR: gSPT, SLR: gSPTLen, SCBB: gSCB,
 	}
 
-	k := New(8<<20, Config{}, WithQuota(Quota{MaxVMs: 1}))
+	k := New(8<<20, Config{Quota: Quota{MaxVMs: 1}})
 	if _, err := k.CreateVM(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestQuotaBackstop(t *testing.T) {
 		t.Fatalf("over-quota create = %v", err)
 	}
 
-	kp := New(8<<20, Config{}, WithQuota(Quota{MaxPages: gMemSize / 512}))
+	kp := New(8<<20, Config{Quota: Quota{MaxPages: gMemSize / 512}})
 	if _, err := kp.CreateVM(cfg); err != nil {
 		t.Fatal(err)
 	}

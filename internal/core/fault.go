@@ -194,23 +194,14 @@ func (k *VMM) selfCheckVM(vm *VM) int {
 	return repairs
 }
 
-// expectedShadow recomputes the shadow PTE the demand fill would
-// install for va right now, or ok=false when the guest's tables no
-// longer justify any valid shadow entry there.
+// expectedShadow recomputes, through the shadow-PTE rule, the shadow
+// PTE the demand fill would install for va right now, or ok=false when
+// the guest's tables no longer justify any valid shadow entry there.
 func (k *VMM) expectedShadow(vm *VM, va uint32) (vax.PTE, bool) {
 	gpte, gf := k.guestPTE(vm, va, false)
 	if gf != nil || vm.halted {
 		return 0, false
 	}
-	if gpte.Prot().Reserved() || !gpte.Valid() {
-		return 0, false
-	}
-	vmPFN := gpte.PFN()
-	if k.cfg.MMIOEmulatedIO && isDeviceFrame(vmPFN) {
-		return 0, false
-	}
-	if vmPFN*vax.PageSize >= vm.MemSize {
-		return 0, false
-	}
-	return shadowPTEFor(vm, gpte, k.cfg.ReadOnlyShadow), true
+	spte, m := k.shadowPTEFor(vm, gpte, k.cfg.ReadOnlyShadow)
+	return spte, m == mapped
 }

@@ -8,48 +8,17 @@ import (
 	"repro/internal/vax"
 )
 
-// Functional options for New. Config literals remain fine for simple
-// callers; options are the composable path the harness and commands
-// use, so the handful of knobs they actually vary reads at the call
-// site instead of in a struct sprinkled across packages.
+// Functional options for New. A Config literal sets every plain knob;
+// the options below are the attachments the experiment harness, the
+// benchmark module and vaxmon compose at construction (a flight
+// recorder, the translation tier, a memory cache).
 
 // Option adjusts a Config before validation.
 type Option func(*Config)
 
-// WithWorkers selects the parallel engine with n worker goroutines
-// (n <= 1 keeps the deterministic serial scheduler).
-func WithWorkers(n int) Option {
-	return func(cfg *Config) { cfg.Workers = n }
-}
-
-// WithFillBatch sets the shadow-fill cluster size (1 disables batching
-// — the paper's pure demand-fill design point; 0 selects the default).
-func WithFillBatch(n int) Option {
-	return func(cfg *Config) { cfg.FillBatch = n }
-}
-
 // WithRecorder attaches a flight recorder (nil leaves recording off).
 func WithRecorder(rec *trace.Recorder) Option {
 	return func(cfg *Config) { cfg.Recorder = rec }
-}
-
-// WithCheckpoints enables periodic checkpointing: one generation every
-// `every` ticks of each VM's virtual clock, kept in a ring of `gens`
-// generations (0 selects the default depth).
-func WithCheckpoints(every uint64, gens int) Option {
-	return func(cfg *Config) {
-		cfg.CheckpointEvery = every
-		cfg.CheckpointGenerations = gens
-	}
-}
-
-// WithRecovery arms the supervisor with the given per-VM recovery
-// budget (0 selects the default).
-func WithRecovery(budget int) Option {
-	return func(cfg *Config) {
-		cfg.Recover = true
-		cfg.RecoverBudget = budget
-	}
 }
 
 // WithTranslation toggles the hot-trace superblock execution tier on
@@ -67,37 +36,6 @@ func WithTranslation(on bool) Option {
 // pool).
 func WithMemCache(c *mem.Cache) Option {
 	return func(cfg *Config) { cfg.MemCache = c }
-}
-
-// WithScheme selects the ring virtualization strategy (Section 7.1).
-func WithScheme(s RingScheme) Option {
-	return func(cfg *Config) { cfg.Scheme = s }
-}
-
-// WithShadowCacheSlots sets the number of per-process shadow page
-// tables cached per VM (Section 7.2; 0 or 1 means no caching).
-func WithShadowCacheSlots(n int) Option {
-	return func(cfg *Config) { cfg.ShadowCacheSlots = n }
-}
-
-// WithPrefetchGroup sets the number of consecutive shadow PTEs filled
-// per fault (Section 4.3.1's rejected experiment; 0 or 1 means pure
-// on-demand fill).
-func WithPrefetchGroup(n int) Option {
-	return func(cfg *Config) { cfg.PrefetchGroup = n }
-}
-
-// WithMMIO selects emulated memory-mapped I/O instead of the KCALL
-// start-I/O interface (Section 4.4.3).
-func WithMMIO(on bool) Option {
-	return func(cfg *Config) { cfg.MMIOEmulatedIO = on }
-}
-
-// WithQuota bounds what the monitor will admit: CreateVM and Clone
-// fail with a *QuotaError once the limit would be breached. The fleet
-// manager layers per-tenant budgets above this whole-machine backstop.
-func WithQuota(q Quota) Option {
-	return func(cfg *Config) { cfg.Quota = q }
 }
 
 // Validate rejects configurations that clamping cannot repair. The

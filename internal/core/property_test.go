@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,21 +20,54 @@ type progT = asmPkg.Program
 // (guestTranslate) must agree, access for access, with what real VAX
 // memory-management hardware would decide given the same tables.
 //
-// For each trial, random guest system page tables are generated; every
-// (page, mode, access) combination is then checked against a real
-// standard-VAX MMU walking the identical tables.
+// For each trial, a random guest system page table is generated over a
+// memory image of random longwords, and random P0 and P1 tables are
+// placed in guest S space: their PTE pages may be valid, invalid,
+// reserved, beyond SLR, outside S space or past the VM's memory. Every
+// sampled (page, mode, access) combination in the S, P0 and P1 regions,
+// including pages beyond SLR, P0LR and P1LR, is then checked against a
+// real standard-VAX MMU walking the identical tables: the same physical
+// address, the same fault vector, and a hardware bus error exactly
+// where the VM halts.
 func TestGuestWalkMatchesHardwareWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const trials = 30
+	const memPages = gMemSize / vax.PageSize
+	randPTE := func(pfnRange int) vax.PTE {
+		return vax.NewPTE(rng.Intn(4) > 0, vax.Protection(rng.Intn(16)),
+			rng.Intn(2) == 0, uint32(rng.Intn(pfnRange)))
+	}
+	// A process base register: usually a longword inside S pages 0..25
+	// (24 and 25 lie beyond SLR), sometimes an address outside S space.
+	randBR := func() uint32 {
+		if rng.Intn(10) == 0 {
+			return 4 * uint32(rng.Intn(1024))
+		}
+		return vax.SystemBase + uint32(rng.Intn(26))*vax.PageSize + 4*uint32(rng.Intn(128))
+	}
+	var outcomes [4]int // translation, fault, bus error, M-bit write
+	// Walk outcomes seen per region class (S, process), so the test
+	// fails loudly if the generator stops reaching a walk outcome.
+	var walks [2][walkOutside + 1]int
 
 	for trial := 0; trial < trials; trial++ {
-		// Random guest SPT over 24 pages.
+		// Random longwords stand in for the process page tables wherever
+		// the SPT points their PTE pages.
 		img := make([]byte, gMemSize)
+		for off := 0; off < gMemSize; off += 4 {
+			binary.LittleEndian.PutUint32(img[off:], uint32(randPTE(64)))
+		}
+		// Random guest SPT over 24 pages; one in eight maps a frame past
+		// the VM's memory.
 		for i := uint32(0); i < 24; i++ {
-			pte := vax.NewPTE(rng.Intn(4) > 0, vax.Protection(rng.Intn(16)),
-				rng.Intn(2) == 0, uint32(rng.Intn(64)))
+			pte := randPTE(64)
+			if rng.Intn(8) == 0 {
+				pte = vax.NewPTE(pte.Valid(), pte.Prot(), pte.Modified(), memPages+uint32(rng.Intn(64)))
+			}
 			binary.LittleEndian.PutUint32(img[gSPT+4*i:], uint32(pte))
 		}
+		p0br, p1br := randBR(), randBR()
+		p0lr, p1lr := uint32(rng.Intn(300)), uint32(rng.Intn(300))
 
 		// The VMM side.
 		k := New(8<<20, Config{})
@@ -43,62 +78,109 @@ func TestGuestWalkMatchesHardwareWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		vm.p0br, vm.p0lr, vm.p1br, vm.p1lr = p0br, p0lr, p1br, p1lr
+		swMem, err := k.Mem.Window(vm.MemBase, gMemSize)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// The hardware side: a plain MMU over a copy of the same image.
 		hwMem := mem.New(gMemSize)
 		if err := hwMem.StoreBytes(0, img); err != nil {
 			t.Fatal(err)
 		}
+		hwImg, err := hwMem.Window(0, gMemSize)
+		if err != nil {
+			t.Fatal(err)
+		}
 		hw := mmu.New(hwMem)
 		hw.Enabled = true
-		hw.SBR = gSPT
-		hw.SLR = 24
+		hw.SBR, hw.SLR = gSPT, 24
+		hw.P0BR, hw.P0LR, hw.P1BR, hw.P1LR = p0br, p0lr, p1br, p1lr
 
-		for page := uint32(0); page < 26; page++ { // includes out-of-length pages
+		// Every S page (including two beyond SLR), then 40 random pages
+		// of each process region up to three past its length register.
+		var vas []uint32
+		for page := uint32(0); page < 26; page++ {
+			vas = append(vas, vax.SystemBase+page*vax.PageSize)
+		}
+		for i := 0; i < 40; i++ {
+			vas = append(vas,
+				uint32(rng.Intn(int(p0lr)+3))*vax.PageSize,
+				vax.P1Base+uint32(rng.Intn(int(p1lr)+3))*vax.PageSize)
+		}
+		for _, base := range vas {
 			for mode := vax.Kernel; mode <= vax.User; mode++ {
 				for _, write := range []bool{false, true} {
-					va := vax.SystemBase + page*vax.PageSize + uint32(rng.Intn(vax.PageSize))
+					va := base + uint32(rng.Intn(vax.PageSize))
 					acc := mmu.Read
 					if write {
 						acc = mmu.Write
 					}
+					// The VMM never caches a walk; neither may the
+					// reference MMU, whose stale TLB entry could miss a
+					// PTE the other walk just updated.
+					hw.TBIA()
+					msets := hw.Stats.MSets
+					_, _, w := vm.guestWalk(va)
+					if vax.Region(va) == vax.RegionSystem {
+						walks[0][w]++
+					} else {
+						walks[1][w]++
+					}
 					hwPA, hwErr := hw.Translate(va, acc, mode)
 					swPA, gf := k.guestTranslate(vm, va, write, mode)
-					if vm.halted {
-						t.Fatalf("trial %d: VM halted during walk", trial)
-					}
+					where := fmt.Sprintf("trial %d va=%#x mode=%s write=%t", trial, va, mode, write)
 
+					hwExc, isExc := hwErr.(*vax.Exception)
 					switch {
+					case vm.halted:
+						if hwErr == nil || isExc {
+							t.Fatalf("%s: VM halted (%s) but hardware gave %v", where, vm.haltMsg, hwErr)
+						}
+						outcomes[2]++
+						// guestTranslate needs no shadow tables: revive
+						// the VM for the next access.
+						vm.halted, vm.haltMsg = false, ""
+					case hwErr != nil && !isExc:
+						t.Fatalf("%s: hardware bus error %v but the VM did not halt", where, hwErr)
 					case hwErr == nil && gf == nil:
 						if hwPA != swPA {
-							t.Fatalf("trial %d va=%#x mode=%s write=%t: pa %#x vs %#x",
-								trial, va, mode, write, hwPA, swPA)
+							t.Fatalf("%s: pa %#x vs %#x", where, hwPA, swPA)
 						}
+						outcomes[0]++
 					case hwErr != nil && gf != nil:
-						hwExc, ok := hwErr.(*vax.Exception)
-						if !ok {
-							t.Fatalf("trial %d: hardware bus error: %v", trial, hwErr)
-						}
 						if hwExc.Vector != gf.vec {
-							t.Fatalf("trial %d va=%#x mode=%s write=%t: fault %s vs %s",
-								trial, va, mode, write, hwExc.Vector, gf.vec)
+							t.Fatalf("%s: fault %s vs %s", where, hwExc.Vector, gf.vec)
 						}
+						outcomes[1]++
 					default:
-						t.Fatalf("trial %d va=%#x mode=%s write=%t: hw=%v sw=%v",
-							trial, va, mode, write, hwErr, gf)
+						t.Fatalf("%s: hw=%v sw=%v", where, hwErr, gf)
 					}
 					// Hardware M-bit setting and the VMM's guest-PTE
-					// update must leave the two copies of the tables
-					// identical.
-					hwPTE, _ := hwMem.LoadLong(gSPT + 4*page)
-					swPTE, _ := vm.readPhys(gSPT + 4*page)
-					if page < 24 && hwPTE != swPTE {
-						t.Fatalf("trial %d page %d: PTE diverged %#x vs %#x",
-							trial, page, hwPTE, swPTE)
+					// update must leave the two images identical.
+					if !bytes.Equal(hwImg, swMem) {
+						t.Fatalf("%s: guest memory diverged from the hardware's", where)
+					}
+					if hw.Stats.MSets != msets {
+						outcomes[3]++
 					}
 				}
 			}
 		}
+	}
+	for i, name := range []string{"translation", "fault", "bus error", "M-bit write"} {
+		if outcomes[i] == 0 {
+			t.Errorf("no %s outcome over %d trials: the generator lost coverage", name, trials)
+		}
+	}
+	for w := walkOK; w <= walkOutside; w++ {
+		if walks[1][w] == 0 {
+			t.Errorf("no P0/P1 walk with outcome %d over %d trials", w, trials)
+		}
+	}
+	if walks[0][walkOK] == 0 || walks[0][walkLength] == 0 {
+		t.Errorf("S-region walks %v miss an in-range or beyond-SLR page", walks[0])
 	}
 }
 

@@ -283,10 +283,12 @@ func (s *shadowSpace) invalidate(k *VMM, va uint32) {
 	k.CPU.MMU.TBIS(va)
 }
 
-// fill translates the VM's PTE for va into the shadow PTE: real frame
-// from the VM-physical frame, protection ring-compressed (Section
-// 4.3.1). It returns the guest fault to reflect when the VM's own
-// tables make the reference invalid, or nil on success.
+// fillShadow is the demand fill (Section 4.3.1): walk the VM's tables
+// for va once, map the guest PTE through the shadow-PTE rule into the
+// shadow slot, then extend the fill with the optional prefetch group and
+// the batch from the same walk. It returns the guest fault to reflect
+// when the VM's own tables make the reference invalid, or nil on
+// success.
 func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 	var fillStart uint64
 	if vm.rec != nil {
@@ -297,37 +299,35 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		// Outside the VM's maximum table sizes: length violation.
 		return vm.avFault(va, wantWrite, true)
 	}
-	gpte, gf := k.guestPTE(vm, va, wantWrite)
-	if gf != nil {
+	ptePhys, follow, w := vm.guestWalk(va)
+	gpte, gf := k.walkedPTE(vm, va, wantWrite, ptePhys, w)
+	if gf != nil || vm.halted {
 		return gf
 	}
-	if gpte.Prot().Reserved() {
+	spte, m := k.shadowPTEFor(vm, gpte, k.cfg.ReadOnlyShadow)
+	switch m {
+	case noMapReserved:
 		return vm.avFault(va, wantWrite, false)
-	}
-	if !gpte.Valid() {
+	case noMapInvalid:
 		// The VM's page really is invalid: its own operating system
 		// must service the page fault.
 		return vm.tnvFaultG(va, wantWrite)
-	}
-	vmPFN := gpte.PFN()
-	if k.cfg.MMIOEmulatedIO && isDeviceFrame(vmPFN) {
+	case noMapDevice:
 		// Device frames stay unmapped so every register reference
 		// traps for emulation (Section 4.4.3's expensive alternative).
 		return nil
-	}
-	if vmPFN*vax.PageSize >= vm.MemSize {
-		k.haltVM(vm, fmt.Sprintf("reference to nonexistent VM-physical page %#x", vmPFN))
+	case noMapNonexistent:
+		k.haltNonexistent(vm, gpte.PFN())
 		return nil
 	}
-	spte := shadowPTEFor(vm, gpte, k.cfg.ReadOnlyShadow)
 	_ = k.Mem.StoreLong(slot, uint32(spte))
 	vm.Stats.ShadowFills++
 	k.charge(cpu.CostVMMShadowFill)
 	k.CPU.MMU.TBIS(va)
 
 	// Optional prefetch of the following PTEs (Section 4.3.1's rejected
-	// experiment): each extra fill costs the same work whether or not
-	// the VM ever touches the page.
+	// experiment): each extra fill re-walks the guest tables and costs
+	// the same work whether or not the VM ever touches the page.
 	for g := 1; g < k.cfg.PrefetchGroup; g++ {
 		nva := va + uint32(g)*vax.PageSize
 		if vax.Region(nva) != vax.Region(va) {
@@ -337,31 +337,22 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		if !ok {
 			break
 		}
-		npte, gf := k.guestPTE(vm, nva, false)
-		if gf != nil || !npte.Valid() || npte.Prot().Reserved() {
+		nPhys, _, w := vm.guestWalk(nva)
+		if w != walkOK {
 			continue
 		}
-		nPFN := npte.PFN()
-		if nPFN*vax.PageSize >= vm.MemSize || (k.cfg.MMIOEmulatedIO && isDeviceFrame(nPFN)) {
+		nv, _ := vm.readPhys(nPhys)
+		ns, m := k.shadowPTEFor(vm, vax.PTE(nv), k.cfg.ReadOnlyShadow)
+		if m != mapped {
 			continue
 		}
-		nf := vm.frame(nPFN)
-		nm := npte.Modified()
-		if vm.frames != nil {
-			if k.cowShared(nf) {
-				nm = false
-			} else if nm {
-				vm.cowClean = false
-			}
-		}
-		ns := vax.NewPTE(true, npte.Prot().Compress(), nm, nf)
 		_ = k.Mem.StoreLong(nslot, uint32(ns))
 		vm.Stats.PrefetchFills++
 		k.charge(cpu.CostVMMShadowFill)
 	}
 
 	if k.cfg.FillBatch > 1 {
-		k.batchFill(vm, va, k.cfg.FillBatch)
+		k.batchFill(vm, va, ptePhys, follow)
 	}
 	if vm.rec != nil {
 		vm.rec.Record(trace.EvShadowFill, fillStart, va)
@@ -370,29 +361,21 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 	return nil
 }
 
-// batchFill extends a demand fill with up to batch-1 following shadow
-// PTEs read from the same guest page-table page in one walk
-// (Config.FillBatch). Where PrefetchGroup — the paper's rejected
-// experiment — re-walks the guest tables and pays the full fill cost
-// per extra PTE, the batch resolves the guest PTE page once and reads
-// neighbors raw within it, so the whole cluster costs one extra
-// guest-table read. Two rules keep it invisible to the guest: only
-// null shadow slots are filled (a non-null slot may carry shadow
-// M-bit state the guest's tables do not), and a neighbor whose guest
-// PTE is invalid, reserved, device-mapped or out of range is skipped
-// silently — a speculative fill must never become a guest-visible
-// fault. Neighbors are filled as reads (shadow M from the guest PTE),
-// so the first write to a prefilled clean page still takes its modify
-// fault.
-func (k *VMM) batchFill(vm *VM, va uint32, batch int) {
-	ptePhys, avail, ok := k.guestPTEWindow(vm, va)
-	if !ok {
-		return
-	}
-	n := uint32(batch - 1)
-	if n > avail {
-		n = avail
-	}
+// batchFill extends a demand fill with up to FillBatch-1 following
+// shadow PTEs read raw from the guest page-table page the demand fill's
+// walk already located (ptePhys, with follow PTEs after it in that
+// page). Where PrefetchGroup — the paper's rejected experiment —
+// re-walks the guest tables and pays the full fill cost per extra PTE,
+// the whole batch costs one extra guest-table read. Two rules keep it
+// invisible to the guest: only null shadow slots are filled (a non-null
+// slot may carry shadow M-bit state the guest's tables do not), and a
+// neighbor the shadow-PTE rule leaves unmapped is skipped silently — a
+// speculative fill must never become a guest-visible fault. Neighbors
+// go through the same rule as the demand fill, so the first write to a
+// prefilled clean page still faults to the VMM (the modify fault, or the
+// read-only-shadow upgrade).
+func (k *VMM) batchFill(vm *VM, va, ptePhys, follow uint32) {
+	n := min32(uint32(k.cfg.FillBatch-1), follow)
 	filled := uint64(0)
 	for g := uint32(1); g <= n; g++ {
 		nva := va + g*vax.PageSize
@@ -411,16 +394,11 @@ func (k *VMM) batchFill(vm *VM, va uint32, batch int) {
 		if !ok {
 			break
 		}
-		gpte := vax.PTE(gv)
-		if !gpte.Valid() || gpte.Prot().Reserved() {
+		spte, m := k.shadowPTEFor(vm, vax.PTE(gv), k.cfg.ReadOnlyShadow)
+		if m != mapped {
 			continue
 		}
-		nPFN := gpte.PFN()
-		if nPFN*vax.PageSize >= vm.MemSize ||
-			(k.cfg.MMIOEmulatedIO && isDeviceFrame(nPFN)) {
-			continue
-		}
-		_ = k.Mem.StoreLong(nslot, uint32(shadowPTEFor(vm, gpte, k.cfg.ReadOnlyShadow)))
+		_ = k.Mem.StoreLong(nslot, uint32(spte))
 		filled++
 	}
 	if filled > 0 {
@@ -435,61 +413,43 @@ func (k *VMM) batchFill(vm *VM, va uint32, batch int) {
 	}
 }
 
-// guestPTEWindow resolves, in one walk of the VM's tables, the
-// VM-physical address of the guest PTE for va together with the number
-// of following PTEs readable from the same guest page-table page
-// within the region's length register.
-func (k *VMM) guestPTEWindow(vm *VM, va uint32) (ptePhys, avail uint32, ok bool) {
-	vpn := vax.VPN(va)
-	switch vax.Region(va) {
-	case vax.RegionSystem:
-		if vpn >= vm.slr {
-			return 0, 0, false
-		}
-		addr := vm.sbr + 4*vpn
-		return addr, min32((vax.PageSize-(addr&vax.PageMask))/4-1, vm.slr-vpn-1), true
-	case vax.RegionP0, vax.RegionP1:
-		br, lr := vm.p0br, vm.p0lr
-		if vax.Region(va) == vax.RegionP1 {
-			br, lr = vm.p1br, vm.p1lr
-		}
-		if vpn >= lr {
-			return 0, 0, false
-		}
-		pteVA := br + 4*vpn
-		if vax.Region(pteVA) != vax.RegionSystem {
-			return 0, 0, false
-		}
-		svpn := vax.VPN(pteVA)
-		if svpn >= vm.slr {
-			return 0, 0, false
-		}
-		sv, sok := vm.readPhys(vm.sbr + 4*svpn)
-		if !sok {
-			return 0, 0, false
-		}
-		spte := vax.PTE(sv)
-		if spte.Prot().Reserved() || !spte.Valid() {
-			return 0, 0, false
-		}
-		ptePhys = spte.PFN()*vax.PageSize + (pteVA & vax.PageMask)
-		return ptePhys, min32((vax.PageSize-(pteVA&vax.PageMask))/4-1, lr-vpn-1), true
-	}
-	return 0, 0, false
-}
+// shadowMap is the verdict of the shadow-PTE rule: a mapping, or the
+// reason the guest PTE admits none.
+type shadowMap uint8
 
-// shadowPTEFor translates a valid guest PTE into its shadow form: real
-// frame from the VM-physical frame, protection ring-compressed, or —
-// under the rejected Section 4.4.2 alternative — "unmodified" encoded
-// as a write-denying protection with the shadow M bit held set so the
-// modify fault never fires.
+const (
+	mapped           shadowMap = iota
+	noMapReserved              // reserved protection code: access violation
+	noMapInvalid               // PTE<V> clear: the VM's own page fault
+	noMapDevice                // device frame under emulated MMIO: every reference traps
+	noMapNonexistent           // frame past the VM's memory: a real reference halts the VM
+)
+
+// shadowPTEFor is the one shadow-PTE rule (memory ring compression,
+// Section 4.3.1). It maps a guest PTE to the shadow PTE that may stand
+// for it — real frame from the VM-physical frame, protection
+// ring-compressed — or to the reason no shadow mapping may exist.
+// Under the rejected Section 4.4.2 alternative (roScheme), "unmodified"
+// is encoded as a write-denying protection with the shadow M bit held
+// set so the modify fault never fires.
 //
 // On a frames-backed VM a shared frame must never be mapped writable
 // without a fault between the guest and the store: under the default
 // scheme the shadow M bit is held clear so the first write takes a
 // modify fault, and under the read-only scheme the protection is
 // demoted so the write takes the upgrade path — both land in cowBreak.
-func shadowPTEFor(vm *VM, gpte vax.PTE, roScheme bool) vax.PTE {
+func (k *VMM) shadowPTEFor(vm *VM, gpte vax.PTE, roScheme bool) (vax.PTE, shadowMap) {
+	pfn := gpte.PFN()
+	switch {
+	case gpte.Prot().Reserved():
+		return nullPTE, noMapReserved
+	case !gpte.Valid():
+		return nullPTE, noMapInvalid
+	case k.cfg.MMIOEmulatedIO && isDeviceFrame(pfn):
+		return nullPTE, noMapDevice
+	case pfn*vax.PageSize >= vm.MemSize:
+		return nullPTE, noMapNonexistent
+	}
 	prot := gpte.Prot().Compress()
 	modified := gpte.Modified()
 	if roScheme {
@@ -498,9 +458,9 @@ func shadowPTEFor(vm *VM, gpte vax.PTE, roScheme bool) vax.PTE {
 		}
 		modified = true
 	}
-	frame := vm.frame(gpte.PFN())
+	frame := vm.frame(pfn)
 	if vm.frames != nil {
-		if vm.k.cowShared(frame) {
+		if k.cowShared(frame) {
 			if roScheme {
 				prot = prot.ReadOnly()
 			} else {
@@ -512,96 +472,122 @@ func shadowPTEFor(vm *VM, gpte vax.PTE, roScheme bool) vax.PTE {
 			vm.cowClean = false
 		}
 	}
-	return vax.NewPTE(true, prot, modified, frame)
+	return vax.NewPTE(true, prot, modified, frame), mapped
 }
 
-// guestPTE performs the software walk of the VM's own page tables for
-// va (in VM terms: VM-physical frames, uncompressed protections).
-func (k *VMM) guestPTE(vm *VM, va uint32, wantWrite bool) (vax.PTE, *guestFault) {
+// haltNonexistent halts vm for a real reference to a VM-physical page
+// past its memory — the one hardware error a VMOS can see (Section 5).
+func (k *VMM) haltNonexistent(vm *VM, pfn uint32) {
+	k.haltVM(vm, fmt.Sprintf("reference to nonexistent VM-physical page %#x", pfn))
+}
+
+// walkOutcome classifies a walk of the VM's own page tables.
+type walkOutcome uint8
+
+const (
+	walkOK      walkOutcome = iota
+	walkLength              // va beyond its region's length register
+	walkPTEAV               // process PTE outside S space or SLR, or its S PTE reserved
+	walkPTETNV              // the S page holding the process PTE is invalid
+	walkOutside             // a page table lies outside VM memory
+)
+
+// guestWalk is the software walk of the VM's own page tables for va, in
+// VM terms (VM-physical frames, uncompressed protections), exactly as
+// the memory-management hardware would walk them. It returns the
+// VM-physical address of the guest PTE — S-region PTEs directly, P0/P1
+// PTEs through the guest's S-space PTE for their table page — and how
+// many following PTEs share that guest page-table page within the
+// region's length register. The walk reads but never faults or halts:
+// callers decide what an outcome other than walkOK means.
+func (vm *VM) guestWalk(va uint32) (ptePhys, follow uint32, w walkOutcome) {
 	vpn := vax.VPN(va)
+	var lr uint32
 	switch vax.Region(va) {
 	case vax.RegionSystem:
 		if vpn >= vm.slr {
-			return 0, vm.avFault(va, wantWrite, true)
+			return 0, 0, walkLength
 		}
-		v, ok := vm.readPhys(vm.sbr + 4*vpn)
-		if !ok {
-			k.haltVM(vm, "system page table outside VM memory")
-			return 0, nil
-		}
-		return vax.PTE(v), nil
+		ptePhys, lr = vm.sbr+4*vpn, vm.slr
 	case vax.RegionP0, vax.RegionP1:
-		br, lr := vm.p0br, vm.p0lr
+		br := vm.p0br
+		lr = vm.p0lr
 		if vax.Region(va) == vax.RegionP1 {
 			br, lr = vm.p1br, vm.p1lr
 		}
 		if vpn >= lr {
-			return 0, vm.avFault(va, wantWrite, true)
+			return 0, 0, walkLength
 		}
 		// The process PTE lives in the VM's S space.
 		pteVA := br + 4*vpn
-		if vax.Region(pteVA) != vax.RegionSystem {
-			return 0, vm.avFaultPTE(va, wantWrite)
+		if vax.Region(pteVA) != vax.RegionSystem || vax.VPN(pteVA) >= vm.slr {
+			return 0, 0, walkPTEAV
 		}
-		svpn := vax.VPN(pteVA)
-		if svpn >= vm.slr {
-			return 0, vm.avFaultPTE(va, wantWrite)
-		}
-		sv, ok := vm.readPhys(vm.sbr + 4*svpn)
+		sv, ok := vm.readPhys(vm.sbr + 4*vax.VPN(pteVA))
 		if !ok {
-			k.haltVM(vm, "page table page outside VM memory")
-			return 0, nil
+			return 0, 0, walkOutside
 		}
 		spte := vax.PTE(sv)
 		if spte.Prot().Reserved() {
-			return 0, vm.avFaultPTE(va, wantWrite)
+			return 0, 0, walkPTEAV
 		}
 		if !spte.Valid() {
-			return 0, vm.tnvFaultPTE(va, wantWrite)
+			return 0, 0, walkPTETNV
 		}
-		pv, ok := vm.readPhys(spte.PFN()*vax.PageSize + (pteVA & vax.PageMask))
-		if !ok {
-			k.haltVM(vm, "page table page outside VM memory")
-			return 0, nil
-		}
-		return vax.PTE(pv), nil
+		ptePhys = spte.PFN()*vax.PageSize + (pteVA & vax.PageMask)
+	default:
+		return 0, 0, walkLength
 	}
-	return 0, vm.avFault(va, wantWrite, true)
+	if _, ok := vm.hostAddr(ptePhys, 4); !ok {
+		return 0, 0, walkOutside
+	}
+	if off := ptePhys & vax.PageMask; off <= vax.PageSize-4 {
+		follow = min32((vax.PageSize-4-off)/4, lr-vpn-1)
+	}
+	return ptePhys, follow, walkOK
+}
+
+// walkedPTE reads the guest PTE a walk located, or turns a failed walk
+// into the guest fault to reflect. Page tables outside VM memory halt
+// the VM (a nonexistent-memory reference, Section 5).
+func (k *VMM) walkedPTE(vm *VM, va uint32, write bool, ptePhys uint32, w walkOutcome) (vax.PTE, *guestFault) {
+	switch w {
+	case walkOK:
+		v, _ := vm.readPhys(ptePhys)
+		return vax.PTE(v), nil
+	case walkLength:
+		return 0, vm.avFault(va, write, true)
+	case walkPTEAV:
+		return 0, vm.avFaultPTE(va, write)
+	case walkPTETNV:
+		return 0, vm.tnvFaultPTE(va, write)
+	}
+	if vax.Region(va) == vax.RegionSystem {
+		k.haltVM(vm, "system page table outside VM memory")
+	} else {
+		k.haltVM(vm, "page table page outside VM memory")
+	}
+	return 0, nil
+}
+
+// guestPTE reads the VM's own PTE for va (VM-physical frame,
+// uncompressed protection), or returns the guest fault its walk raises.
+func (k *VMM) guestPTE(vm *VM, va uint32, wantWrite bool) (vax.PTE, *guestFault) {
+	ptePhys, _, w := vm.guestWalk(va)
+	return k.walkedPTE(vm, va, wantWrite, ptePhys, w)
 }
 
 // setGuestPTEModify sets PTE<M> in the VM's own page table for va — the
 // second half of the modify-fault handler ("the VMM sets PTE<M> in the
 // shadow page table, and also sets the corresponding bit in the VM's
 // page table", Section 4.4.2).
-func (k *VMM) setGuestPTEModify(vm *VM, va uint32) bool {
-	vpn := vax.VPN(va)
-	switch vax.Region(va) {
-	case vax.RegionSystem:
-		addr := vm.sbr + 4*vpn
-		v, ok := vm.readPhys(addr)
-		if !ok {
-			return false
-		}
-		return vm.writePhys(addr, uint32(vax.PTE(v).WithModify(true)))
-	case vax.RegionP0, vax.RegionP1:
-		br := vm.p0br
-		if vax.Region(va) == vax.RegionP1 {
-			br = vm.p1br
-		}
-		pteVA := br + 4*vpn
-		svpn := vax.VPN(pteVA)
-		sv, ok := vm.readPhys(vm.sbr + 4*svpn)
-		if !ok || !vax.PTE(sv).Valid() {
-			return false
-		}
-		addr := vax.PTE(sv).PFN()*vax.PageSize + (pteVA & vax.PageMask)
-		v, ok := vm.readPhys(addr)
-		if !ok {
-			return false
-		}
-		return vm.writePhys(addr, uint32(vax.PTE(v).WithModify(true)))
+func (k *VMM) setGuestPTEModify(vm *VM, va uint32) {
+	ptePhys, _, w := vm.guestWalk(va)
+	if w != walkOK {
+		return
 	}
-	return false
+	v, _ := vm.readPhys(ptePhys)
+	vm.writePhys(ptePhys, uint32(vax.PTE(v).WithModify(true)))
 }
 
 // LayoutRegion describes one range of the real S address space a VM and

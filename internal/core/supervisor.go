@@ -81,8 +81,10 @@ func (k *VMM) checkpointVM(vm *VM) error {
 	if vm.rec != nil {
 		vm.rec.Record(trace.EvCheckpoint, start, uint32(vm.ckptSeq))
 	}
-	k.record(vm, AuditCheckpoint,
-		fmt.Sprintf("generation %d, %d bytes", vm.ckptSeq, buf.Len()))
+	if k.audit != nil {
+		k.record(vm, AuditCheckpoint,
+			fmt.Sprintf("generation %d, %d bytes", vm.ckptSeq, buf.Len()))
+	}
 	return nil
 }
 
@@ -167,8 +169,10 @@ func (k *VMM) tryRecover(vm *VM) bool {
 			break
 		}
 		vm.Stats.RecoveryFallbacks++
-		k.record(vm, AuditRecoveryFallback,
-			fmt.Sprintf("generation -%d rejected: %v", vm.ckptFallback, err))
+		if k.audit != nil {
+			k.record(vm, AuditRecoveryFallback,
+				fmt.Sprintf("generation -%d rejected: %v", vm.ckptFallback, err))
+		}
 		vm.ckptFallback++
 	}
 	gen := vm.ckptFallback
@@ -184,8 +188,10 @@ func (k *VMM) tryRecover(vm *VM) bool {
 		vm.rec.Record(trace.EvRecover, start, uint32(gen))
 		vm.rec.Observe(trace.LatRecover, k.CPU.Cycles-start)
 	}
-	k.record(vm, AuditVMRecovered,
-		fmt.Sprintf("restored from generation -%d after %q", gen, cause))
+	if k.audit != nil {
+		k.record(vm, AuditVMRecovered,
+			fmt.Sprintf("restored from generation -%d after %q", gen, cause))
+	}
 	return true
 }
 

@@ -155,27 +155,27 @@ func (k *VMM) tryROShadowUpgrade(vm *VM, va uint32) bool {
 	if gf != nil || vm.halted {
 		return false
 	}
-	if !gpte.Valid() || gpte.Prot().Reserved() {
-		return false
+	// The default scheme's shadow of an unmodified PTE keeps the
+	// compressed guest protection whole: the write is checked against it.
+	full, m := k.shadowPTEFor(vm, gpte.WithModify(false), false)
+	if m == noMapNonexistent {
+		k.haltNonexistent(vm, gpte.PFN())
+		return true
 	}
-	if !gpte.Prot().Compress().CanWrite(compressMode(k.CPU.VMPSL.Cur())) {
+	if m != mapped || !full.Prot().CanWrite(compressMode(k.CPU.VMPSL.Cur())) {
 		return false
 	}
 	vm.Stats.ROWriteFaults++
 	k.charge(cpu.CostVMMModifyFault + cpu.CostVMMShadowFill)
-	if vm.frames != nil {
-		// The denied write may target a COW-shared frame (the read-only
-		// scheme encodes both "unmodified" and "shared" as write-denying
-		// protection): privatize before granting write access.
-		if !k.cowBreak(vm, gpte.PFN()) {
-			return true
-		}
-		vm.cowClean = false
+	// The denied write may target a COW-shared frame (the read-only
+	// scheme encodes both "unmodified" and "shared" as write-denying
+	// protection): privatize before granting write access.
+	if !k.cowBreak(vm, gpte.PFN()) {
+		return true
 	}
 	k.setGuestPTEModify(vm, va)
+	spte, _ := k.shadowPTEFor(vm, gpte.WithModify(true), k.cfg.ReadOnlyShadow)
 	if slot, ok := vm.shadow.shadowSlot(va); ok {
-		spte := vax.NewPTE(true, gpte.Prot().Compress(), true,
-			vm.frame(gpte.PFN()))
 		_ = k.Mem.StoreLong(slot, uint32(spte))
 	}
 	k.CPU.MMU.TBIS(va)

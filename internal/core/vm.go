@@ -317,7 +317,9 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 		vm.scbb = cfg.SCBB
 	}
 	k.vms = append(k.vms, vm)
-	k.record(vm, AuditVMCreated, fmt.Sprintf("%d KB at real base %#x", vm.MemSize/1024, vm.MemBase))
+	if k.audit != nil {
+		k.record(vm, AuditVMCreated, fmt.Sprintf("%d KB at real base %#x", vm.MemSize/1024, vm.MemBase))
+	}
 	return vm, nil
 }
 

@@ -331,7 +331,7 @@ func TestSummaryAndAdoption(t *testing.T) {
 }
 
 func TestWrapCoreQuota(t *testing.T) {
-	k := core.New(32<<20, core.Config{}, core.WithQuota(core.Quota{MaxVMs: 1}))
+	k := core.New(32<<20, core.Config{Quota: core.Quota{MaxVMs: 1}})
 	m := NewManager(k, Config{})
 	if _, err := m.Create(Spec{Workload: "stamp"}); err != nil {
 		t.Fatal(err)
