@@ -92,7 +92,7 @@ func BenchmarkE11RecoveryCampaign(b *testing.B) { benchExperiment(b, "E11") }
 
 // BenchmarkE3RecorderOverhead prices the flight recorder: each
 // iteration runs E3 once with the recorder off and once with it on
-// (rings of 1024 events, as VAX_TRACE=1024 selects), and the side that
+// (logs of 1024 events, as VAX_TRACE=1024 selects), and the side that
 // runs first alternates. It reports the mean of each side as off-ns/op
 // and on-ns/op. Interleaving the two sides inside one process is the
 // point: on a shared host, separate processes running the same code

@@ -214,6 +214,15 @@ go test ./...
 echo "== go test -race (all packages)"
 go test -race ./...
 
+echo "== event-log race check (recorder and audit tests on the parallel engine, -count=10)"
+# A VM's event log is unsynchronized: only the worker driving the VM
+# writes it, and readers wait for the merge barrier. Repeating the
+# tests that record and read across that barrier gives a rare
+# interleaving ten chances to show.
+go test -race -count=10 \
+    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel)$' \
+    ./internal/core/
+
 # bench/ is a module of its own, so the root ./... patterns skip it; its
 # smoke test checks the workload catalogue against BENCHMARK.json, the
 # correctness checks and seed repeatability.

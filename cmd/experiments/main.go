@@ -50,7 +50,7 @@ func run() int {
 	vmsFlag := flag.String("vms", "", "comma-separated fleet sizes (with -parallel, -density or -clone)")
 	workersFlag := flag.Int("workers", 0, "worker goroutines for the parallel engine; 0 = one per VM with -parallel, 8 with -density/-clone")
 	traceCap := flag.Int("trace", exp.RecorderCap,
-		"flight-recorder ring capacity per VM; 0 disables tracing (also VAX_TRACE)")
+		"flight-recorder events kept per VM; 0 disables tracing (also VAX_TRACE)")
 	translate := flag.Bool("translate", exp.Translation,
 		"enable the hot-trace superblock translation tier (also VAX_TRANSLATE)")
 	soak := flag.Bool("soak", false, "run the fleet-API soak: concurrent HTTP-driven VM lifecycles with leak and latency gates")
@@ -111,7 +111,7 @@ func run() int {
 		}
 		fmt.Println(rep)
 		if rep.Errors > 0 || rep.Leaked() {
-			fmt.Fprintln(os.Stderr, "soak failed: lifecycle errors or leaked VMs/pages")
+			fmt.Fprintln(os.Stderr, "soak failed: lifecycle errors or leaked VMs/pages/event logs")
 			return 1
 		}
 		return 0

@@ -8,7 +8,7 @@
 //
 //	vaxmon                  # MiniOS on a bare standard VAX
 //	vaxmon -vm              # MiniOS in a virtual machine under the VMM
-//	vaxmon -vm -trace 8192  # with a larger flight-recorder ring
+//	vaxmon -vm -trace 8192  # keep each VM's newest 8192 events
 //	vaxmon -vm -http :9110  # serve the fleet API, /metrics, /metrics.json
 //	vaxmon -vm -http :9110 -serve   # and drive the fleet in the background
 //	vaxmon -workload tp
@@ -38,7 +38,7 @@ func main() {
 	inVM := flag.Bool("vm", false, "run MiniOS inside a virtual machine")
 	wl := flag.String("workload", "mix", "workload: mix, compute, syscall, tp, paging")
 	traceCap := flag.Int("trace", 4096,
-		"flight-recorder ring capacity per VM in -vm mode; 0 disables tracing")
+		"flight-recorder events kept per VM in -vm mode; 0 disables tracing")
 	httpAddr := flag.String("http", "",
 		"serve the fleet API (/v1), Prometheus (/metrics) and JSON (/metrics.json) on this address")
 	translate := flag.Bool("translate", false,

@@ -46,7 +46,7 @@ func main() {
 	mmio := flag.Bool("mmio", false, "emulate memory-mapped I/O instead of KCALL start-I/O")
 	preempt := flag.Bool("preempt", true, "preemptive guest scheduling")
 	maxSteps := flag.Uint64("max-steps", 1_000_000_000, "step budget")
-	audit := flag.Int("audit", 0, "record an audit trail of N events and print its tail")
+	audit := flag.Int("audit", 0, "keep each VM's newest N events and print the tail of their audit view")
 	table := flag.Bool("table", false, "print per-VM counters as a side-by-side table")
 	flag.Parse()
 
@@ -84,7 +84,7 @@ func main() {
 		MMIOEmulatedIO:   *mmio,
 	})
 	if *audit > 0 {
-		k.EnableAudit(*audit)
+		k.EnableRecorder(*audit)
 	}
 	vms := make([]*core.VM, *nvms)
 	for i := range vms {
@@ -135,7 +135,7 @@ func main() {
 		fmt.Print(trace.Table(snaps...))
 	}
 	if *audit > 0 {
-		trail := k.AuditTrail()
+		trail := k.Recorder().Audit()
 		fmt.Printf("\naudit trail (%d events, newest last):\n", len(trail))
 		start := 0
 		if len(trail) > 20 {

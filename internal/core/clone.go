@@ -128,9 +128,6 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 	if vm.name == "" {
 		vm.name = defaultVMName(vm.ID)
 	}
-	if k.rec != nil {
-		vm.rec = k.rec.VM(vm.ID, vm.name)
-	}
 	// Shadow tables are deliberately NOT built here: they are a cache,
 	// and ensureShadow builds them at the clone's first dispatch. A
 	// clone that never runs costs no table pages, and under the parallel
@@ -169,9 +166,9 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 
 	k.nextID++
 	k.vms = append(k.vms, vm)
-	if k.audit != nil {
-		k.record(vm, AuditVMCreated,
-			fmt.Sprintf("cloned from %s (%d shared pages)", src.name, pages))
+	if k.rec != nil {
+		vm.rec = k.rec.VM(vm.ID, vm.name)
+		k.event(vm, trace.EvVMCreated, 0, fmt.Sprintf("cloned from %s (%d shared pages)", src.name, pages))
 	}
 	return vm, nil
 }
@@ -189,7 +186,7 @@ func (k *VMM) ensureShadow(vm *VM) bool {
 		vm.halted = true
 		vm.haltMsg = "out of physical memory building shadow tables"
 		vm.haltCycles = k.CPU.Cycles
-		k.record(vm, AuditVMHalted, vm.haltMsg)
+		k.event(vm, trace.EvVMHalted, 0, vm.haltMsg)
 		return false
 	}
 	vm.shadow = s
@@ -294,7 +291,7 @@ func (k *VMM) cowBreak(vm *VM, pfn uint32) bool {
 	k.CPU.MMU.TBIA()
 	k.charge(cpu.CostVMMCowBreak)
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvCowBreak, start, pfn)
+		vm.rec.Record(trace.EvCowBreak, start, k.CPU.PC(), pfn)
 		vm.rec.Observe(trace.LatCowBreak, k.CPU.Cycles-start)
 	}
 	return true

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/trace"
 	"repro/internal/vax"
 )
 
@@ -91,7 +92,7 @@ func (k *VMM) ConsoleCommand(vm *VM, line string) (string, error) {
 		}
 		vm.halted = true
 		vm.haltMsg = "halted from the console"
-		k.record(vm, AuditVMHalted, vm.haltMsg)
+		k.event(vm, trace.EvVMHalted, 0, vm.haltMsg)
 		return fmt.Sprintf("halted at %08X", vm.pc), nil
 
 	case strings.HasPrefix("INITIALIZE", cmd):

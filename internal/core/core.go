@@ -66,6 +66,13 @@ func (s RingScheme) String() string {
 	return "ring compression"
 }
 
+const (
+	// clockPeriod is the real interval-timer period in cycles: one tick.
+	clockPeriod = 5000
+	// timeSlice is the VM scheduling quantum in ticks.
+	timeSlice = 4
+)
+
 // Config tunes the VMM; zero values give the paper's production design.
 type Config struct {
 	Scheme RingScheme
@@ -110,12 +117,8 @@ type Config struct {
 	// the paper's qualitative results do not hinge on calibration.
 	CostScalePercent int
 
-	// ClockPeriod is the real interval-timer period in cycles (one
-	// "tick"); TimeSlice is the VM scheduling quantum in ticks;
 	// WaitTimeout is the WAIT handshake timeout in ticks (Section 5:
 	// "WAIT times out after some seconds").
-	ClockPeriod uint32
-	TimeSlice   uint64
 	WaitTimeout uint64
 
 	// Watchdog is the per-VM progress budget: a VM that runs this many
@@ -130,7 +133,7 @@ type Config struct {
 	SelfCheckInterval uint64
 
 	// CheckpointEvery takes a periodic checkpoint of the running VM
-	// every n ticks of its own virtual clock (n × ClockPeriod guest
+	// every n ticks of its own virtual clock (n × clockPeriod guest
 	// cycles), quiesced at an instruction boundary, into an in-memory
 	// ring of CheckpointGenerations generations per VM. 0 disables
 	// periodic checkpointing; the disabled path costs one comparison
@@ -142,10 +145,6 @@ type Config struct {
 	// CheckpointGenerations is the per-VM checkpoint ring depth. 0
 	// selects the default of 4 when CheckpointEvery is set.
 	CheckpointGenerations int
-
-	// CheckpointCompress stores checkpoint sections DEFLATE-compressed
-	// (slower to take, roughly 10x smaller for mostly-zero guests).
-	CheckpointCompress bool
 
 	// Recover arms the supervisor: a VM that dies from a watchdog trip
 	// or a handler-less virtual machine check is rolled back to its
@@ -179,7 +178,7 @@ type Config struct {
 	Translation bool
 
 	// Recorder attaches a flight recorder: every VM created on this
-	// monitor gets a per-VM event ring and latency histograms in it.
+	// monitor gets an event log and latency histograms in it.
 	// nil (the default) disables recording; the hot paths then pay one
 	// pointer test and allocate nothing. Usually set via WithRecorder.
 	Recorder *trace.Recorder
@@ -208,12 +207,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.FillBatch < 1 {
 		cfg.FillBatch = 1
-	}
-	if cfg.ClockPeriod == 0 {
-		cfg.ClockPeriod = 5000
-	}
-	if cfg.TimeSlice == 0 {
-		cfg.TimeSlice = 4
 	}
 	if cfg.WaitTimeout == 0 {
 		cfg.WaitTimeout = 16
@@ -249,8 +242,8 @@ type Stats struct {
 // cache below) or owned by whichever engine is running. The global
 // page pool sits behind a mutex because workers reach it only to
 // refill or spill their local caches in batches; nothing touches it
-// per step. Audit ordering needs no shared counter at all: shard
-// events carry cycle stamps and are sequenced at the merge (audit.go).
+// per step. Events need no shared state at all: each lands in its own
+// VM's log, stamped with the shard's cycle count.
 type vmmShared struct {
 	mu       sync.Mutex // guards nextPage and pageRuns (cold paths)
 	nextPage uint32     // physical page bump allocator
@@ -323,14 +316,6 @@ type VMM struct {
 	// sections do not reconstruct CPUs (and their decode caches).
 	workerShards []*VMM
 
-	// auditNext is the audit sequence counter. Only the root assigns
-	// sequence numbers — serially while recording its own events, and
-	// at the merge when shard events (stamped with cycles, not
-	// sequences) are folded in — so it is a plain integer, not the
-	// per-step shared atomic it used to be.
-	auditNext uint64
-
-	audit  *trace.Last[AuditEvent]
 	rec    *trace.Recorder // flight recorder, nil = disabled
 	faults *fault.Injector // nil = no fault injection
 	ioBuf  []byte          // scratch page for KCALL disk transfers
@@ -388,7 +373,7 @@ func New(memBytes uint32, cfg Config, opts ...Option) *VMM {
 	c.AddDevice(k.Clock)
 	c.TrapAllInVM = k.cfg.Scheme == TrapAll
 	c.ProbeWTrapOnDeny = k.cfg.ReadOnlyShadow
-	k.Clock.Interval(k.cfg.ClockPeriod)
+	k.Clock.Interval(clockPeriod)
 	// The VMM parks the processor in kernel mode; VMs run with PSL<VM>.
 	c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
 	if k.cfg.Translation {
@@ -405,7 +390,7 @@ func (k *VMM) enableTranslation(c *cpu.CPU) {
 	c.EnableTranslation(true)
 	c.OnTraceCompile = func(startVA uint32, steps int) {
 		if vm := k.Current(); vm != nil && vm.rec != nil {
-			vm.rec.Record(trace.EvTraceCompile, c.Cycles, startVA)
+			vm.rec.Record(trace.EvTraceCompile, c.Cycles, c.PC(), startVA)
 		}
 	}
 }
@@ -416,18 +401,38 @@ func (k *VMM) Config() Config { return k.cfg }
 // Recorder returns the attached flight recorder (nil when disabled).
 func (k *VMM) Recorder() *trace.Recorder { return k.rec }
 
-// EnableRecorder attaches a flight recorder after construction (the
-// monitor's way to turn tracing on at run time) and registers every
-// existing VM with it. Call only while no run is in flight; a no-op if
-// a recorder is already attached.
-func (k *VMM) EnableRecorder(ringCap int) *trace.Recorder {
+// EnableRecorder attaches a flight recorder whose per-VM logs keep the
+// newest logCap events, after construction (the monitor's way to turn
+// tracing on at run time, and vaxvm's to turn on the audit trail), and
+// registers every existing VM with it. Call only while no run is in
+// flight; a no-op if a recorder is already attached.
+func (k *VMM) EnableRecorder(logCap int) *trace.Recorder {
 	if k.rec == nil {
-		k.rec = trace.NewRecorder(ringCap)
+		k.rec = trace.NewRecorder(logCap)
 		for _, vm := range k.vms {
 			vm.rec = k.rec.VM(vm.ID, vm.name)
 		}
 	}
 	return k.rec
+}
+
+// event records a cold event on the VM's log, stamped with the machine
+// cycle count and the VM's PC; a no-op when the VM has no recorder.
+// Call sites that format a detail do so behind their own vm.rec check,
+// so a VM without a recorder formats nothing.
+func (k *VMM) event(vm *VM, kind trace.Kind, arg uint32, detail string) {
+	if vm.rec != nil {
+		vm.rec.RecordDetail(kind, k.CPU.Cycles, k.guestPC(vm), arg, detail)
+	}
+}
+
+// guestPC returns the VM's program counter: the processor's while the
+// VM owns it, the saved copy otherwise.
+func (k *VMM) guestPC(vm *VM) uint32 {
+	if k.Current() == vm {
+		return k.CPU.PC()
+	}
+	return vm.pc
 }
 
 // VMs returns the created virtual machines.

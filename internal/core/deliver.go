@@ -231,7 +231,9 @@ func (k *VMM) reflect(vm *VM, gf *guestFault) {
 		return
 	}
 	vm.Stats.ReflectedFaults++
-	k.record(vm, AuditReflected, gf.vec.String())
+	if vm.rec != nil {
+		vm.rec.Record(trace.EvReflected, k.CPU.Cycles, k.CPU.PC(), uint32(gf.vec))
+	}
 	k.deliverToVM(vm, gf.vec, gf.params, k.CPU.PC(), vax.Kernel, -1)
 }
 
@@ -265,7 +267,7 @@ func (k *VMM) deliverPendingIRQs(vm *VM) {
 	vm.Stats.VirtualIRQs++
 	k.Stats.VirtualIRQs++
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvVirtualIRQ, k.CPU.Cycles, uint32(vec))
+		vm.rec.Record(trace.EvVirtualIRQ, k.CPU.Cycles, k.CPU.PC(), uint32(vec))
 		if vm.kcallPending && vec == vax.VecDisk {
 			vm.kcallPending = false
 			vm.rec.Observe(trace.LatKCall, k.CPU.Cycles-vm.kcallStart)

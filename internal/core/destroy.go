@@ -60,8 +60,10 @@ func (k *VMM) DestroyVM(vm *VM) error {
 	case k.cur > idx:
 		k.cur--
 	}
-	if k.audit != nil {
-		k.record(vm, AuditVMDestroyed, fmt.Sprintf("%d KB recycled", vm.MemSize/1024))
+	// The VM's event log and histograms leave with it.
+	if vm.rec != nil {
+		k.rec.Drop(vm.ID)
+		vm.rec = nil
 	}
 	return nil
 }

@@ -57,7 +57,7 @@ func (k *VMM) emulate(vm *VM, info *vax.VMTrapInfo) {
 func (k *VMM) emulateCHM(vm *VM, info *vax.VMTrapInfo) {
 	vm.Stats.CHMs++
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvCHM, k.CPU.Cycles, info.Operands[0])
+		vm.rec.Record(trace.EvCHM, k.CPU.Cycles, k.CPU.PC(), info.Operands[0])
 	}
 	k.charge(cpu.CostVMMCHM)
 	k.noteProgress(vm)
@@ -78,7 +78,7 @@ func (k *VMM) emulateREI(vm *VM, info *vax.VMTrapInfo) {
 	vm.Stats.REIs++
 	c := k.CPU
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvREI, c.Cycles, info.NextPC)
+		vm.rec.Record(trace.EvREI, c.Cycles, c.PC(), info.NextPC)
 	}
 	k.charge(cpu.CostVMMREI)
 	cur := info.GuestPSL.Cur()
@@ -142,7 +142,7 @@ func checkGuestREI(vm *VM, cur, n vax.PSL) *guestFault {
 func (k *VMM) emulateWAIT(vm *VM, info *vax.VMTrapInfo) {
 	vm.Stats.Waits++
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvSchedPark, k.CPU.Cycles, info.NextPC)
+		vm.rec.Record(trace.EvSchedPark, k.CPU.Cycles, k.CPU.PC(), info.NextPC)
 	}
 	k.noteProgress(vm)
 	vm.waiting = true

@@ -62,9 +62,8 @@ func (k *VMM) noteProgress(vm *VM) {
 func (k *VMM) machineCheck(vm *VM, code, info uint32) {
 	vm.Stats.MachineChecks++
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvMachineCheck, k.CPU.Cycles, code)
+		k.event(vm, trace.EvMachineCheck, code, fmt.Sprintf("code %d info %#x", code, info))
 	}
-	k.record(vm, AuditMachineCheck, fmt.Sprintf("code %d info %#x", code, info))
 	k.deliverToVM(vm, vax.VecMachineCheck, []uint32{8, code, info},
 		k.CPU.PC(), vax.Kernel, mcheckIPL)
 }
@@ -82,10 +81,7 @@ func (k *VMM) checkWatchdog(vm *VM) bool {
 		return false
 	}
 	vm.Stats.WatchdogTrips++
-	if vm.rec != nil {
-		vm.rec.Record(trace.EvWatchdogTrip, k.CPU.Cycles, uint32(idle))
-	}
-	k.record(vm, AuditWatchdogTrip, fmt.Sprintf("no progress event in %d ticks", idle))
+	k.event(vm, trace.EvWatchdogTrip, uint32(idle), "")
 	k.haltVMCause(vm, fmt.Sprintf("watchdog: no progress event in %d ticks", idle),
 		haltWatchdog)
 	return true
@@ -136,7 +132,9 @@ func (k *VMM) corruptShadowPTE(vm *VM) {
 	_ = k.Mem.StoreLong(slot, uint32(vax.NewPTE(true, pte.Prot(), pte.Modified(), badPFN)))
 	k.CPU.MMU.TBIS(va)
 	k.faults.NoteCorruption()
-	k.record(vm, AuditFaultInjected, fmt.Sprintf("shadow PTE for %#x repointed to frame %#x", va, badPFN))
+	if vm.rec != nil {
+		k.event(vm, trace.EvFaultInjected, va, fmt.Sprintf("shadow PTE for %#x repointed to frame %#x", va, badPFN))
+	}
 }
 
 // SelfCheck runs one shadow-table self-check pass over every live VM
@@ -178,7 +176,9 @@ func (k *VMM) selfCheckVM(vm *VM) int {
 			k.CPU.MMU.TBIS(va)
 			repairs++
 			vm.Stats.SelfCheckRepairs++
-			k.record(vm, AuditSelfCheckRepair, fmt.Sprintf("shadow PTE %#x for %#x cleared", v, va))
+			if vm.rec != nil {
+				k.event(vm, trace.EvSelfCheckRepair, va, fmt.Sprintf("shadow PTE %#x for %#x cleared", v, va))
+			}
 		}
 	}
 	scan(s.sptPhys, VMSLimitPTEs, func(vpn uint32) uint32 {

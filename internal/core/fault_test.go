@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/trace"
 	"repro/internal/vax"
 )
 
-// auditHas reports whether the audit trail contains an event of kind.
-func auditHas(k *VMM, kind AuditKind) bool {
-	for _, e := range k.AuditTrail() {
+// auditHas reports whether the audit view contains an event of kind.
+func auditHas(k *VMM, kind trace.Kind) bool {
+	for _, e := range k.Recorder().Audit() {
 		if e.Kind == kind {
 			return true
 		}
@@ -31,7 +32,7 @@ start:	mtpr #31, #18        ; mask the completion interrupt
 	movl @#0x80005000, r4
 	halt
 `, nil)
-	k.EnableAudit(32)
+	k.EnableRecorder(32)
 	inj := fault.New(7, fault.Config{TargetVM: 0, TransientDiskRate: 1, TransientBurst: 1})
 	k.AttachFaults(inj)
 	copy(vm.Disk().Image()[2*vax.PageSize:], []byte{0xEF, 0xBE, 0xAD, 0xDE})
@@ -51,7 +52,7 @@ start:	mtpr #31, #18        ; mask the completion interrupt
 	if inj.Stats.TransientFails != 1 {
 		t.Errorf("injected transient fails = %d, want 1", inj.Stats.TransientFails)
 	}
-	if !auditHas(k, AuditDiskRetry) {
+	if !auditHas(k, trace.EvKCallRetry) {
 		t.Error("no disk-retry audit event")
 	}
 }
@@ -79,7 +80,7 @@ mckh:	incl r9
 	movl (sp)+, r11      ; cause info
 	rei
 `, map[vax.Vector]string{vax.VecMachineCheck: "mckh"})
-	k.EnableAudit(32)
+	k.EnableRecorder(32)
 	k.AttachFaults(fault.New(7, fault.Config{TargetVM: 0, PermanentDiskRate: 1}))
 	runVM(t, k, vm, 100000)
 	if got := guestLong(t, vm, 0x6000); got != KCallStatusError {
@@ -103,7 +104,7 @@ mckh:	incl r9
 	if vm.Stats.DiskRetries != 0 {
 		t.Errorf("DiskRetries = %d, want 0 (permanent errors are not retried)", vm.Stats.DiskRetries)
 	}
-	if !auditHas(k, AuditMachineCheck) {
+	if !auditHas(k, trace.EvMachineCheck) {
 		t.Error("no machine-check audit event")
 	}
 }
@@ -135,7 +136,7 @@ start:	movl #99, r0         ; no such KCALL function
 	movl r0, @#0x80006000
 	halt
 `, nil)
-	k.EnableAudit(16)
+	k.EnableRecorder(16)
 	runVM(t, k, vm, 100000)
 	if got := guestLong(t, vm, 0x6000); got != KCallStatusError {
 		t.Errorf("KCALL status = %d, want error", got)
@@ -143,7 +144,7 @@ start:	movl #99, r0         ; no such KCALL function
 	if vm.Stats.UnknownKCALLs != 1 {
 		t.Errorf("UnknownKCALLs = %d, want 1", vm.Stats.UnknownKCALLs)
 	}
-	if !auditHas(k, AuditUnknownKCALL) {
+	if !auditHas(k, trace.EvUnknownKCALL) {
 		t.Error("no unknown-kcall audit event")
 	}
 }
@@ -191,7 +192,7 @@ start:	incl r5
 	brb start
 `
 	k, vmW, _ := bootVM(t, Config{Watchdog: 4}, worker, nil)
-	k.EnableAudit(64)
+	k.EnableRecorder(64)
 	imgR, progR := guestImage(t, runaway, nil)
 	vmR, err := k.CreateVM(VMConfig{MemBytes: gMemSize, Image: imgR,
 		StartPC: progR.MustSymbol("start"), PreMapped: true, SBR: gSPT, SLR: gSPTLen, SCBB: gSCB})
@@ -215,7 +216,7 @@ start:	incl r5
 	if vmW.ConsoleOutput() != strings.Repeat(".", 20) {
 		t.Errorf("worker console = %q", vmW.ConsoleOutput())
 	}
-	if !auditHas(k, AuditWatchdogTrip) {
+	if !auditHas(k, trace.EvWatchdogTrip) {
 		t.Error("no watchdog-trip audit event")
 	}
 }
@@ -231,7 +232,7 @@ spin:	sobgtr r11, spin
 	movl @#0x80004600, r3        ; reread through the repaired shadow
 	halt
 `, nil)
-	k.EnableAudit(32)
+	k.EnableRecorder(32)
 	k.Run(60) // past the store, inside the spin
 	if h, _ := vm.Halted(); h {
 		t.Fatal("guest finished before the corruption window")
@@ -258,7 +259,7 @@ spin:	sobgtr r11, spin
 	if repairs := k.SelfCheck(); repairs != 0 {
 		t.Errorf("second pass repaired %d PTEs, want 0", repairs)
 	}
-	if !auditHas(k, AuditSelfCheckRepair) {
+	if !auditHas(k, trace.EvSelfCheckRepair) {
 		t.Error("no selfcheck-repair audit event")
 	}
 
@@ -378,7 +379,7 @@ spin:	sobgtr r11, spin
 	if h, _ := vmB.Halted(); !h {
 		t.Fatal("waiter B never woke")
 	}
-	period := uint64(k.Config().ClockPeriod)
+	period := uint64(clockPeriod)
 	if vmA.HaltCycles() < 4*period {
 		t.Errorf("A halted at cycle %d, before its WAIT deadline (tick 4)", vmA.HaltCycles())
 	}

@@ -56,7 +56,7 @@ func (k *VMM) kcall(vm *VM, _ uint32) {
 		vm.uptime = c.R[1]
 	default:
 		vm.Stats.UnknownKCALLs++
-		k.record(vm, AuditUnknownKCALL, fmt.Sprintf("function code %d", fn))
+		k.event(vm, trace.EvUnknownKCALL, fn, "")
 		status = KCallStatusError
 	}
 	c.R[0] = status
@@ -92,9 +92,8 @@ func (k *VMM) kcallDisk(vm *VM, write bool) uint32 {
 			break
 		}
 		vm.Stats.DiskRetries++
-		k.record(vm, AuditDiskRetry, fmt.Sprintf("block %d attempt %d: %v", block, attempt+1, err))
 		if vm.rec != nil {
-			vm.rec.Record(trace.EvKCallRetry, k.CPU.Cycles, uint32(attempt+1))
+			k.event(vm, trace.EvKCallRetry, uint32(attempt+1), fmt.Sprintf("block %d: %v", block, err))
 		}
 		k.charge(diskRetryCost << uint(attempt))
 	}

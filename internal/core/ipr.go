@@ -133,9 +133,9 @@ func (k *VMM) emulateMTPR(vm *VM, info *vax.VMTrapInfo) {
 		k.resumeVM(vm)
 		if vm.rec != nil {
 			kcStart, fn := c.Cycles, c.R[0]
-			vm.rec.Record(trace.EvKCallStart, kcStart, fn)
+			vm.rec.Record(trace.EvKCallStart, kcStart, c.PC(), fn)
 			k.kcall(vm, v)
-			vm.rec.Record(trace.EvKCallDone, c.Cycles, c.R[0])
+			vm.rec.Record(trace.EvKCallDone, c.Cycles, c.PC(), c.R[0])
 			if (fn == KCallDiskRead || fn == KCallDiskWrite) && c.R[0] == KCallStatusOK {
 				// A disk KCALL completes when its virtual IRQ is
 				// delivered; the latency span closes there.

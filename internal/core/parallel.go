@@ -23,11 +23,12 @@ import (
 // cache — pulls N runnable VMs from a work queue. Physical memory and
 // the global page pool stay shared behind vmmShared, but nothing
 // touches them per step: workers refill and spill their allocator
-// caches in batches, and audit events carry cycle stamps instead of
-// taking a shared sequence. Because every VM occupies a disjoint range
-// of physical memory (its RAM and its shadow-table pages are both
-// carved out at CreateVM time), shards never write each other's bytes,
-// and all of the serial emulation machinery runs on a shard unchanged.
+// caches in batches, and each event lands in its own VM's log, written
+// only by the worker driving that VM. Because every VM occupies a
+// disjoint range of physical memory (its RAM and its shadow-table
+// pages are both carved out at CreateVM time), shards never write each
+// other's bytes, and all of the serial emulation machinery runs on a
+// shard unchanged.
 //
 // A VM is dispatched onto whichever worker dequeues it. Dispatching is
 // a world switch on that worker's shard, so the architectural state
@@ -289,7 +290,6 @@ func (k *VMM) newWorkerShard() *VMM {
 		cur:    -1,
 		shared: k.shared,
 		parent: k,
-		audit:  k.audit,
 		rec:    k.rec,
 		ioBuf:  make([]byte, vax.PageSize),
 	}
@@ -297,7 +297,7 @@ func (k *VMM) newWorkerShard() *VMM {
 	c.AddDevice(s.Clock)
 	c.TrapAllInVM = s.cfg.Scheme == TrapAll
 	c.ProbeWTrapOnDeny = s.cfg.ReadOnlyShadow
-	s.Clock.Interval(s.cfg.ClockPeriod)
+	s.Clock.Interval(clockPeriod)
 	c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
 	if s.cfg.Translation {
 		s.enableTranslation(c)
@@ -325,7 +325,6 @@ func (k *VMM) resetShard(s *VMM) {
 	s.switchStart = 0
 	s.cur = -1
 	s.vms[0] = nil
-	s.audit = k.audit
 	s.rec = k.rec
 	// The root's config may have moved since the shard was built
 	// (SetCheckpointPolicy, SetRecovery, SetWatchdog); shards carry a
@@ -377,7 +376,7 @@ func (e *engine) attach(w *worker, vm *VM) {
 			s.CPU.InvalidateDecode(vm.MemBase, vm.MemSize)
 		}
 		if vm.rec != nil {
-			vm.rec.Record(trace.EvSchedSteal, s.CPU.Cycles, uint32(w.id))
+			vm.rec.Record(trace.EvSchedSteal, s.CPU.Cycles, vm.pc, uint32(w.id))
 		}
 	}
 	vm.sched.Store(schedRunning)
@@ -467,7 +466,7 @@ func (e *engine) drive(w *worker, vm *VM) {
 			return
 		case s.shouldPark(vm):
 			if vm.rec != nil {
-				vm.rec.Record(trace.EvSchedPark, s.CPU.Cycles, 0)
+				vm.rec.Record(trace.EvSchedPark, s.CPU.Cycles, s.guestPC(vm), 0)
 			}
 			e.detach(w, vm)
 			if e.park(vm) {
@@ -537,9 +536,6 @@ func (k *VMM) RunParallel(workers int, maxStepsPerVM uint64) uint64 {
 				vm.waitRemaining = 0
 			}
 		}
-		if k.audit != nil && vm.ring == nil {
-			vm.ring = trace.NewSPSC[AuditEvent](k.audit.Cap())
-		}
 		vm.eng.Store(eng)
 	}
 	for _, vm := range live {
@@ -557,8 +553,8 @@ func (k *VMM) RunParallel(workers int, maxStepsPerVM uint64) uint64 {
 	wg.Wait()
 
 	// The wg.Wait above is the merge barrier: every worker goroutine is
-	// done, so shard statistics, per-VM state and the event rings are
-	// all quiescent.
+	// done, so shard statistics, per-VM state and the event logs are
+	// all quiescent, and readable from here on.
 	pr := ParallelRunStats{
 		Workers:       workers,
 		VMs:           len(live),
@@ -606,9 +602,6 @@ func (k *VMM) RunParallel(workers int, maxStepsPerVM uint64) uint64 {
 		pr.CowBreaks += vm.Stats.COWBreaks
 		pr.SharedPages += vm.Stats.SharedPages
 		pr.PrivatePages += vm.Stats.PrivatePages
-	}
-	if k.rec != nil {
-		k.rec.Sync()
 	}
 	pr.Cycles = k.CPU.Cycles
 	pr.ShadowPoolHits = k.Stats.ShadowPoolHits

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/trace"
 	"repro/internal/vax"
 )
 
@@ -302,10 +303,10 @@ func TestVMMCyclesBucket(t *testing.T) {
 }
 
 // TestAuditTrailParallel: events recorded by concurrent shards surface
-// in the merged trail, ordered by the global sequence.
+// in the audit view, ordered by (cycle, VM).
 func TestAuditTrailParallel(t *testing.T) {
 	k := New(16<<20, Config{Workers: 4})
-	k.EnableAudit(1024)
+	rec := k.EnableRecorder(1024)
 	vms := []*VM{
 		addTestVM(t, k, "", parComputeSrc, nil),
 		addTestVM(t, k, "", parComputeSrc, nil),
@@ -314,22 +315,28 @@ func TestAuditTrailParallel(t *testing.T) {
 	}
 	k.Run(10_000_000)
 	assertAllHaltedNormally(t, vms)
-	trail := k.AuditTrail()
+	trail := rec.Audit()
 	if len(trail) == 0 {
 		t.Fatal("no audit events recorded")
 	}
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for i, e := range trail {
 		seen[e.VM] = true
-		if i > 0 && trail[i-1].Seq > e.Seq {
-			t.Fatalf("trail out of sequence at %d: %d after %d", i, e.Seq, trail[i-1].Seq)
+		if i > 0 && auditBefore(e, trail[i-1]) {
+			t.Fatalf("trail out of order at %d: %v after %v", i, e, trail[i-1])
 		}
 	}
 	for _, vm := range vms {
-		if !seen[vm.ID] {
+		if !seen[int32(vm.ID)] {
 			t.Errorf("no audit events from vm%d", vm.ID)
 		}
 	}
+}
+
+// auditBefore reports whether a sorts strictly before b in the audit
+// view's (cycle, VM) order.
+func auditBefore(a, b trace.Event) bool {
+	return a.Cycle < b.Cycle || a.Cycle == b.Cycle && a.VM < b.VM
 }
 
 // TestSerialEngineStaysDefault: without Workers the engine never goes

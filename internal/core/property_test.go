@@ -10,6 +10,7 @@ import (
 	asmPkg "repro/internal/asm"
 	"repro/internal/mem"
 	"repro/internal/mmu"
+	"repro/internal/trace"
 	"repro/internal/vax"
 )
 
@@ -268,50 +269,55 @@ ucode:	mtpr #1, #18         ; privilege violation from VM user
 	.align 4
 privh:	halt
 `, map[vax.Vector]string{vax.VecPrivInstr: "privh"})
-	k.EnableAudit(64)
-	// Re-create events after enabling (creation happened before).
+	k.EnableRecorder(64)
 	runVM(t, k, vm, 100000)
-	trail := k.AuditTrail()
+	trail := k.Recorder().Audit()
 	if len(trail) == 0 {
 		t.Fatal("empty audit trail")
 	}
-	var kinds = map[AuditKind]int{}
+	var kinds = map[trace.Kind]int{}
 	for _, e := range trail {
 		kinds[e.Kind]++
 		if e.String() == "" {
 			t.Error("empty event string")
 		}
 	}
-	if kinds[AuditVMTrap] == 0 {
+	if kinds[trace.EvVMTrap] == 0 {
 		t.Error("no VM traps audited")
 	}
-	if kinds[AuditPrivFault] == 0 {
+	if kinds[trace.EvPrivFault] == 0 {
 		t.Error("privilege fault not audited")
 	}
-	if kinds[AuditReflected] == 0 {
+	if kinds[trace.EvReflected] == 0 {
 		t.Error("reflected fault not audited")
 	}
-	if kinds[AuditVMHalted] == 0 {
+	if kinds[trace.EvVMHalted] == 0 {
 		t.Error("VM halt not audited")
 	}
 }
 
+// TestAuditRingBufferWraps: the audit view reads each VM's log, so a
+// full log evicts the oldest events from the trail too and counts them
+// as dropped; without a recorder there is no trail at all.
 func TestAuditRingBufferWraps(t *testing.T) {
 	k := New(8<<20, Config{})
-	k.EnableAudit(4)
+	rec := k.EnableRecorder(4)
+	vm, err := k.CreateVM(VMConfig{MemBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
-		k.record(nil, AuditWorldSwitch, "")
+		vm.rec.Record(trace.EvSchedRun, uint64(i), 0, 0)
 	}
-	trail := k.AuditTrail()
-	if len(trail) != 4 {
-		t.Fatalf("trail length %d, want 4", len(trail))
+	trail := rec.Audit()
+	if len(trail) != 4 || trail[0].Cycle != 6 {
+		t.Fatalf("trail %v, want the newest 4 events", trail)
 	}
-	if k.AuditTrail()[0].VM != -1 {
-		t.Error("machine-level event should have VM -1")
+	// vm-created plus ten sched-runs, four retained.
+	if d := rec.Dropped(); d != 7 {
+		t.Errorf("dropped %d, want 7", d)
 	}
-	// Disabled by default.
-	k2 := New(8<<20, Config{})
-	if k2.AuditTrail() != nil {
-		t.Error("audit trail without EnableAudit")
+	if New(8<<20, Config{}).Recorder() != nil {
+		t.Error("recorder attached without EnableRecorder")
 	}
 }

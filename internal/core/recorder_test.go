@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/trace"
@@ -11,16 +12,15 @@ import (
 // two runs of the same workload record identical event streams — the
 // drop-accounting test leans on that to check the counter exactly.
 
-// recordedEvents runs the standard mixed fleet serially with a
-// recorder of the given ring capacity and returns the recorder plus
-// the total events retained across VMs after the final sync.
-func recordedMixedRun(t *testing.T, ringCap, workers int) (*trace.Recorder, int) {
+// recordedMixedRun runs the standard mixed fleet with a recorder of
+// the given log capacity and returns the recorder plus the total
+// events retained across VMs.
+func recordedMixedRun(t *testing.T, logCap, workers int) (*trace.Recorder, int) {
 	t.Helper()
-	rec := trace.NewRecorder(ringCap)
+	rec := trace.NewRecorder(logCap)
 	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Workers: workers, Recorder: rec})
 	k.Run(10_000_000)
 	assertAllHaltedNormally(t, vms)
-	rec.Sync()
 	total := 0
 	for _, v := range rec.VMs() {
 		total += len(v.Events(0))
@@ -30,16 +30,16 @@ func recordedMixedRun(t *testing.T, ringCap, workers int) (*trace.Recorder, int)
 
 // TestRecorderParallelAllShards runs the mixed fleet on the parallel
 // engine with the recorder on: every shard's VM must contribute
-// events, the rings must lose nothing at this capacity, and the trap
+// events, the logs must evict nothing at this capacity, and the trap
 // histograms must have samples. Run under -race this also proves the
-// producer/merge-barrier contract.
+// single-writer/merge-barrier contract.
 func TestRecorderParallelAllShards(t *testing.T) {
 	rec := trace.NewRecorder(1 << 16)
 	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Workers: 4, Recorder: rec})
 	k.Run(10_000_000)
 	assertAllHaltedNormally(t, vms)
 	if rec.Dropped() != 0 {
-		t.Errorf("dropped %d events with a %d-slot ring", rec.Dropped(), 1<<16)
+		t.Errorf("dropped %d events with %d-event logs", rec.Dropped(), 1<<16)
 	}
 	vrs := rec.VMs()
 	if len(vrs) != len(vms) {
@@ -71,9 +71,10 @@ func TestRecorderParallelAllShards(t *testing.T) {
 	}
 }
 
-// TestRecorderDropCounterExact forces overflow with a tiny ring and
-// checks the drop counter against a lossless run of the identical
-// serial workload: retained + dropped must equal the lossless total.
+// TestRecorderDropCounterExact forces eviction with a tiny log and
+// checks it against a lossless run of the identical serial workload:
+// retained + dropped must equal the lossless total, and what a 4-event
+// log retains must be exactly the lossless run's newest 4 events.
 func TestRecorderDropCounterExact(t *testing.T) {
 	big, total := recordedMixedRun(t, 1<<16, 0)
 	if d := big.Dropped(); d != 0 {
@@ -84,17 +85,86 @@ func TestRecorderDropCounterExact(t *testing.T) {
 	}
 	small, _ := recordedMixedRun(t, 4, 0)
 	var retained, dropped int
-	for _, v := range small.VMs() {
-		retained += len(v.Events(0))
+	bigVMs := big.VMs()
+	for i, v := range small.VMs() {
+		evs := v.Events(0)
+		retained += len(evs)
 		dropped += int(v.Dropped())
+		want := bigVMs[i].Events(len(evs))
+		for j := range evs {
+			if evs[j] != want[j] {
+				t.Errorf("%s retained %v, want the newest %v", v.Label, evs, want)
+				break
+			}
+		}
 	}
 	if dropped == 0 {
-		t.Fatal("4-slot rings did not overflow")
+		t.Fatal("4-event logs did not overflow")
 	}
-	// The serial engine only drains rings at the end of the run, so
-	// everything pushed past each ring's 4 slots was dropped.
 	if retained+dropped != total {
 		t.Errorf("retained %d + dropped %d != lossless total %d", retained, dropped, total)
+	}
+}
+
+// TestEventLogRetentionBothEngines: a full log keeps its VM's newest
+// events on either engine, so every VM's log ends with its own halt
+// and the audit view holds every VM's halt, in (cycle, VM) order.
+func TestEventLogRetentionBothEngines(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rec := trace.NewRecorder(64)
+			k, vms := mixedFleet(t, Config{WaitTimeout: 2, Workers: workers, Recorder: rec})
+			k.Run(10_000_000)
+			assertAllHaltedNormally(t, vms)
+			if rec.Dropped() == 0 {
+				t.Fatal("no log filled: the run exercised no eviction")
+			}
+			for _, vm := range vms {
+				evs := vm.rec.Events(0)
+				if len(evs) == 0 {
+					t.Fatalf("%s retained no events", vm.Name())
+				}
+				if e := evs[len(evs)-1]; e.Kind != trace.EvVMHalted || e.Cycle != vm.HaltCycles() || int(e.VM) != vm.ID {
+					t.Errorf("%s newest event %v, want its vm-halted at %d", vm.Name(), e, vm.HaltCycles())
+				}
+			}
+			halted := map[int32]bool{}
+			trail := rec.Audit()
+			for i, e := range trail {
+				if i > 0 && auditBefore(e, trail[i-1]) {
+					t.Fatalf("audit view out of order at %d: %v after %v", i, e, trail[i-1])
+				}
+				if e.Kind == trace.EvVMHalted {
+					halted[e.VM] = true
+				}
+			}
+			for _, vm := range vms {
+				if !halted[int32(vm.ID)] {
+					t.Errorf("audit view lacks the halt of %s", vm.Name())
+				}
+			}
+		})
+	}
+}
+
+// TestDestroyReleasesEventLog: a destroyed VM's log and histograms
+// leave the recorder with it, so create/halt/destroy churn leaves the
+// recorder holding exactly the live VMs.
+func TestDestroyReleasesEventLog(t *testing.T) {
+	k, _, _ := bootVM(t, Config{}, cloneComputeSrc, nil)
+	rec := k.EnableRecorder(64)
+	for i := 0; i < 20; i++ {
+		vm, err := k.CreateVM(VMConfig{MemBytes: gMemSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.HaltVM(vm, "churn")
+		if err := k.DestroyVM(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, live := len(rec.VMs()), len(k.VMs()); got != live {
+		t.Errorf("recorder holds %d VMs after churn, monitor has %d live", got, live)
 	}
 }
 
@@ -130,33 +200,5 @@ func TestRecorderHotPathNoAllocs(t *testing.T) {
 	}
 	if fill, chm := run(trace.NewRecorder(1 << 12)); fill != 0 || chm != 0 {
 		t.Errorf("recorder on: allocs per op fill %.1f chm %.1f, want 0/0", fill, chm)
-	}
-}
-
-// TestAuditBehaviorUnchanged locks in the audit facility's observable
-// behavior across the move onto the generic rings: ordering,
-// overwrite-oldest retention, and parallel-run drop accounting.
-func TestAuditBehaviorUnchanged(t *testing.T) {
-	k, vms := mixedFleet(t, Config{WaitTimeout: 2})
-	k.EnableAudit(8)
-	k.Run(10_000_000)
-	assertAllHaltedNormally(t, vms)
-	trail := k.AuditTrail()
-	if len(trail) != 8 {
-		t.Fatalf("audit trail kept %d events, want the most recent 8", len(trail))
-	}
-	for i := 1; i < len(trail); i++ {
-		if trail[i].Seq <= trail[i-1].Seq {
-			t.Fatalf("audit trail out of order at %d: %+v", i, trail)
-		}
-	}
-	// The run generates far more than 8 events; the log keeps the tail,
-	// so the last event must be a vm-halted record from the end of the
-	// run and the first retained Seq must be well past the start.
-	if trail[0].Seq <= 1 {
-		t.Error("overwrite-oldest retention kept the first event")
-	}
-	if k.AuditDropped() != 0 {
-		t.Errorf("serial run reported %d ring drops", k.AuditDropped())
 	}
 }

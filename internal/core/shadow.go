@@ -355,7 +355,7 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		k.batchFill(vm, va, ptePhys, follow)
 	}
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvShadowFill, fillStart, va)
+		vm.rec.Record(trace.EvShadowFill, fillStart, k.CPU.PC(), va)
 		vm.rec.Observe(trace.LatShadowFill, k.CPU.Cycles-fillStart)
 	}
 	return nil
@@ -405,7 +405,7 @@ func (k *VMM) batchFill(vm *VM, va, ptePhys, follow uint32) {
 		vm.Stats.FillBatches++
 		vm.Stats.BatchFills += filled
 		if vm.rec != nil {
-			vm.rec.Record(trace.EvBatchFill, k.CPU.Cycles, uint32(filled))
+			vm.rec.Record(trace.EvBatchFill, k.CPU.Cycles, k.CPU.PC(), uint32(filled))
 		}
 		// One amortized walk for the cluster, not a full fill per PTE.
 		k.charge(cpu.CostVMMShadowFill / 2)

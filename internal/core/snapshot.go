@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/ckpt"
+	"repro/internal/trace"
 	"repro/internal/vax"
 )
 
@@ -95,12 +96,12 @@ func (k *VMM) captureLive(vm *VM) {
 // WriteCheckpoint streams the VM's complete state. The VM may be
 // current (its live processor state is captured in place) but must
 // not be halted.
-func (k *VMM) WriteCheckpoint(vm *VM, w io.Writer, compress bool) error {
+func (k *VMM) WriteCheckpoint(vm *VM, w io.Writer) error {
 	if vm.halted {
 		return fmt.Errorf("vmm: cannot checkpoint a halted VM (%s)", vm.haltMsg)
 	}
 	k.captureLive(vm)
-	e, err := ckpt.NewEncoder(w, compress)
+	e, err := ckpt.NewEncoder(w, false)
 	if err != nil {
 		return err
 	}
@@ -200,11 +201,10 @@ func (k *VMM) WriteCheckpoint(vm *VM, w io.Writer, compress bool) error {
 	return e.Close()
 }
 
-// Snapshot serializes the VM into a checkpoint image (compressed when
-// the monitor's checkpoint policy says so).
+// Snapshot serializes the VM into a checkpoint image.
 func (k *VMM) Snapshot(vm *VM) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := k.WriteCheckpoint(vm, &buf, k.cfg.CheckpointCompress); err != nil {
+	if err := k.WriteCheckpoint(vm, &buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -413,7 +413,7 @@ func (k *VMM) ReadCheckpoint(name string, r io.Reader) (*VM, error) {
 	if vm.mapen && vm.p0br != 0 {
 		vm.shadow.slotOwner[0] = vm.p0br
 	}
-	k.record(vm, AuditVMCreated, "restored from checkpoint")
+	k.event(vm, trace.EvVMCreated, 0, "restored from checkpoint")
 	return vm, nil
 }
 

@@ -61,8 +61,10 @@ func (k *VMM) checkpointVM(vm *VM) error {
 	}
 	start := k.CPU.Cycles
 	var buf bytes.Buffer
-	if err := k.WriteCheckpoint(vm, &buf, k.cfg.CheckpointCompress); err != nil {
-		k.record(vm, AuditCheckpoint, "failed: "+err.Error())
+	if err := k.WriteCheckpoint(vm, &buf); err != nil {
+		if vm.rec != nil {
+			k.event(vm, trace.EvCheckpoint, uint32(vm.ckptSeq), "failed: "+err.Error())
+		}
 		return err
 	}
 	if vm.ckptGens == nil {
@@ -79,11 +81,8 @@ func (k *VMM) checkpointVM(vm *VM) error {
 	// bytes of image, scaled like every other emulation path.
 	k.charge(uint64(buf.Len()) / 64)
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvCheckpoint, start, uint32(vm.ckptSeq))
-	}
-	if k.audit != nil {
-		k.record(vm, AuditCheckpoint,
-			fmt.Sprintf("generation %d, %d bytes", vm.ckptSeq, buf.Len()))
+		vm.rec.RecordDetail(trace.EvCheckpoint, start, k.guestPC(vm), uint32(vm.ckptSeq),
+			fmt.Sprintf("%d bytes", buf.Len()))
 	}
 	return nil
 }
@@ -155,7 +154,7 @@ func (k *VMM) tryRecover(vm *VM) bool {
 		if img := vm.checkpointGen(0); len(img) > 0 {
 			img[k.faults.Pick(len(img))] ^= byte(1 + k.faults.Pick(255))
 			k.faults.NoteCkptCorruption()
-			k.record(vm, AuditFaultInjected, "newest checkpoint generation corrupted")
+			k.event(vm, trace.EvFaultInjected, 0, "newest checkpoint generation corrupted")
 		}
 	}
 	for {
@@ -169,9 +168,8 @@ func (k *VMM) tryRecover(vm *VM) bool {
 			break
 		}
 		vm.Stats.RecoveryFallbacks++
-		if k.audit != nil {
-			k.record(vm, AuditRecoveryFallback,
-				fmt.Sprintf("generation -%d rejected: %v", vm.ckptFallback, err))
+		if vm.rec != nil {
+			k.event(vm, trace.EvRecoveryFallback, uint32(vm.ckptFallback), err.Error())
 		}
 		vm.ckptFallback++
 	}
@@ -185,12 +183,8 @@ func (k *VMM) tryRecover(vm *VM) bool {
 	vm.haltCycles = 0
 	vm.Stats.Recoveries++
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvRecover, start, uint32(gen))
+		vm.rec.RecordDetail(trace.EvRecover, start, k.guestPC(vm), uint32(gen), "after "+cause)
 		vm.rec.Observe(trace.LatRecover, k.CPU.Cycles-start)
-	}
-	if k.audit != nil {
-		k.record(vm, AuditVMRecovered,
-			fmt.Sprintf("restored from generation -%d after %q", gen, cause))
 	}
 	return true
 }
@@ -199,7 +193,7 @@ func (k *VMM) tryRecover(vm *VM) bool {
 // frames — kept across the recoverable halt — go back to the pool.
 func (k *VMM) escalate(vm *VM, why string) {
 	vm.Stats.RecoveryEscalations++
-	k.record(vm, AuditRecoveryEscalated, why)
+	k.event(vm, trace.EvRecoveryEscalated, 0, why)
 	if vm.shadow != nil {
 		vm.shadow.releaseRuns(k)
 	}

@@ -47,7 +47,6 @@ func TestWatchdogRecovery(t *testing.T) {
 		Recover: true, RecoverBudget: 8,
 		Recorder: trace.NewRecorder(256),
 	}, flagGuest, nil)
-	k.EnableAudit(64)
 	runVM(t, k, vm, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {
 		t.Fatalf("halt reason %q, want normal HALT after recovery", msg)
@@ -67,14 +66,13 @@ func TestWatchdogRecovery(t *testing.T) {
 	if vm.Stats.RecoveryEscalations != 0 {
 		t.Errorf("RecoveryEscalations = %d, want 0", vm.Stats.RecoveryEscalations)
 	}
-	if !auditHas(k, AuditVMRecovered) {
+	if !auditHas(k, trace.EvRecover) {
 		t.Error("no vm-recovered audit event")
 	}
-	if !auditHas(k, AuditCheckpoint) {
+	if !auditHas(k, trace.EvCheckpoint) {
 		t.Error("no checkpoint audit event")
 	}
 	rec := k.Recorder()
-	rec.Sync()
 	var sawCkpt, sawRecover bool
 	for _, v := range rec.VMs() {
 		for _, e := range v.Events(0) {
@@ -120,7 +118,7 @@ slow:	sobgtr r10, slow     ; ~1 tick per iteration: checkpoints interleave
 		CheckpointEvery: 2, CheckpointGenerations: 4,
 		Recover: true, RecoverBudget: 16,
 	}, victim, nil)
-	k.EnableAudit(64)
+	k.EnableRecorder(64)
 	k.AttachFaults(fault.New(3, fault.Config{TargetVM: 0, PermanentDiskRate: 0.25}))
 	runVM(t, k, vm, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {
@@ -138,7 +136,7 @@ slow:	sobgtr r10, slow     ; ~1 tick per iteration: checkpoints interleave
 	if vm.Stats.RecoveryEscalations != 0 {
 		t.Errorf("RecoveryEscalations = %d, want 0", vm.Stats.RecoveryEscalations)
 	}
-	if !auditHas(k, AuditVMRecovered) {
+	if !auditHas(k, trace.EvRecover) {
 		t.Error("no vm-recovered audit event")
 	}
 }
@@ -152,7 +150,7 @@ func TestRecoveryFallbackOnCorruptGeneration(t *testing.T) {
 		CheckpointEvery: 3, CheckpointGenerations: 4,
 		Recover: true, RecoverBudget: 8,
 	}, flagGuest, nil)
-	k.EnableAudit(64)
+	k.EnableRecorder(64)
 	inj := fault.New(5, fault.Config{TargetVM: 0, CkptCorruptions: 1})
 	k.AttachFaults(inj)
 	runVM(t, k, vm, 50_000_000)
@@ -168,13 +166,13 @@ func TestRecoveryFallbackOnCorruptGeneration(t *testing.T) {
 	if inj.Stats.CkptCorruptions != 1 {
 		t.Errorf("injected ckpt corruptions = %d, want 1", inj.Stats.CkptCorruptions)
 	}
-	if !auditHas(k, AuditRecoveryFallback) {
+	if !auditHas(k, trace.EvRecoveryFallback) {
 		t.Error("no recovery-fallback audit event")
 	}
-	if !auditHas(k, AuditFaultInjected) {
+	if !auditHas(k, trace.EvFaultInjected) {
 		t.Error("no fault-injected audit event")
 	}
-	if !auditHas(k, AuditVMRecovered) {
+	if !auditHas(k, trace.EvRecover) {
 		t.Error("no vm-recovered audit event")
 	}
 }
@@ -204,7 +202,7 @@ inner:	sobgtr r11, inner
 		CheckpointEvery: 2, CheckpointGenerations: 2,
 		Recover: true, RecoverBudget: 1,
 	}, runaway, nil)
-	k.EnableAudit(64)
+	k.EnableRecorder(64)
 	imgW, progW := guestImage(t, worker, nil)
 	vmW, err := k.CreateVM(VMConfig{MemBytes: gMemSize, Image: imgW,
 		StartPC: progW.MustSymbol("start"), PreMapped: true, SBR: gSPT, SLR: gSPTLen, SCBB: gSCB})
@@ -222,7 +220,7 @@ inner:	sobgtr r11, inner
 	if vmR.Stats.RecoveryEscalations != 1 {
 		t.Errorf("RecoveryEscalations = %d, want 1", vmR.Stats.RecoveryEscalations)
 	}
-	if !auditHas(k, AuditRecoveryEscalated) {
+	if !auditHas(k, trace.EvRecoveryEscalated) {
 		t.Error("no recovery-escalated audit event")
 	}
 	// Escalation released the shadow frames: further recovery must refuse.
@@ -260,7 +258,7 @@ inner:	sobgtr r11, inner
 		CheckpointEvery: 3, CheckpointGenerations: 4,
 		Recover: true, RecoverBudget: 8,
 	}, flagGuest, nil)
-	k.EnableAudit(256)
+	k.EnableRecorder(256)
 	victims := []*VM{vm0}
 	imgV, progV := guestImage(t, flagGuest, nil)
 	for i := 0; i < 2; i++ {
@@ -328,7 +326,7 @@ spin:	sobgtr r11, spin
 		WaitTimeout: 40, Watchdog: 8,
 		Recover: true, RecoverBudget: 1,
 	}, waiter, nil)
-	k.EnableAudit(64)
+	k.EnableRecorder(64)
 	imgS, progS := guestImage(t, spinner, nil)
 	vmS, err := k.CreateVM(VMConfig{MemBytes: gMemSize, Image: imgS,
 		StartPC: progS.MustSymbol("start"), PreMapped: true, SBR: gSPT, SLR: gSPTLen, SCBB: gSCB})
@@ -365,15 +363,15 @@ spin:	sobgtr r11, spin
 			vmWait.Stats.Recoveries, vmWait.Stats.RecoveryEscalations)
 	}
 	var recoverCycle uint64
-	for _, e := range k.AuditTrail() {
-		if e.Kind == AuditVMRecovered {
+	for _, e := range k.Recorder().Audit() {
+		if e.Kind == trace.EvRecover {
 			recoverCycle = e.Cycle
 		}
 	}
 	if recoverCycle == 0 {
 		t.Fatal("no vm-recovered audit event")
 	}
-	period := uint64(k.Config().ClockPeriod)
+	period := uint64(clockPeriod)
 	wokeTicks := (vmWait.HaltCycles() - recoverCycle) / period
 	if wokeTicks < remain {
 		t.Errorf("restored waiter died %d ticks after recovery, want >= the %d remaining at checkpoint (deadline not rebased?)",

@@ -131,7 +131,6 @@ func TestWithTranslationTraceCompileEvents(t *testing.T) {
 	rec := trace.NewRecorder(1 << 12)
 	k, vm, _ := bootVM(t, Config{Translation: true, Recorder: rec}, trHotLoopSrc, nil)
 	runVM(t, k, vm, 50_000_000)
-	rec.Sync()
 	compiles := 0
 	for _, v := range rec.VMs() {
 		for _, ev := range v.Events(0) {

@@ -34,13 +34,12 @@ func (k *VMM) HandleException(c *cpu.CPU, e *vax.Exception) bool {
 	switch e.Vector {
 	case vax.VecVMEmulation:
 		vm.Stats.VMTraps++
-		k.auditVMTrap(vm, e.VMInfo)
 		if vm.rec != nil {
 			arg := uint32(0)
 			if e.VMInfo != nil {
 				arg = uint32(e.VMInfo.Opcode)
 			}
-			vm.rec.Record(trace.EvVMTrap, start, arg)
+			vm.rec.Record(trace.EvVMTrap, start, c.PC(), arg)
 			k.emulate(vm, e.VMInfo)
 			vm.rec.Observe(trace.LatTrap, c.Cycles-start)
 		} else {
@@ -72,7 +71,7 @@ func (k *VMM) HandleException(c *cpu.CPU, e *vax.Exception) bool {
 		// reserved addressing, arithmetic, breakpoint, CHM-less traps)
 		// belongs to the VM's own operating system.
 		if e.Vector == vax.VecPrivInstr {
-			k.record(vm, AuditPrivFault, "")
+			k.event(vm, trace.EvPrivFault, 0, "")
 		}
 		k.resumeVM(vm)
 		// As above: copy out of the scratch exception's storage.
@@ -189,7 +188,7 @@ func (k *VMM) handleModifyFault(vm *VM, e *vax.Exception) {
 	va := e.Params[1]
 	vm.Stats.ModifyFaults++
 	if vm.rec != nil {
-		vm.rec.Record(trace.EvModifyFault, k.CPU.Cycles, va)
+		vm.rec.Record(trace.EvModifyFault, k.CPU.Cycles, k.CPU.PC(), va)
 	}
 	k.charge(cpu.CostVMMModifyFault)
 	if vm.frames != nil {
@@ -304,7 +303,7 @@ func (k *VMM) handleRealInterrupt(e *vax.Exception, start uint64) {
 	switch {
 	case cur == nil || cur.halted:
 		k.scheduleNext()
-	case k.cfg.TimeSlice > 0 && k.Stats.ClockTicks%k.cfg.TimeSlice == 0:
+	case k.Stats.ClockTicks%timeSlice == 0:
 		k.scheduleNext()
 	default:
 		k.resumeVM(cur)

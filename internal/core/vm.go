@@ -228,8 +228,7 @@ type VM struct {
 	shadow *shadowSpace
 	disk   *vDisk
 	cons   vConsole
-	ring   *trace.SPSC[AuditEvent] // per-VM audit ring for parallel runs (nil until used)
-	rec    *trace.VMRecorder       // flight recorder, nil = disabled
+	rec    *trace.VMRecorder // event log, nil = recording disabled
 	// Traced disk KCALL awaiting its completion IRQ (recorder only):
 	// the KCALL-to-completion latency span closes at delivery.
 	kcallStart   uint64
@@ -284,9 +283,6 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 	if vm.name == "" {
 		vm.name = defaultVMName(vm.ID)
 	}
-	if k.rec != nil {
-		vm.rec = k.rec.VM(vm.ID, vm.name)
-	}
 	shadow, err := k.newShadowSpace(vm)
 	if err != nil {
 		return nil, err
@@ -317,8 +313,11 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 		vm.scbb = cfg.SCBB
 	}
 	k.vms = append(k.vms, vm)
-	if k.audit != nil {
-		k.record(vm, AuditVMCreated, fmt.Sprintf("%d KB at real base %#x", vm.MemSize/1024, vm.MemBase))
+	// Register with the recorder only once creation can no longer fail,
+	// so the recorder never holds a log for a VM that does not exist.
+	if k.rec != nil {
+		vm.rec = k.rec.VM(vm.ID, vm.name)
+		k.event(vm, trace.EvVMCreated, 0, fmt.Sprintf("%d KB at real base %#x", vm.MemSize/1024, vm.MemBase))
 	}
 	return vm, nil
 }
@@ -714,7 +713,7 @@ func (k *VMM) haltVMCause(vm *VM, msg string, cause haltCause) {
 	vm.halted = true
 	vm.haltMsg = msg
 	vm.haltCycles = k.CPU.Cycles
-	k.record(vm, AuditVMHalted, msg)
+	k.event(vm, trace.EvVMHalted, 0, msg)
 	if k.Current() == vm {
 		k.suspend(vm)
 		vm.halted = true // suspend does not clear it; keep explicit
@@ -771,9 +770,8 @@ func (k *VMM) scheduleNext() {
 			}
 			k.Stats.WorldSwitches++
 			k.charge(cpu.CostVMMWorldSwitch)
-			k.record(vm, AuditWorldSwitch, "")
 			if vm.rec != nil {
-				vm.rec.Record(trace.EvSchedRun, k.CPU.Cycles, vm.pc)
+				vm.rec.Record(trace.EvSchedRun, k.CPU.Cycles, vm.pc, vm.pc)
 			}
 			k.resume(vm)
 			k.deliverPendingIRQs(vm)

@@ -14,8 +14,8 @@ import (
 	"repro/internal/vax"
 )
 
-// RecorderCap, when positive, attaches a flight recorder with rings of
-// that capacity to every VMM the harness builds through newVMM. It is
+// RecorderCap, when positive, attaches a flight recorder keeping that
+// many events per VM to every VMM the harness builds through newVMM. It is
 // set by the experiments binary's -trace flag or the VAX_TRACE
 // environment variable; zero (the default) keeps every machine on the
 // recorder-free hot path.

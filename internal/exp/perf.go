@@ -69,7 +69,6 @@ func annotateLatencies(r *Result, k *core.VMM) {
 	if rec == nil {
 		return
 	}
-	rec.Sync()
 	for _, v := range rec.VMs() {
 		for l := trace.Lat(0); l < trace.NumLat; l++ {
 			h := v.Hist(l)

@@ -20,9 +20,9 @@ import (
 // in-process HTTP server, exercising the whole stack — client, mux,
 // registry dispatch, fleet manager, monitor, page recycling — exactly
 // as an external operator would. It reports latency histograms and
-// verifies the fleet leaks neither VMs nor pages: after the run, the
-// pages in use (carved and not parked for reuse) are back at the
-// warm-up baseline.
+// verifies the fleet leaks neither VMs, pages nor event logs: after the
+// run, the pages in use (carved and not parked for reuse) and the VMs
+// the flight recorder holds are back at the warm-up baseline.
 
 // SoakOptions tunes a soak run.
 type SoakOptions struct {
@@ -48,16 +48,17 @@ type SoakReport struct {
 	// Latency histograms in microseconds, one per lifecycle phase.
 	Clone, Snapshot, Restore, Destroy trace.Hist
 
-	// Leak accounting: pages in use (core.VMM.PagesInUse) at the
-	// post-warm-up baseline and after the run, and VMs left beyond the
-	// golden image.
-	BaselineInUse, FinalInUse uint32
-	LeakedVMs                 int
+	// Leak accounting: pages in use (core.VMM.PagesInUse) and VMs with
+	// an event log in the flight recorder, each at the post-warm-up
+	// baseline and after the run, and VMs left beyond the golden image.
+	BaselineInUse, FinalInUse   uint32
+	BaselineLogged, FinalLogged int
+	LeakedVMs                   int
 }
 
-// Leaked reports whether the run leaked VMs or pages.
+// Leaked reports whether the run leaked VMs, pages or event logs.
 func (r *SoakReport) Leaked() bool {
-	return r.LeakedVMs > 0 || r.FinalInUse != r.BaselineInUse
+	return r.LeakedVMs > 0 || r.FinalInUse != r.BaselineInUse || r.FinalLogged > r.BaselineLogged
 }
 
 // String renders the report's summary lines.
@@ -75,6 +76,7 @@ func (r *SoakReport) String() string {
 	row("snapshot", &r.Snapshot)
 	row("restore", &r.Restore)
 	row("destroy", &r.Destroy)
+	fmt.Fprintf(&b, "  recorder: baseline-vms %d  final-vms %d\n", r.BaselineLogged, r.FinalLogged)
 	fmt.Fprintf(&b, "  pages: baseline-in-use %d  final-in-use %d  leaked-vms %d", r.BaselineInUse, r.FinalInUse, r.LeakedVMs)
 	return b.String()
 }
@@ -207,7 +209,11 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	// Short quanta: the drive loop holds the machine mutex for one
 	// quantum at a time, so the quantum bounds every API call's queueing
 	// delay — soak latency measures the control plane, not lock tenure.
-	k := core.New(uint32(opts.MemMB)<<20, core.Config{})
+	// The flight recorder is attached as vaxmon -vm attaches it (4096
+	// events per VM), so the gate also catches event logs that outlive
+	// their VMs.
+	rec := trace.NewRecorder(4096)
+	k := core.New(uint32(opts.MemMB)<<20, core.Config{}, core.WithRecorder(rec))
 	mgr := fleet.NewManager(k, fleet.Config{Quantum: 5_000})
 	mon := New(k.CPU)
 	mon.VMM = k
@@ -272,12 +278,13 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	mu.Lock()
 	baseline := k.PagesInUse()
 	baseVMs := len(k.VMs())
+	baseLogged := len(rec.VMs())
 	mu.Unlock()
 	logf("soak: warm-up epoch done (%d lifecycles), baseline pages in use %d", opts.Lifecycles, baseline)
 	clients := epoch()
 	mgr.Stop()
 
-	rep := &SoakReport{Lifecycles: 2 * opts.Lifecycles, BaselineInUse: baseline}
+	rep := &SoakReport{Lifecycles: 2 * opts.Lifecycles, BaselineInUse: baseline, BaselineLogged: baseLogged}
 	for _, c := range warm {
 		rep.Restores += c.restores
 		rep.Errors += c.errs
@@ -292,6 +299,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	}
 	mu.Lock()
 	rep.FinalInUse = k.PagesInUse()
+	rep.FinalLogged = len(rec.VMs())
 	rep.LeakedVMs = len(k.VMs()) - baseVMs
 	mu.Unlock()
 	return rep, nil

@@ -9,7 +9,7 @@ import (
 )
 
 // Export renderers: the same data — counter snapshots from any set of
-// Sources plus the flight recorder's histograms and drop counters —
+// Sources plus the flight recorder's histograms and eviction counters —
 // rendered as Prometheus text exposition or JSON. Output ordering is
 // deterministic (sorted) so exports diff cleanly run to run.
 
@@ -24,7 +24,7 @@ var exportQuantiles = []struct {
 }
 
 // WritePrometheus renders counter snapshots and (when rec is non-nil)
-// per-VM latency summaries and drop counters in the Prometheus text
+// per-VM latency summaries and eviction counters in the Prometheus text
 // exposition format.
 func WritePrometheus(w io.Writer, snaps []Snapshot, rec *Recorder) {
 	fmt.Fprintln(w, "# HELP vax_counter Monotonic simulator counters by source.")
@@ -42,7 +42,6 @@ func WritePrometheus(w io.Writer, snaps []Snapshot, rec *Recorder) {
 	if rec == nil {
 		return
 	}
-	rec.Sync()
 	fmt.Fprintln(w, "# HELP vax_latency_cycles VMM service latencies in guest cycles (bucket upper bounds).")
 	fmt.Fprintln(w, "# TYPE vax_latency_cycles summary")
 	for _, v := range rec.VMs() {
@@ -59,7 +58,7 @@ func WritePrometheus(w io.Writer, snaps []Snapshot, rec *Recorder) {
 			fmt.Fprintf(w, "vax_latency_cycles_count{vm=%q,path=%q} %d\n", v.Label, l, h.Count)
 		}
 	}
-	fmt.Fprintln(w, "# HELP vax_events_dropped_total Flight-recorder events lost to full rings.")
+	fmt.Fprintln(w, "# HELP vax_events_dropped_total Flight-recorder events evicted from full per-VM logs.")
 	fmt.Fprintln(w, "# TYPE vax_events_dropped_total counter")
 	for _, v := range rec.VMs() {
 		fmt.Fprintf(w, "vax_events_dropped_total{vm=%q} %d\n", v.Label, v.Dropped())
@@ -88,7 +87,6 @@ type jsonLatency struct {
 func WriteJSON(w io.Writer, snaps []Snapshot, rec *Recorder) error {
 	out := jsonExport{Sources: snaps}
 	if rec != nil {
-		rec.Sync()
 		out.Dropped = map[string]uint64{}
 		for _, v := range rec.VMs() {
 			out.Dropped[v.Label] = v.Dropped()
@@ -117,7 +115,6 @@ func HistTable(rec *Recorder) string {
 	if rec == nil {
 		return "recorder disabled\n"
 	}
-	rec.Sync()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %-12s %10s %12s %10s %10s %10s\n",
 		"vm", "path", "count", "mean", "p50", "p95", "p99")
@@ -141,7 +138,8 @@ func HistTable(rec *Recorder) string {
 }
 
 // FormatEvents renders the most recent n flight-recorder events per VM
-// (all retained events when n <= 0), oldest first.
+// (all retained events when n <= 0), oldest first. Each VM's header
+// counts the events its full log has evicted as "dropped".
 func FormatEvents(rec *Recorder, n int) string {
 	if rec == nil {
 		return "recorder disabled\n"

@@ -1,106 +1,23 @@
 package trace
 
-import (
-	"sync"
-	"testing"
-)
-
-func TestSPSCOrderingAndDrop(t *testing.T) {
-	r := NewSPSC[int](8)
-	for i := 0; i < 100; i++ {
-		r.Push(i)
-	}
-	if r.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", r.Len())
-	}
-	if r.Dropped() != 92 {
-		t.Fatalf("Dropped = %d, want 92", r.Dropped())
-	}
-	var got []int
-	r.Drain(func(v int) { got = append(got, v) })
-	// Drop-newest semantics: a full ring rejects the push, so the first
-	// eight values survive in order.
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("drained[%d] = %d, want %d", i, v, i)
-		}
-	}
-	if r.Len() != 0 {
-		t.Fatalf("Len after drain = %d", r.Len())
-	}
-}
-
-func TestSPSCDrainRefill(t *testing.T) {
-	r := NewSPSC[int](4)
-	next := 0
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 3; i++ {
-			if !r.Push(next + i) {
-				t.Fatalf("push rejected with space free (round %d)", round)
-			}
-		}
-		r.Drain(func(v int) {
-			if v != next {
-				t.Fatalf("drained %d, want %d", v, next)
-			}
-			next++
-		})
-	}
-	if r.Dropped() != 0 {
-		t.Fatalf("Dropped = %d, want 0", r.Dropped())
-	}
-}
-
-// Producer and drainer on separate goroutines: every value arrives
-// exactly once and in order, or is accounted in Dropped. Run under
-// -race this also proves the SPSC contract holds.
-func TestSPSCConcurrent(t *testing.T) {
-	const n = 10000
-	r := NewSPSC[int](64)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			r.Push(i)
-		}
-	}()
-	var got []int
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		wg.Wait()
-	}()
-	for {
-		r.Drain(func(v int) { got = append(got, v) })
-		select {
-		case <-done:
-			r.Drain(func(v int) { got = append(got, v) })
-			if uint64(len(got))+r.Dropped() != n {
-				t.Fatalf("received %d + dropped %d != %d", len(got), r.Dropped(), n)
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i] <= got[i-1] {
-					t.Fatalf("out of order: got[%d]=%d after %d", i, got[i], got[i-1])
-				}
-			}
-			return
-		default:
-		}
-	}
-}
+import "testing"
 
 func TestLastOverwriteOldest(t *testing.T) {
 	l := NewLast[int](4)
-	if l.Len() != 0 || l.Cap() != 4 {
-		t.Fatalf("fresh Last: Len %d Cap %d", l.Len(), l.Cap())
+	if l.Len() != 0 || l.Evicted() != 0 {
+		t.Fatalf("fresh Last: Len %d Evicted %d", l.Len(), l.Evicted())
 	}
 	l.Append(1)
 	l.Append(2)
 	if s := l.Snapshot(); len(s) != 2 || s[0] != 1 || s[1] != 2 {
 		t.Fatalf("partial snapshot %v", s)
 	}
-	for i := 3; i <= 10; i++ {
+	l.Append(3)
+	l.Append(4)
+	if s := l.Snapshot(); len(s) != 4 || s[0] != 1 || s[3] != 4 || l.Evicted() != 0 {
+		t.Fatalf("exactly-full snapshot %v, evicted %d", s, l.Evicted())
+	}
+	for i := 5; i <= 10; i++ {
 		l.Append(i)
 	}
 	if l.Len() != 4 {
@@ -112,5 +29,8 @@ func TestLastOverwriteOldest(t *testing.T) {
 		if s[i] != v {
 			t.Fatalf("snapshot %v, want %v", s, want)
 		}
+	}
+	if l.Evicted() != 6 {
+		t.Fatalf("Evicted = %d, want 6", l.Evicted())
 	}
 }
