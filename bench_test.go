@@ -360,8 +360,8 @@ func BenchmarkVMClone(b *testing.B) {
 		b.Fatal(err)
 	}
 	src.SPs[vax.Kernel] = mvKSP
-	// The first clone materializes the source's frame map and demotes
-	// its shadow mappings; steady state starts at the second.
+	// The first clone allocates the frame refcount table and demotes
+	// the source's shadow mappings; steady state starts at the second.
 	if _, err := k.Clone(src, "warm"); err != nil {
 		b.Fatal(err)
 	}

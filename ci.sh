@@ -214,13 +214,14 @@ go test ./...
 echo "== go test -race (all packages)"
 go test -race ./...
 
-echo "== event-log race check (recorder and audit tests on the parallel engine, -count=10)"
+echo "== migration race check (event-log and decode-hygiene tests on the parallel engine, -count=10)"
 # A VM's event log is unsynchronized: only the worker driving the VM
-# writes it, and readers wait for the merge barrier. Repeating the
-# tests that record and read across that barrier gives a rare
+# writes it, and readers wait for the merge barrier. A migrating VM's
+# cached decodes are dropped frame by frame on whichever worker attaches
+# it. Repeating the tests that cross those handoffs gives a rare
 # interleaving ten chances to show.
 go test -race -count=10 \
-    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel)$' \
+    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes)$' \
     ./internal/core/
 
 # bench/ is a module of its own, so the root ./... patterns skip it; its

@@ -58,9 +58,9 @@ func TestBatchFillClipsAtGuestPTEPage(t *testing.T) {
 	}
 	for p := uint32(1); p <= 3; p++ {
 		spte := shadowPTE(t, k, vm, p*vax.PageSize)
-		if !spte.Valid() || spte.PFN() != vm.MemBase/vax.PageSize+40+p {
+		if !spte.Valid() || spte.PFN() != vm.frames[40+p] {
 			t.Errorf("page %d shadow = %#x, want valid frame %d",
-				p, uint32(spte), vm.MemBase/vax.PageSize+40+p)
+				p, uint32(spte), vm.frames[40+p])
 		}
 	}
 	if spte := shadowPTE(t, k, vm, 4*vax.PageSize); spte != nullPTE {

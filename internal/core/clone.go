@@ -18,8 +18,7 @@ import (
 // protection is demoted) — so the first guest store takes a fault, and
 // cowBreak privatizes the page: allocate, copy, remap, resume. The
 // per-frame refcounts live in mem.PageRefs on vmmShared; the frame
-// indirection is VM.frames (nil for normal VMs, which keep their
-// contiguous MemBase fast path everywhere).
+// indirection is VM.frames, which every VM has from CreateVM on.
 //
 // Invariants:
 //   - A frame with refcount > 1 is never written through any path: the
@@ -28,14 +27,9 @@ import (
 //   - A page is copied before its reference is dropped, so a frame's
 //     count reaches zero only after every holder has stopped reading it
 //     (the atomics order the copy before the last drop).
-//   - SharedPages + PrivatePages == the VM's page count once frames
-//     exist; cowMask moves each page between the gauges exactly once
-//     per transition.
-
-// cloneBaseSentinel is the MemBase of a clone: page-aligned and outside
-// any real memory, so a path that forgot the frames indirection fails
-// as a bus error instead of corrupting a neighbor VM.
-const cloneBaseSentinel = ^uint32(0) &^ uint32(vax.PageMask)
+//   - SharedPages + PrivatePages == the VM's page count for every VM
+//     (CreateVM counts every page private); cowMask moves each page
+//     between the gauges exactly once per transition.
 
 // cowMaskAll returns a mask with one bit set per page: every page
 // counted shared.
@@ -91,16 +85,6 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 	refs := k.shared.refs
 	k.shared.mu.Unlock()
 
-	if src.frames == nil {
-		// First clone of a contiguous VM: materialize its frame map.
-		// The shadow tables still map frames premodified, so the
-		// demotion pass below must run.
-		src.frames = make([]uint32, pages)
-		for j := range src.frames {
-			src.frames[j] = src.MemBase/vax.PageSize + uint32(j)
-		}
-		src.cowClean = false
-	}
 	frames := make([]uint32, pages)
 	copy(frames, src.frames)
 	for _, f := range frames {
@@ -118,7 +102,6 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 	vm := &VM{
 		ID:       k.nextID,
 		name:     name,
-		MemBase:  cloneBaseSentinel,
 		MemSize:  src.MemSize,
 		frames:   frames,
 		cowMask:  cowMaskAll(pages),
@@ -199,11 +182,11 @@ func (k *VMM) ensureShadow(vm *VM) bool {
 	return true
 }
 
-// cowDemote strips every writable mapping from a frames-backed VM's
-// shadow tables so newly shared frames cannot be stored to without a
-// fault: the process slots, P1 and S shadows reset to null PTEs (they
-// refill on demand, and the shadow-PTE rule holds M clear on shared
-// frames), and the identity table is rebuilt the same way. Runs once per
+// cowDemote strips every writable mapping from a VM's shadow tables
+// so newly shared frames cannot be stored to without a fault: the
+// process slots, P1 and S shadows reset to null PTEs (they refill on
+// demand, and the shadow-PTE rule holds M clear on shared frames), and
+// the identity table is rebuilt the same way. Runs once per
 // clone-burst: the first Clone after the VM installed a writable
 // mapping pays it, subsequent Clones see cowClean and skip it.
 func (k *VMM) cowDemote(vm *VM) error {
@@ -242,18 +225,16 @@ func (k *VMM) cowDemote(vm *VM) error {
 	return nil
 }
 
-// cowBreak privatizes VM-physical page pfn of a frames-backed VM:
-// allocate a fresh page, copy the shared frame, drop our reference
-// (recycling the frame if we were the last holder — a concurrent break
-// on another shard may have released the other reference first), remap,
-// and sweep every stale mapping of the old frame out of this VM's
-// shadow tables. Reports false when the VM halted (out of physical
-// memory). A frame that is not (or no longer) shared only has its
-// gauges settled: the caller still owns installing a writable mapping.
+// cowBreak privatizes VM-physical page pfn of vm if its frame is
+// shared: allocate a fresh page, copy the shared frame, drop our
+// reference (recycling the frame if we were the last holder — a
+// concurrent break on another shard may have released the other
+// reference first), remap, and sweep every stale mapping of the old
+// frame out of this VM's shadow tables. Reports false when the VM
+// halted (out of physical memory). A frame that is not (or no longer)
+// shared only has its gauges settled: the caller still owns installing
+// a writable mapping.
 func (k *VMM) cowBreak(vm *VM, pfn uint32) bool {
-	if vm.frames == nil {
-		return true
-	}
 	old := vm.frames[pfn]
 	if !k.cowShared(old) {
 		vm.cowNotePrivate(pfn)
@@ -331,12 +312,12 @@ func (k *VMM) cowSweep(vm *VM, frame uint32) {
 	sweep(s.p1Phys, P1TablePTEs)
 }
 
-// cowModifyFault services a modify fault on a frames-backed VM: beyond
-// the M-bit bookkeeping of handleModifyFault, the faulting page may be
-// a shared frame taking its first store, so it is COW-broken before the
-// write is allowed through. The alias sweep nulled the faulting slot,
-// so a fresh fully-writable PTE is installed rather than upgrading in
-// place.
+// cowModifyFault services every modify fault (Section 4.4.2): set PTE<M>
+// in the shadow and the VM's page table, then retry the write. The
+// faulting page may be a shared frame taking its first store, so it is
+// COW-broken before the write is allowed through. A break's alias
+// sweep nulls the faulting slot, so a fresh fully-writable PTE is
+// installed rather than upgrading in place.
 func (k *VMM) cowModifyFault(vm *VM, va uint32) {
 	vm.cowClean = false
 	if !vm.mapen {

@@ -21,13 +21,9 @@ loop:	addl2 r11, r2
 	halt
 `
 
-// gaugeInvariant checks SharedPages + PrivatePages == page count for a
-// frames-backed VM.
+// gaugeInvariant checks SharedPages + PrivatePages == page count.
 func gaugeInvariant(t *testing.T, vm *VM) {
 	t.Helper()
-	if vm.frames == nil {
-		return
-	}
 	pages := uint64(vm.MemSize / vax.PageSize)
 	if got := vm.Stats.SharedPages + vm.Stats.PrivatePages; got != pages {
 		t.Errorf("%s: SharedPages(%d) + PrivatePages(%d) = %d, want %d",
@@ -57,9 +53,6 @@ func TestCloneRunsIdentically(t *testing.T) {
 	if c1.Stats.SharedPages != pages || c1.Stats.PrivatePages != 0 {
 		t.Fatalf("fresh clone gauges: shared=%d private=%d, want %d/0",
 			c1.Stats.SharedPages, c1.Stats.PrivatePages, pages)
-	}
-	if c2.MemBase != cloneBaseSentinel {
-		t.Fatalf("clone MemBase = %#x, want sentinel %#x", c2.MemBase, cloneBaseSentinel)
 	}
 
 	k.Run(10_000_000)
@@ -187,7 +180,7 @@ func TestCloneDMAIntoSharedPage(t *testing.T) {
 // in place (the supervisor's recovery path), and requires the restore
 // to leave the VM fully private — a restored image overwrites every
 // page, so no frame may stay shared. The same stream restored into a
-// fresh monitor must produce a plain contiguous VM.
+// fresh monitor must compute the same result.
 func TestCloneCheckpointRestore(t *testing.T) {
 	src20k := `
 start:	clrl r2
@@ -239,14 +232,11 @@ loop:	addl2 r11, r2
 		}
 	}
 
-	// The same stream restored into a brand-new monitor: a plain VM.
+	// The same stream restored into a brand-new monitor.
 	k2 := New(8<<20, Config{})
 	vm2, err := k2.Restore("revived", snap)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if vm2.frames != nil {
-		t.Error("cross-monitor restore produced a frames-backed VM")
 	}
 	k2.Run(10_000_000)
 	if got := guestLong(t, vm2, 0x6000); got != want {

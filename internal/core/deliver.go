@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"repro/internal/cpu"
 	"repro/internal/trace"
 	"repro/internal/vax"
@@ -125,13 +127,36 @@ func (k *VMM) guestTranslate(vm *VM, va uint32, write bool, mode vax.Mode) (uint
 	return gpte.PFN()*vax.PageSize + (va & vax.PageMask), nil
 }
 
+// translateLong translates the guest-virtual longword at va for mode,
+// page by page: pa is the VM-physical address of its first n bytes
+// and, when the longword straddles a page boundary (n < 4), pa2 that of
+// the rest, which lies on its own page and so in its own frame. The
+// fault of the first bad page is returned.
+func (k *VMM) translateLong(vm *VM, va uint32, write bool, mode vax.Mode) (pa, pa2, n uint32, gf *guestFault) {
+	pa, gf = k.guestTranslate(vm, va, write, mode)
+	n = min(vax.PageSize-va&vax.PageMask, 4)
+	if gf != nil || vm.halted || n == 4 {
+		return pa, 0, n, gf
+	}
+	pa2, gf = k.guestTranslate(vm, va+n, write, mode)
+	return pa, pa2, n, gf
+}
+
 // guestRead reads a guest-virtual longword as the given guest mode.
 func (k *VMM) guestRead(vm *VM, va uint32, mode vax.Mode) (uint32, *guestFault) {
-	pa, gf := k.guestTranslate(vm, va, false, mode)
+	pa, pa2, n, gf := k.translateLong(vm, va, false, mode)
 	if gf != nil || vm.halted {
 		return 0, gf
 	}
-	v, ok := vm.readPhys(pa)
+	var v uint32
+	var ok bool
+	if n == 4 {
+		v, ok = vm.readPhys(pa)
+	} else {
+		var b [4]byte
+		ok = vm.dmaRead(pa, b[:n]) == nil && vm.dmaRead(pa2, b[n:]) == nil
+		v = binary.LittleEndian.Uint32(b[:])
+	}
 	if !ok {
 		k.haltVM(vm, "guest read of nonexistent memory")
 		return 0, nil
@@ -141,11 +166,19 @@ func (k *VMM) guestRead(vm *VM, va uint32, mode vax.Mode) (uint32, *guestFault) 
 
 // guestWrite writes a guest-virtual longword as the given guest mode.
 func (k *VMM) guestWrite(vm *VM, va uint32, v uint32, mode vax.Mode) *guestFault {
-	pa, gf := k.guestTranslate(vm, va, true, mode)
+	pa, pa2, n, gf := k.translateLong(vm, va, true, mode)
 	if gf != nil || vm.halted {
 		return gf
 	}
-	if !vm.writePhys(pa, v) {
+	var ok bool
+	if n == 4 {
+		ok = vm.writePhys(pa, v)
+	} else {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		ok = vm.dmaWrite(pa, b[:n]) == nil && vm.dmaWrite(pa2, b[n:]) == nil
+	}
+	if !ok {
 		k.haltVM(vm, "guest write of nonexistent memory")
 	}
 	return nil

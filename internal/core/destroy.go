@@ -10,10 +10,11 @@ import (
 // the missing half of the VM lifecycle: haltVM already parks shadow-
 // table runs for reuse, but the VM's memory stayed carved forever. The
 // fleet control plane churns through thousands of create/halt cycles,
-// so destroyed memory goes back to the run pool — a contiguous VM as
-// one run of its full geometry (the next CreateVM of the same size
-// reuses it), a frames-backed VM page by page as the COW refcounts
-// reach zero (the same 1-page size class cowBreak allocates from).
+// so destroyed memory goes back to the run pool. A frame map that is
+// still one ascending run, with this VM the last holder of every frame,
+// returns as one run of its full geometry (the next CreateVM of the
+// same size reuses it); any other map returns frame by frame as the COW
+// refcounts reach zero (the 1-page size class cowBreak allocates from).
 //
 // Call on the root monitor while no run is in flight. The VM must be
 // halted first (HaltVM); a destroyed VM is gone from VMs() and its
@@ -38,21 +39,25 @@ func (k *VMM) DestroyVM(vm *VM) error {
 	if vm.shadow != nil {
 		vm.shadow.releaseRuns(k)
 	}
-	if vm.frames != nil {
-		refs := k.shared.refs
-		for _, f := range vm.frames {
-			if refs == nil || refs.Drop(f) {
-				// Last holder: the frame may carry cached decodes (or
-				// superblocks) that would go stale on reuse.
-				k.CPU.InvalidateDecode(f*vax.PageSize, vax.PageSize)
-				k.freeRun(f, 1)
-			}
+	// Keep the frames this VM held last, in place. Each may carry cached
+	// decodes (or superblocks) that would go stale on reuse.
+	refs := k.shared.refs
+	last := vm.frames[:0]
+	for _, f := range vm.frames {
+		if refs == nil || refs.Drop(f) {
+			last = append(last, f)
 		}
-		vm.frames = nil
-	} else {
-		k.CPU.InvalidateDecode(vm.MemBase, vm.MemSize)
-		k.freeRun(vm.MemBase/vax.PageSize, vm.MemSize/vax.PageSize)
 	}
+	if len(last) == len(vm.frames) && isRun(last) {
+		k.CPU.InvalidateDecode(last[0]*vax.PageSize, vm.MemSize)
+		k.freeRun(last[0], uint32(len(last)))
+	} else {
+		for _, f := range last {
+			k.CPU.InvalidateDecode(f*vax.PageSize, vax.PageSize)
+			k.freeRun(f, 1)
+		}
+	}
+	vm.frames = nil
 	k.vms = append(k.vms[:idx], k.vms[idx+1:]...)
 	switch {
 	case k.cur == idx:
@@ -66,6 +71,16 @@ func (k *VMM) DestroyVM(vm *VM) error {
 		vm.rec = nil
 	}
 	return nil
+}
+
+// isRun reports whether frames ascend by one from frames[0].
+func isRun(frames []uint32) bool {
+	for i, f := range frames {
+		if f != frames[0]+uint32(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // VMByID returns the VM with the given ID, or nil. IDs are monotonic

@@ -155,17 +155,13 @@ func TestKCALLDiskTransferNoAlloc(t *testing.T) {
 	k, vm, _ := bootVM(t, Config{}, `
 start:	halt
 `, nil)
-	host, ok := vm.hostAddr(0x5000, vax.PageSize)
-	if !ok {
-		t.Fatal("hostAddr failed")
-	}
 	read := testing.AllocsPerRun(200, func() {
-		if err := k.diskTransfer(vm, false, 1, host, 0); err != nil {
+		if err := k.diskTransfer(vm, false, 1, 0x5000, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	write := testing.AllocsPerRun(200, func() {
-		if err := k.diskTransfer(vm, true, 1, host, 0); err != nil {
+		if err := k.diskTransfer(vm, true, 1, 0x5000, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

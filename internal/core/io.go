@@ -71,7 +71,7 @@ func (k *VMM) kcall(vm *VM, _ uint32) {
 func (k *VMM) kcallDisk(vm *VM, write bool) uint32 {
 	c := k.CPU
 	block, buf := c.R[1], c.R[2]
-	if buf > vm.MemSize || vax.PageSize > vm.MemSize-buf {
+	if !vm.contains(buf, vax.PageSize) {
 		k.haltVM(vm, "KCALL disk buffer outside VM memory")
 		return KCallStatusError
 	}
@@ -294,8 +294,7 @@ func (k *VMM) diskRegWrite(vm *VM, off, v uint32) {
 		injected := k.faults != nil &&
 			(k.faults.DiskAttempt(vm.ID, 0, v&devCSRFunc == devFuncWrite) != fault.DiskOK ||
 				k.faults.BusErrorHit(vm.ID, k.Stats.ClockTicks, d.addr, d.count))
-		inRange := d.addr <= vm.MemSize && d.count <= vm.MemSize-d.addr
-		if inRange && !injected && d.count <= vax.PageSize {
+		if vm.contains(d.addr, d.count) && !injected && d.count <= vax.PageSize {
 			buf := make([]byte, d.count)
 			switch v & devCSRFunc {
 			case devFuncRead:
@@ -351,12 +350,9 @@ func (k *VMM) emulateMMIO(vm *VM, faultVA uint32, gpte vax.PTE) {
 		if gf != nil || vm.halted {
 			return 0, false
 		}
-		host, ok := vm.hostAddr(pa, 1)
-		if !ok {
-			return 0, false
-		}
-		b, err := k.Mem.LoadByte(host)
-		return b, err == nil
+		var b [1]byte
+		err := vm.dmaRead(pa, b[:])
+		return b[0], err == nil
 	}
 	readLong := func(at uint32) (uint32, bool) {
 		var v uint32

@@ -87,28 +87,10 @@ type ParallelRunStats struct {
 	SBSteps             uint64
 	SBInvalidations     uint64
 
-	// Slow-path totals at the end of the run, summed over the VMs that
-	// took part (captured after the merge barrier, so reading them is
-	// race-free even though per-VM counters are goroutine-confined
-	// while the run is in flight).
-	FillBatches      uint64
-	BatchFills       uint64
-	SlowPathAllocs   uint64
-	ShadowPoolHits   uint64
-	ShadowPoolMisses uint64
-
-	// Supervisor totals over the participating VMs: checkpoint
-	// generations taken and recoveries performed on worker shards.
-	Checkpoints uint64
-	Recoveries  uint64
-
-	// COW cloning totals over the participating VMs: breaks serviced
-	// during the run, and the fleet's shared/private page gauges at the
-	// end of it (resident footprint = PrivatePages; the gap between
-	// SharedPages and its deduplicated backing is the overcommit win).
-	CowBreaks    uint64
-	SharedPages  uint64
-	PrivatePages uint64
+	// COW breaks summed over the participating VMs' lifetime counters,
+	// read after the merge barrier. Every other per-VM total is in
+	// VMStats, exported by each VM's counter source.
+	CowBreaks uint64
 }
 
 // OccupancyPermille expresses worker occupancy balance as
@@ -368,12 +350,8 @@ func (e *engine) attach(w *worker, vm *VM) {
 		// stores and DMA both go through its current shard — so a VM
 		// that stayed put needs no invalidation.)
 		w.steals++
-		if vm.frames != nil {
-			// A clone's frames scatter; a base+size range cannot cover
-			// them, so drop the shard's whole decode cache.
-			s.CPU.FlushDecodeCache()
-		} else {
-			s.CPU.InvalidateDecode(vm.MemBase, vm.MemSize)
+		for _, f := range vm.frames {
+			s.CPU.InvalidateDecode(f*vax.PageSize, vax.PageSize)
 		}
 		if vm.rec != nil {
 			vm.rec.Record(trace.EvSchedSteal, s.CPU.Cycles, vm.pc, uint32(w.id))
@@ -594,18 +572,9 @@ func (k *VMM) RunParallel(workers int, maxStepsPerVM uint64) uint64 {
 			vm.waitDeadline = k.Stats.ClockTicks + vm.waitRemaining
 		}
 		vm.tickBias = k.Stats.ClockTicks - vm.uptimeSeen
-		pr.FillBatches += vm.Stats.FillBatches
-		pr.BatchFills += vm.Stats.BatchFills
-		pr.SlowPathAllocs += vm.Stats.SlowPathAllocs
-		pr.Checkpoints += vm.Stats.Checkpoints
-		pr.Recoveries += vm.Stats.Recoveries
 		pr.CowBreaks += vm.Stats.COWBreaks
-		pr.SharedPages += vm.Stats.SharedPages
-		pr.PrivatePages += vm.Stats.PrivatePages
 	}
 	pr.Cycles = k.CPU.Cycles
-	pr.ShadowPoolHits = k.Stats.ShadowPoolHits
-	pr.ShadowPoolMisses = k.Stats.ShadowPoolMisses
 	k.lastParallel = pr
 	return pr.Steps
 }

@@ -424,3 +424,72 @@ func TestParkPostWakeChurn(t *testing.T) {
 		t.Error("no parked VM was ever woken by a post")
 	}
 }
+
+// selfPatchSrc rewrites its own code once per outer pass: the short
+// literal of the ADDL2 at patch becomes the pass counter modulo 64, so
+// r5 ends as an order-sensitive hash of which literal ran each time.
+// The patch runs a hundred times between rewrites, so a worker that
+// attaches the VM in mid-pass executes it before any store of its own
+// could drop a decode cached in an earlier tenancy. The padding keeps
+// the patch site off the decode-cache slots of fillerSrc's code (the
+// cache is direct-mapped on physical address).
+const selfPatchSrc = `
+	.space 0x100
+start:	movl #1, r5
+	movl #2400, r10
+outer:	movl #100, r11
+inner:	mull2 #3, r5
+patch:	addl2 #0, r5
+	sobgtr r11, inner
+	bicl3 #-64, r10, r0
+	movb r0, @#patch+1
+	sobgtr r10, outer
+	movl r5, @#0x80006000
+	halt
+`
+
+// fillerSrc spins about as long as selfPatchSrc runs, keeping more VMs
+// live than workers so the engine rotates VMs between workers.
+const fillerSrc = `
+start:	movl #760000, r6
+loop:	sobgtr r6, loop
+	halt
+`
+
+// TestMigrationDropsStaleDecodes runs a self-patching guest under
+// RunParallel beside fillers, more VMs than workers, so it migrates
+// between worker shards whose decode caches still hold its patch site
+// from an earlier tenancy. It must compute the serial engine's result:
+// a worker that attaches a VM must first drop its cached decodes of
+// that VM's frames. Run once with a booted guest and once with a clone
+// (its template halted, so only the clone runs the patch).
+func TestMigrationDropsStaleDecodes(t *testing.T) {
+	kRef := New(8<<20, Config{})
+	ref := addTestVM(t, kRef, "ref", selfPatchSrc, nil)
+	runVM(t, kRef, ref, 10_000_000)
+	want := guestLong(t, ref, 0x6000)
+
+	for _, clone := range []bool{false, true} {
+		t.Run(fmt.Sprintf("clone=%t", clone), func(t *testing.T) {
+			k := New(16<<20, Config{})
+			p := addTestVM(t, k, "patcher", selfPatchSrc, nil)
+			if clone {
+				c, err := k.Clone(p, "patcher-clone")
+				if err != nil {
+					t.Fatal(err)
+				}
+				k.HaltVM(p, "template")
+				p = c
+			}
+			vms := []*VM{p, addTestVM(t, k, "", fillerSrc, nil), addTestVM(t, k, "", fillerSrc, nil)}
+			k.RunParallel(2, 0)
+			assertAllHaltedNormally(t, vms)
+			if pr := k.LastParallelRun(); pr.Steals == 0 {
+				t.Fatal("no VM migrated between workers; the test proves nothing")
+			}
+			if got := guestLong(t, p, 0x6000); got != want {
+				t.Errorf("%s computed %#x, the serial engine %#x", p.Name(), got, want)
+			}
+		})
+	}
+}

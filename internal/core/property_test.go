@@ -80,7 +80,7 @@ func TestGuestWalkMatchesHardwareWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		vm.p0br, vm.p0lr, vm.p1br, vm.p1lr = p0br, p0lr, p1br, p1lr
-		swMem, err := k.Mem.Window(vm.MemBase, gMemSize)
+		swMem, err := k.Mem.Window(vm.frames[0]*vax.PageSize, gMemSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ loop:	movl (r1), r2        ; scan S space
 		for i := range sentinel {
 			sentinel[i] = 0xA5
 		}
-		if err := k.Mem.StoreBytes(victim.MemBase, sentinel); err != nil {
+		if err := victim.dmaWrite(0, sentinel); err != nil {
 			t.Fatal(err)
 		}
 		// Assemble the scanning guest into the image the VM already has.
@@ -234,8 +234,7 @@ loop:	movl (r1), r2        ; scan S space
 		if err != nil {
 			t.Fatal(err)
 		}
-		host, _ := vm.hostAddr(gCode, uint32(len(p.Code)))
-		if err := k.Mem.StoreBytes(host, p.Code); err != nil {
+		if err := vm.dmaWrite(gCode, p.Code); err != nil {
 			t.Fatal(err)
 		}
 

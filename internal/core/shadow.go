@@ -51,8 +51,15 @@ type shadowSpace struct {
 
 // newShadowSpace allocates and wires a VM's shadow tables.
 func (k *VMM) newShadowSpace(vm *VM) (*shadowSpace, error) {
-	s := &shadowSpace{vm: vm, active: 0}
 	slots := k.cfg.ShadowCacheSlots
+	s := &shadowSpace{
+		vm:        vm,
+		slotPhys:  make([]uint32, slots),
+		slotVA:    make([]uint32, slots),
+		slotOwner: make([]uint32, slots),
+		slotLRU:   make([]uint64, slots),
+		runs:      make([][2]uint32, 0, slots+3), // SPT, slots, P1, identity
+	}
 
 	vmPages := vm.MemSize / vax.PageSize
 	s.identPTEs = vmPages
@@ -107,14 +114,9 @@ func (k *VMM) newShadowSpace(vm *VM) (*shadowSpace, error) {
 	// the ShadowClears count stay exactly what clearSlot would have
 	// charged per slot, so guest-visible cycle totals are unchanged.
 	for i := 0; i < slots; i++ {
-		phys, va, err := mapRegion(procSlotPages)
-		if err != nil {
+		if s.slotPhys[i], s.slotVA[i], err = mapRegion(procSlotPages); err != nil {
 			return nil, err
 		}
-		s.slotPhys = append(s.slotPhys, phys)
-		s.slotVA = append(s.slotVA, va)
-		s.slotOwner = append(s.slotOwner, 0)
-		s.slotLRU = append(s.slotLRU, 0)
 		vm.Stats.ShadowClears++
 		k.CPU.AddCycles(uint64(ProcTablePTEs) / 8)
 	}
@@ -131,17 +133,15 @@ func (k *VMM) newShadowSpace(vm *VM) (*shadowSpace, error) {
 }
 
 // buildIdentity (re)writes the identity P0 table for MAPEN=0: VM-
-// physical page j at its real frame, all modes. On a contiguous VM the
-// entries are premodified (no M-bit tracking while the VM runs
-// unmapped); on a frames-backed VM a shared frame is mapped with M
-// clear so the first unmapped store takes a modify fault and COW-breaks
-// (clone.go rewrites the entry when the frame privatizes).
+// physical page j at its real frame, all modes. A private frame's entry
+// is premodified (no M-bit tracking while the VM runs unmapped); a
+// shared frame is mapped with M clear so the first unmapped store takes
+// a modify fault and COW-breaks (clone.go rewrites the entry when the
+// frame privatizes).
 func (s *shadowSpace) buildIdentity(k *VMM) error {
-	vm := s.vm
 	for j := uint32(0); j < s.identPTEs; j++ {
-		f := vm.frame(j)
-		m := vm.frames == nil || !k.cowShared(f)
-		pte := vax.NewPTE(true, vax.ProtUW, m, f)
+		f := s.vm.frames[j]
+		pte := vax.NewPTE(true, vax.ProtUW, !k.cowShared(f), f)
 		if err := k.Mem.StoreLong(s.identPhys+4*j, uint32(pte)); err != nil {
 			return err
 		}
@@ -433,11 +433,11 @@ const (
 // is encoded as a write-denying protection with the shadow M bit held
 // set so the modify fault never fires.
 //
-// On a frames-backed VM a shared frame must never be mapped writable
-// without a fault between the guest and the store: under the default
-// scheme the shadow M bit is held clear so the first write takes a
-// modify fault, and under the read-only scheme the protection is
-// demoted so the write takes the upgrade path — both land in cowBreak.
+// A shared frame must never be mapped writable without a fault between
+// the guest and the store: under the default scheme the shadow M bit
+// is held clear so the first write takes a modify fault, and under the
+// read-only scheme the protection is demoted so the write takes the
+// upgrade path — both land in cowBreak.
 func (k *VMM) shadowPTEFor(vm *VM, gpte vax.PTE, roScheme bool) (vax.PTE, shadowMap) {
 	pfn := gpte.PFN()
 	switch {
@@ -458,19 +458,17 @@ func (k *VMM) shadowPTEFor(vm *VM, gpte vax.PTE, roScheme bool) (vax.PTE, shadow
 		}
 		modified = true
 	}
-	frame := vm.frame(pfn)
-	if vm.frames != nil {
-		if k.cowShared(frame) {
-			if roScheme {
-				prot = prot.ReadOnly()
-			} else {
-				modified = false
-			}
-		} else if modified {
-			// Writable mapping of a private frame: a future Clone must
-			// demote it before the frame can be re-shared.
-			vm.cowClean = false
+	frame := vm.frames[pfn]
+	if k.cowShared(frame) {
+		if roScheme {
+			prot = prot.ReadOnly()
+		} else {
+			modified = false
 		}
+	} else if modified {
+		// Writable mapping of a private frame: a future Clone must
+		// demote it before the frame can be re-shared.
+		vm.cowClean = false
 	}
 	return vax.NewPTE(true, prot, modified, frame), mapped
 }
@@ -538,7 +536,7 @@ func (vm *VM) guestWalk(va uint32) (ptePhys, follow uint32, w walkOutcome) {
 	default:
 		return 0, 0, walkLength
 	}
-	if _, ok := vm.hostAddr(ptePhys, 4); !ok {
+	if !vm.contains(ptePhys, 4) {
 		return 0, 0, walkOutside
 	}
 	if off := ptePhys & vax.PageMask; off <= vax.PageSize-4 {

@@ -45,12 +45,12 @@ func TestROShadowUpgradeNonexistentFrameHalts(t *testing.T) {
 	for i := range sentinel {
 		sentinel[i] = 0xA5
 	}
-	if err := k.Mem.StoreBytes(victim.MemBase, sentinel); err != nil {
+	if err := victim.dmaWrite(0, sentinel); err != nil {
 		t.Fatal(err)
 	}
 	// The frame number the upgrade would turn into the victim's first
 	// real page.
-	setupRORewrite(t, vm, (victim.MemBase-vm.MemBase)/vax.PageSize)
+	setupRORewrite(t, vm, victim.frames[0]-vm.frames[0])
 
 	k.Run(1_000_000)
 	for i, b := range victim.DumpMemory() {
@@ -192,7 +192,7 @@ func TestShadowRuleNeverGrantsMore(t *testing.T) {
 		if !c.writePhys(privPFN*vax.PageSize, 1) { // COW break: private
 			t.Fatal("COW break failed")
 		}
-		if k.cowShared(c.frame(privPFN)) || !k.cowShared(c.frame(sharedPFN)) {
+		if k.cowShared(c.frames[privPFN]) || !k.cowShared(c.frames[sharedPFN]) {
 			t.Fatal("clone frames not in the private/shared state the table assumes")
 		}
 		for _, fr := range []struct {
@@ -249,8 +249,8 @@ func checkShadowRule(t *testing.T, where string, k *VMM, vm *VM, gpte vax.PTE,
 	if m != mapped {
 		return
 	}
-	if !spte.Valid() || spte.PFN() != vm.frame(gpte.PFN()) {
-		t.Fatalf("%s: shadow %#x, want valid frame %#x", where, uint32(spte), vm.frame(gpte.PFN()))
+	if !spte.Valid() || spte.PFN() != vm.frames[gpte.PFN()] {
+		t.Fatalf("%s: shadow %#x, want valid frame %#x", where, uint32(spte), vm.frames[gpte.PFN()])
 	}
 	if ro && !spte.Modified() {
 		t.Fatalf("%s: read-only scheme left the shadow M bit clear", where)

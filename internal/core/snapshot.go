@@ -449,21 +449,13 @@ func (k *VMM) restoreInPlace(vm *VM, image []byte) error {
 	if err := ckpt.UnpackPages(st.pages, memory, vax.PageSize); err != nil {
 		return err
 	}
-	if vm.frames != nil {
-		// Full overwrite: every shared frame gets a fresh private page
-		// (no copy — the image lands on top) and the scattered frames
-		// take the page-walking write path.
-		if err := k.cowPrivatize(vm); err != nil {
-			return err
-		}
-		if err := vm.dmaWrite(0, memory); err != nil {
-			return err
-		}
-	} else {
-		k.CPU.InvalidateDecode(vm.MemBase, vm.MemSize)
-		if err := k.Mem.StoreBytes(vm.MemBase, memory); err != nil {
-			return err
-		}
+	// Full overwrite: every shared frame gets a fresh private page (no
+	// copy — the image lands on top).
+	if err := k.cowPrivatize(vm); err != nil {
+		return err
+	}
+	if err := vm.dmaWrite(0, memory); err != nil {
+		return err
 	}
 	k.applyVirtState(vm, st)
 
@@ -489,13 +481,11 @@ func (k *VMM) restoreInPlace(vm *VM, image []byte) error {
 		if vm.mapen && vm.p0br != 0 {
 			s.slotOwner[0] = vm.p0br
 		}
-		if vm.frames != nil {
-			// The identity table still points at pre-restore frames;
-			// rebuild it over the privatized map (all frames now
-			// exclusive, so every entry comes back premodified).
-			if err := s.buildIdentity(k); err != nil {
-				return err
-			}
+		// The identity table may still point at pre-restore frames;
+		// rebuild it over the privatized map (all frames now exclusive,
+		// so every entry comes back premodified).
+		if err := s.buildIdentity(k); err != nil {
+			return err
 		}
 	}
 	k.CPU.MMU.TBIA()

@@ -117,16 +117,7 @@ func (pr ParallelRunStats) Counters(emit func(name string, v uint64)) {
 	emit("sb_enters", pr.SBEnters)
 	emit("sb_steps", pr.SBSteps)
 	emit("sb_invalidations", pr.SBInvalidations)
-	emit("fill_batches", pr.FillBatches)
-	emit("batch_fills", pr.BatchFills)
-	emit("slow_path_allocs", pr.SlowPathAllocs)
-	emit("shadow_pool_hits", pr.ShadowPoolHits)
-	emit("shadow_pool_miss", pr.ShadowPoolMisses)
-	emit("checkpoints", pr.Checkpoints)
-	emit("recoveries", pr.Recoveries)
 	emit("cow_breaks", pr.CowBreaks)
-	emit("shared_pages", pr.SharedPages)
-	emit("private_pages", pr.PrivatePages)
 	// Occupancy balance in parts per thousand: 1000 = perfectly even,
 	// 0 = at least one worker never ran a step.
 	emit("worker_occupancy_permille", pr.OccupancyPermille())

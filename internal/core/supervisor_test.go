@@ -297,12 +297,16 @@ inner:	sobgtr r11, inner
 	if out := vmW.ConsoleOutput(); out != strings.Repeat("w", 10) {
 		t.Errorf("worker console %q", out)
 	}
-	pr := k.LastParallelRun()
-	if pr.Recoveries < 3 {
-		t.Errorf("parallel-run Recoveries = %d, want >= 3", pr.Recoveries)
+	var recoveries, checkpoints uint64
+	for _, vm := range k.VMs() {
+		recoveries += vm.Stats.Recoveries
+		checkpoints += vm.Stats.Checkpoints
 	}
-	if pr.Checkpoints == 0 {
-		t.Error("parallel-run Checkpoints = 0")
+	if recoveries < 3 {
+		t.Errorf("fleet Recoveries = %d, want >= 3", recoveries)
+	}
+	if checkpoints == 0 {
+		t.Error("fleet Checkpoints = 0")
 	}
 }
 
@@ -422,19 +426,15 @@ spin:	incl r5              ; patched path: die by watchdog
 
 	// Patch the short literal at patch+1 from 1 to 2.
 	patchPhys := prog.MustSymbol("patch") - vax.SystemBase
-	host, ok := vm.hostAddr(patchPhys, 4)
+	old, ok := vm.readPhys(patchPhys)
 	if !ok {
-		t.Fatal("hostAddr failed")
-	}
-	old, err := k.Mem.LoadLong(host)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatal("readPhys failed")
 	}
 	if byte(old>>8) != 0x01 {
 		t.Fatalf("unexpected encoding %#x at patch site, want literal 0x01 in byte 1", old)
 	}
-	if err := k.Mem.StoreLong(host, old&^uint32(0xFF00)|0x0200); err != nil {
-		t.Fatal(err)
+	if !vm.writePhys(patchPhys, old&^uint32(0xFF00)|0x0200) {
+		t.Fatal("writePhys failed")
 	}
 	runVM(t, k, vm, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {

@@ -181,9 +181,8 @@ func (k *VMM) tryROShadowUpgrade(vm *VM, va uint32) bool {
 	return true
 }
 
-// handleModifyFault services the modify fault of Section 4.4.2: set
-// PTE<M> in the shadow page table and in the VM's page table, then
-// retry the write.
+// handleModifyFault services the modify fault of Section 4.4.2
+// through cowModifyFault, the one modify-fault path.
 func (k *VMM) handleModifyFault(vm *VM, e *vax.Exception) {
 	va := e.Params[1]
 	vm.Stats.ModifyFaults++
@@ -191,20 +190,7 @@ func (k *VMM) handleModifyFault(vm *VM, e *vax.Exception) {
 		vm.rec.Record(trace.EvModifyFault, k.CPU.Cycles, k.CPU.PC(), va)
 	}
 	k.charge(cpu.CostVMMModifyFault)
-	if vm.frames != nil {
-		k.cowModifyFault(vm, va)
-		return
-	}
-	if slot, ok := vm.shadow.shadowSlot(va); ok {
-		if v, err := k.Mem.LoadLong(slot); err == nil {
-			_ = k.Mem.StoreLong(slot, uint32(vax.PTE(v).WithModify(true)))
-		}
-	}
-	if vm.mapen {
-		k.setGuestPTEModify(vm, va)
-	}
-	k.CPU.MMU.TBIS(va)
-	k.resumeVM(vm)
+	k.cowModifyFault(vm, va)
 }
 
 // handleRealInterrupt services interrupts on the real machine — in this

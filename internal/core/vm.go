@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -75,7 +77,7 @@ type VMStats struct {
 	// COW cloning (clone.go). COWBreaks counts privatizations over the
 	// VM's lifetime; SharedPages/PrivatePages are gauges over the VM's
 	// current frame map (shared = refcount above one at the last
-	// transition; they sum to the VM's page count once frames exist).
+	// transition; they always sum to the VM's page count).
 	COWBreaks    uint64
 	SharedPages  uint64
 	PrivatePages uint64
@@ -106,22 +108,21 @@ type VM struct {
 	ID   int
 	name string // label; read it through Name()
 
-	MemBase uint32 // real physical base of the VM's memory
 	MemSize uint32 // bytes
 
-	// frames maps VM-physical page number to real page frame, the COW
-	// indirection of clone.go. It is nil for a normal VM, whose memory
-	// is one contiguous carve at MemBase — the fast path everywhere —
-	// and non-nil for clones and cloned-from sources, whose frames
-	// scatter as breaks privatize pages. A clone's MemBase is a sentinel
-	// outside physical memory so any path that forgot the indirection
-	// fails as a bus error instead of corrupting a neighbor.
+	// frames maps VM-physical page number to real page frame: the only
+	// way VMM code reaches VM memory. CreateVM fills it from one
+	// contiguous carve; a clone starts from its source's map, and COW
+	// breaks (clone.go) rebind pages to private frames as they are
+	// written. Whether a frame may be stored to is decided by its COW
+	// refcount, never by how the VM was made. DestroyVM empties it, so
+	// a stale handle's accesses fail.
 	frames []uint32
-	// cowClean marks a frames-backed VM whose shadow tables hold no
-	// writable mapping of any frame: every mapping of a shared frame
-	// faults on write, and no private frame is mapped modified. Clone
-	// may then skip the shadow demotion pass. Cleared by every path that
-	// installs a writable mapping or privatizes a frame.
+	// cowClean marks a VM whose shadow tables hold no writable mapping
+	// of any frame: every mapping of a shared frame faults on write, and
+	// no private frame is mapped modified. Clone may then skip the
+	// shadow demotion pass. Cleared by every path that installs a
+	// writable mapping or privatizes a frame.
 	cowClean bool
 	// cowMask has one bit per VM-physical page, set while the page is
 	// counted in Stats.SharedPages; cowNotePrivate moves a page to
@@ -275,10 +276,14 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 	vm := &VM{
 		ID:      k.nextID,
 		name:    cfg.Name,
-		MemBase: base * vax.PageSize,
 		MemSize: pages * vax.PageSize,
+		frames:  make([]uint32, pages),
 		k:       k,
 	}
+	for j := range vm.frames {
+		vm.frames[j] = base + uint32(j)
+	}
+	vm.Stats.PrivatePages = uint64(pages)
 	k.nextID++
 	if vm.name == "" {
 		vm.name = defaultVMName(vm.ID)
@@ -288,15 +293,8 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 		return nil, err
 	}
 	vm.shadow = shadow
-	if len(cfg.Image) > 0 {
-		host, ok := vm.hostAddr(cfg.LoadAt, uint32(len(cfg.Image)))
-		if !ok {
-			return nil, fmt.Errorf("vmm: image does not fit in VM memory")
-		}
-		k.CPU.InvalidateDecode(host, uint32(len(cfg.Image)))
-		if err := k.Mem.StoreBytes(host, cfg.Image); err != nil {
-			return nil, err
-		}
+	if len(cfg.Image) > 0 && vm.dmaWrite(cfg.LoadAt, cfg.Image) != nil {
+		return nil, fmt.Errorf("vmm: image does not fit in VM memory")
 	}
 	blocks := cfg.DiskBlocks
 	if blocks == 0 {
@@ -317,101 +315,74 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 	// so the recorder never holds a log for a VM that does not exist.
 	if k.rec != nil {
 		vm.rec = k.rec.VM(vm.ID, vm.name)
-		k.event(vm, trace.EvVMCreated, 0, fmt.Sprintf("%d KB at real base %#x", vm.MemSize/1024, vm.MemBase))
+		k.event(vm, trace.EvVMCreated, 0, fmt.Sprintf("%d KB at real base %#x", vm.MemSize/1024, base*vax.PageSize))
 	}
 	return vm, nil
 }
 
-// frame returns the real page frame backing VM-physical page pfn. The
-// caller guarantees pfn is in range (MemSize pages).
-func (vm *VM) frame(pfn uint32) uint32 {
-	if vm.frames == nil {
-		return vm.MemBase/vax.PageSize + pfn
-	}
-	return vm.frames[pfn]
+// errOutsideVM rejects a VM-physical range outside the frame map
+// without allocating: guests probe nonexistent memory on purpose.
+var errOutsideVM = errors.New("vmm: outside VM memory")
+
+// contains reports whether the n bytes at VM-physical vmPhys lie in the
+// VM's frame map.
+func (vm *VM) contains(vmPhys, n uint32) bool {
+	size := uint32(len(vm.frames)) * vax.PageSize
+	return vmPhys <= size && n <= size-vmPhys
 }
 
-// hostAddr bounds-checks a VM-physical range and returns its real
-// physical address. On a frames-backed VM the range must also be
-// physically contiguous (frames scatter after COW breaks); callers
-// moving bulk data across page boundaries use dmaRead/dmaWrite, which
-// walk page by page.
-func (vm *VM) hostAddr(vmPhys, n uint32) (uint32, bool) {
-	if vmPhys > vm.MemSize || n > vm.MemSize-vmPhys {
-		return 0, false
-	}
-	if vm.frames == nil {
-		return vm.MemBase + vmPhys, true
-	}
-	span := n
-	if span > 0 {
-		span--
-	}
-	first, last := vmPhys/vax.PageSize, (vmPhys+span)/vax.PageSize
-	if first == uint32(len(vm.frames)) {
-		// Zero-length range starting exactly at MemSize: legal per the
-		// bounds check but one past the frame map.
-		first, last = first-1, first-1
-	}
-	for p := first; p < last; p++ {
-		if vm.frames[p+1] != vm.frames[p]+1 {
-			return 0, false
-		}
-	}
-	return vm.frames[first]*vax.PageSize + vmPhys&vax.PageMask, true
+// realAddr returns the real address of VM-physical vmPhys, which the
+// caller has bounds-checked.
+func (vm *VM) realAddr(vmPhys uint32) uint32 {
+	return vm.frames[vmPhys/vax.PageSize]*vax.PageSize + vmPhys&vax.PageMask
+}
+
+// onePage reports whether the longword at VM-physical vmPhys lies in
+// VM memory on one page: the accessors' fast path. Any other longword
+// takes the page-walking DMA path, which also rejects it if outside.
+func (vm *VM) onePage(vmPhys uint32) bool {
+	return vmPhys&vax.PageMask <= vax.PageSize-4 && vm.contains(vmPhys, 4)
 }
 
 // readPhys reads a longword of VM-physical memory.
 func (vm *VM) readPhys(vmPhys uint32) (uint32, bool) {
-	host, ok := vm.hostAddr(vmPhys, 4)
-	if !ok {
-		return 0, false
+	if !vm.onePage(vmPhys) {
+		var b [4]byte
+		err := vm.dmaRead(vmPhys, b[:])
+		return binary.LittleEndian.Uint32(b[:]), err == nil
 	}
-	v, err := vm.k.Mem.LoadLong(host)
+	v, err := vm.k.Mem.LoadLong(vm.realAddr(vmPhys))
 	return v, err == nil
 }
 
 // writePhys writes a longword of VM-physical memory. The write bypasses
-// the CPU's store path, so it must drop any cached decoded instructions
-// on the host page itself — and, on a frames-backed VM, break sharing
-// first: a VMM-side store must never land in a frame another VM reads.
+// the CPU's store path, so, as DMA does, it breaks COW sharing and drops
+// the cached decodes of each page it touches.
 func (vm *VM) writePhys(vmPhys, v uint32) bool {
-	if vm.frames != nil {
-		if vmPhys > vm.MemSize || 4 > vm.MemSize-vmPhys {
-			return false
-		}
-		if !vm.k.cowBreak(vm, vmPhys/vax.PageSize) ||
-			!vm.k.cowBreak(vm, (vmPhys+3)/vax.PageSize) {
-			return false
-		}
+	if !vm.onePage(vmPhys) {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		return vm.dmaWrite(vmPhys, b[:]) == nil
 	}
-	host, ok := vm.hostAddr(vmPhys, 4)
-	if !ok {
+	if !vm.k.cowBreak(vm, vmPhys/vax.PageSize) {
 		return false
 	}
+	host := vm.realAddr(vmPhys)
 	vm.k.CPU.InvalidateDecode(host, 4)
 	return vm.k.Mem.StoreLong(host, v) == nil
 }
 
 // dmaRead copies len(b) bytes of VM-physical memory starting at vmPhys
-// into b, walking the frame map page by page when the range is not
-// physically contiguous.
+// into b, walking the frame map page by page.
 func (vm *VM) dmaRead(vmPhys uint32, b []byte) error {
 	n := uint32(len(b))
-	if host, ok := vm.hostAddr(vmPhys, n); ok {
-		return vm.k.Mem.LoadBytesInto(host, b)
-	}
-	if vm.frames == nil || vmPhys > vm.MemSize || n > vm.MemSize-vmPhys {
-		return &mem.BusError{Addr: vmPhys}
+	if !vm.contains(vmPhys, n) {
+		return errOutsideVM
 	}
 	for off := uint32(0); off < n; {
 		p := vmPhys + off
-		chunk := vax.PageSize - p&vax.PageMask
-		if chunk > n-off {
-			chunk = n - off
-		}
-		host := vm.frames[p/vax.PageSize]*vax.PageSize + p&vax.PageMask
-		if err := vm.k.Mem.LoadBytesInto(host, b[off:off+chunk]); err != nil {
+		chunk := min(vax.PageSize-p&vax.PageMask, n-off)
+		if err := vm.k.Mem.LoadBytesInto(vm.realAddr(p), b[off:off+chunk]); err != nil {
 			return err
 		}
 		off += chunk
@@ -420,30 +391,21 @@ func (vm *VM) dmaRead(vmPhys uint32, b []byte) error {
 }
 
 // dmaWrite copies b into VM-physical memory starting at vmPhys — the
-// device-DMA store path. On a frames-backed VM every touched page is
-// COW-broken first (DMA must never land in a frame another VM
-// references) and cached decodes are dropped chunk by chunk; a normal
-// VM takes the historical single-invalidate, single-copy path.
+// device-DMA store path. Every touched page is COW-broken first (DMA
+// must never land in a frame another VM references), and cached
+// decodes are dropped chunk by chunk.
 func (vm *VM) dmaWrite(vmPhys uint32, b []byte) error {
 	n := uint32(len(b))
-	if vmPhys > vm.MemSize || n > vm.MemSize-vmPhys {
-		return &mem.BusError{Addr: vmPhys, Write: true}
-	}
-	if vm.frames == nil {
-		host := vm.MemBase + vmPhys
-		vm.k.CPU.InvalidateDecode(host, n)
-		return vm.k.Mem.StoreBytes(host, b)
+	if !vm.contains(vmPhys, n) {
+		return errOutsideVM
 	}
 	for off := uint32(0); off < n; {
 		p := vmPhys + off
-		chunk := vax.PageSize - p&vax.PageMask
-		if chunk > n-off {
-			chunk = n - off
-		}
+		chunk := min(vax.PageSize-p&vax.PageMask, n-off)
 		if !vm.k.cowBreak(vm, p/vax.PageSize) {
 			return &mem.BusError{Addr: p, Write: true}
 		}
-		host := vm.frames[p/vax.PageSize]*vax.PageSize + p&vax.PageMask
+		host := vm.realAddr(p)
 		vm.k.CPU.InvalidateDecode(host, chunk)
 		if err := vm.k.Mem.StoreBytes(host, b[off:off+chunk]); err != nil {
 			return err
@@ -454,15 +416,9 @@ func (vm *VM) dmaWrite(vmPhys uint32, b []byte) error {
 }
 
 // ResidentPages reports the physical pages this VM exclusively
-// occupies: its full footprint for a contiguous VM, only the privatized
-// pages for a frames-backed one (shared pages are charged to no single
+// occupies: its private pages (shared pages are charged to no single
 // holder — that deduplication is the point of cloning).
-func (vm *VM) ResidentPages() uint64 {
-	if vm.frames == nil {
-		return uint64(vm.MemSize / vax.PageSize)
-	}
-	return vm.Stats.PrivatePages
-}
+func (vm *VM) ResidentPages() uint64 { return vm.Stats.PrivatePages }
 
 // Halted reports whether the VM has stopped, with the reason.
 func (vm *VM) Halted() (bool, string) { return vm.halted, vm.haltMsg }
@@ -470,21 +426,11 @@ func (vm *VM) Halted() (bool, string) { return vm.halted, vm.haltMsg }
 // DumpMemory copies out the VM's physical memory (for post-run
 // inspection by tests and the experiment harness).
 func (vm *VM) DumpMemory() []byte {
-	if vm.frames != nil {
-		out := make([]byte, vm.MemSize)
-		for i, f := range vm.frames {
-			p := uint32(i) * vax.PageSize
-			if vm.k.Mem.LoadBytesInto(f*vax.PageSize, out[p:p+vax.PageSize]) != nil {
-				return nil
-			}
-		}
-		return out
-	}
-	b, err := vm.k.Mem.LoadBytes(vm.MemBase, vm.MemSize)
-	if err != nil {
+	out := make([]byte, vm.MemSize)
+	if vm.dmaRead(0, out) != nil {
 		return nil
 	}
-	return b
+	return out
 }
 
 // Stats of the VMM that owns this VM (convenience for harness code).

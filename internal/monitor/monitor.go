@@ -589,7 +589,7 @@ func (m *Monitor) stat() string {
 	}
 	for _, vm := range m.VMM.VMs() {
 		vs := vm.Stats
-		if vs.SharedPages == 0 && vs.COWBreaks == 0 && vs.PrivatePages == 0 {
+		if vs.SharedPages == 0 && vs.COWBreaks == 0 {
 			continue // never took part in cloning: fully resident
 		}
 		nominal := uint64(vm.MemSize / vax.PageSize)
