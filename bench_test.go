@@ -258,7 +258,7 @@ func benchMultiVM(b *testing.B, nVMs, idlers, workers int) {
 	idleImg, idleStart := multiVMIdleImage(b)
 	// 64 KB of RAM plus a few dozen shadow pages per VM.
 	memBytes := uint32(nVMs)*(128<<10) + (1 << 20)
-	cfg := core.Config{Workers: workers}
+	var cfg core.Config
 	if idlers > 0 {
 		cfg.WaitTimeout = 2
 	}
@@ -288,7 +288,11 @@ func benchMultiVM(b *testing.B, nVMs, idlers, workers int) {
 		}
 		setup += time.Since(t0)
 		b.StartTimer()
-		k.Run(0)
+		if workers > 1 {
+			k.RunParallel(workers, 0)
+		} else {
+			k.Run(0)
+		}
 		b.StopTimer()
 		for _, vm := range vms {
 			if halted, _ := vm.Halted(); !halted {
@@ -395,7 +399,7 @@ func benchMultiVMClone(b *testing.B, nVMs, idlers, workers int) {
 	// Well below the 128 KB/VM of the boot-backed fleet: clones only
 	// occupy what they privatize.
 	memBytes := uint32(nVMs)*(48<<10) + (1 << 20)
-	cfg := core.Config{Workers: workers}
+	var cfg core.Config
 	if idlers > 0 {
 		cfg.WaitTimeout = 2
 	}
@@ -438,7 +442,11 @@ func benchMultiVMClone(b *testing.B, nVMs, idlers, workers int) {
 		}
 		setup += time.Since(t0)
 		b.StartTimer()
-		k.Run(0)
+		if workers > 1 {
+			k.RunParallel(workers, 0)
+		} else {
+			k.Run(0)
+		}
 		b.StopTimer()
 		for _, vm := range vms {
 			if halted, _ := vm.Halted(); !halted {

@@ -214,14 +214,16 @@ go test ./...
 echo "== go test -race (all packages)"
 go test -race ./...
 
-echo "== migration race check (event-log and decode-hygiene tests on the parallel engine, -count=10)"
+echo "== migration race check (event-log, decode-hygiene and page-pool tests on the parallel engine, -count=10)"
 # A VM's event log is unsynchronized: only the worker driving the VM
 # writes it, and readers wait for the merge barrier. A migrating VM's
 # cached decodes are dropped frame by frame on whichever worker attaches
-# it. Repeating the tests that cross those handoffs gives a rare
-# interleaving ten chances to show.
+# it. Every shard allocation takes the shared page-pool mutex, and the
+# clone smoke (256 overcommitted clones on 8 workers) is where shards
+# allocate concurrently. Repeating the tests that cross those handoffs
+# gives a rare interleaving ten chances to show.
 go test -race -count=10 \
-    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes)$' \
+    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes|TestCloneSmokeParity|TestHaltedVMRunsRecycledAfterParallelRun)$' \
     ./internal/core/
 
 # bench/ is a module of its own, so the root ./... patterns skip it; its
@@ -315,9 +317,6 @@ rm -f "$tmpmd" "$tmpwant" "$tmpgot"
 
 echo "== clone smoke (256 clones: shared pages, completion, parity with boots)"
 go test -run 'TestCloneSmokeParity$' -count=1 ./internal/core/ > /dev/null
-
-echo "== clone fleet bring-up (wall-clock, informational)"
-go run ./cmd/experiments -clone -vms 256
 
 echo "== fleet-API soak smoke (200+ lifecycles over HTTP, leak gate)"
 ./ci.sh soak-smoke

@@ -11,9 +11,6 @@
 //	experiments -cpuprofile cpu.pprof -run E6   # profile the hot path
 //	experiments -faults -seeds 16 -seedbase 100 # fault campaign only
 //	experiments -recover -seeds 8               # recovery campaign only
-//	experiments -parallel -vms 1,2,4,8          # multi-VM engine scaling
-//	experiments -density -vms 64,256,1024       # mostly-idle fleet density
-//	experiments -clone -vms 64,256,1024         # COW-clone fleet bring-up vs full boots
 package main
 
 import (
@@ -44,11 +41,6 @@ func run() int {
 	recoverFlag := flag.Bool("recover", false, "run only the recovery campaign (E11) with -seeds/-seedbase")
 	seeds := flag.Int("seeds", 8, "number of campaign seeds (with -faults)")
 	seedbase := flag.Int64("seedbase", 1, "first campaign seed (with -faults)")
-	parallel := flag.Bool("parallel", false, "measure the parallel multi-VM engine against the serial engine (wall-clock, not deterministic)")
-	density := flag.Bool("density", false, "measure mostly-idle fleet density on a small worker pool (wall-clock, not deterministic)")
-	clone := flag.Bool("clone", false, "measure COW-clone fleet bring-up against full boots (wall-clock, not deterministic)")
-	vmsFlag := flag.String("vms", "", "comma-separated fleet sizes (with -parallel, -density or -clone)")
-	workersFlag := flag.Int("workers", 0, "worker goroutines for the parallel engine; 0 = one per VM with -parallel, 8 with -density/-clone")
 	traceCap := flag.Int("trace", exp.RecorderCap,
 		"flight-recorder events kept per VM; 0 disables tracing (also VAX_TRACE)")
 	translate := flag.Bool("translate", exp.Translation,
@@ -117,33 +109,6 @@ func run() int {
 		return 0
 	}
 
-	if *parallel || *density || *clone {
-		fleets, err := parseFleets(*vmsFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-vms: %v\n", err)
-			return 2
-		}
-		var r *exp.Result
-		switch {
-		case *clone:
-			r, err = exp.CloneDensity(fleets, *workersFlag)
-		case *density:
-			r, err = exp.ParallelDensity(fleets, *workersFlag)
-		default:
-			r, err = exp.ParallelScaling(fleets, *workersFlag)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parallel scaling: %v\n", err)
-			return 2
-		}
-		if *md {
-			printMarkdown(r)
-		} else {
-			fmt.Println(r.Format())
-		}
-		return 0
-	}
-
 	if *faults || *recoverFlag {
 		name, campaign := "fault campaign", exp.FaultCampaign
 		if *recoverFlag {
@@ -198,23 +163,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// parseFleets parses the -vms list ("1,2,4,8") into fleet sizes.
-func parseFleets(s string) ([]int, error) {
-	var fleets []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("bad fleet size %q", part)
-		}
-		fleets = append(fleets, n)
-	}
-	return fleets, nil
 }
 
 func printMarkdown(r *exp.Result) {

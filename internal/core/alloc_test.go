@@ -1,74 +1,21 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/vax"
 )
 
-// White-box tests for the decomposed page allocator: the root stays
-// exact (serial semantics, FreePages and OOM reporting unchanged),
-// worker shards batch — spans from the bump allocator, run batches
-// from the recycle pool — and everything a shard caches becomes
-// visible to the root again at the merge.
+// White-box tests for the page allocator: the root and every worker
+// shard carve exactly what they ask for from one shared pool, so
+// FreePages, PagesInUse and out-of-memory reporting stay precise
+// whichever instance allocates.
 
-// TestShardAllocSpanBatching: a shard's first small allocation carves
-// a whole span from the global bump allocator; subsequent allocations
-// are served from the span without touching shared state.
-func TestShardAllocSpanBatching(t *testing.T) {
-	k := New(16<<20, Config{})
-	s := k.newWorkerShard()
-	before := k.shared.nextPage
-	p1, err := s.allocPages(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := k.shared.nextPage - before; got != allocSpanPages {
-		t.Errorf("shard carved %d pages globally, want a %d-page span", got, allocSpanPages)
-	}
-	if s.alloc.spanLeft != allocSpanPages-2 {
-		t.Errorf("spanLeft = %d, want %d", s.alloc.spanLeft, allocSpanPages-2)
-	}
-	p2, err := s.allocPages(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 != p1+2 {
-		t.Errorf("second allocation at %d, want span-contiguous %d", p2, p1+2)
-	}
-	if k.shared.nextPage != before+allocSpanPages {
-		t.Error("span-served allocation touched the global allocator")
-	}
-}
-
-// TestShardAllocSpanExhaustion: when the global free store is smaller
-// than a span, the shard falls back to the exact request; a request
-// larger than the free store is a precise out-of-memory error.
-func TestShardAllocSpanExhaustion(t *testing.T) {
-	k := New(64*1024, Config{}) // 128 pages total, page 0 reserved
-	s := k.newWorkerShard()
-	if _, err := k.allocPages(100); err != nil {
-		t.Fatal(err)
-	}
-	before := k.shared.nextPage // 27 pages free, less than a span
-	if _, err := s.allocPages(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.shared.nextPage - before; got != 4 {
-		t.Errorf("exhaustion fallback carved %d pages, want exactly 4", got)
-	}
-	if _, err := s.allocPages(1000); err == nil {
-		t.Error("over-free-store allocation did not report out of memory")
-	}
-	if _, err := k.allocPages(1000); err == nil {
-		t.Error("root over-free-store allocation did not report out of memory")
-	}
-}
-
-// TestRootAllocStaysExact: the root takes exactly what is asked, never
-// grows a private cache (its allocation counts are part of the serial
-// benchmarks' alloc-parity contract), and its freed runs go straight
-// to the global pool where the next allocRun finds them.
+// TestRootAllocStaysExact: the root takes exactly what is asked, and
+// its freed runs go straight to the pool where the next allocRun finds
+// them.
 func TestRootAllocStaysExact(t *testing.T) {
 	k := New(16<<20, Config{})
 	before := k.shared.nextPage
@@ -79,12 +26,9 @@ func TestRootAllocStaysExact(t *testing.T) {
 	if k.shared.nextPage != before+3 {
 		t.Errorf("root carved %d pages, want exactly 3", k.shared.nextPage-before)
 	}
-	if k.alloc.spanLeft != 0 || len(k.alloc.runs) != 0 {
-		t.Error("root grew a private allocator cache")
-	}
 	k.freeRun(p, 3)
 	if len(k.shared.pageRuns[3]) != 1 {
-		t.Fatalf("root freeRun kept the run local: global pool has %d runs of 3",
+		t.Fatalf("root freeRun did not park the run: pool has %d runs of 3",
 			len(k.shared.pageRuns[3]))
 	}
 	hits := k.Stats.ShadowPoolHits
@@ -98,72 +42,46 @@ func TestRootAllocStaysExact(t *testing.T) {
 	if k.Stats.ShadowPoolHits != hits+1 {
 		t.Error("recycled run not counted as a pool hit")
 	}
-	if len(k.alloc.runs) != 0 {
-		t.Error("root allocRun grew a private cache")
-	}
 }
 
-// TestShardRunCacheSpillAndRefill: an overfull shard run cache spills
-// half to the global pool; a different shard's allocRun then pulls a
-// batch under one lock; and spillAllocCache (the merge barrier's call)
-// makes every cached run visible to the root again.
-func TestShardRunCacheSpillAndRefill(t *testing.T) {
-	k := New(16<<20, Config{})
+// TestShardAllocStaysExact: a worker shard allocates exactly as the
+// root does — it carves exactly the pages asked for, and its freed run
+// lands in the shared pool at once, where the root's next allocRun
+// finds it — and a request beyond the free store is ErrOutOfMemory on
+// either instance.
+func TestShardAllocStaysExact(t *testing.T) {
+	k := New(64*1024, Config{}) // 128 pages total, page 0 reserved
 	s := k.newWorkerShard()
-	var pages []uint32
-	for i := 0; i < runCacheMax+4; i++ {
-		p, err := k.allocPages(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages = append(pages, p)
-	}
-	for _, p := range pages {
-		s.freeRun(p, 2)
-	}
-	if n := len(s.alloc.runs[2]); n > runCacheMax {
-		t.Errorf("shard cache holds %d runs, bound is %d", n, runCacheMax)
-	}
-	if len(k.shared.pageRuns[2]) == 0 {
-		t.Error("overfull shard cache never spilled to the global pool")
-	}
-
-	s2 := k.newWorkerShard()
-	globalBefore := len(k.shared.pageRuns[2])
-	if _, err := s2.allocRun(2); err != nil {
+	before := k.shared.nextPage
+	p, err := s.allocPages(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantTake := min(globalBefore, runRefillBatch)
-	if got := globalBefore - len(k.shared.pageRuns[2]); got != wantTake {
-		t.Errorf("shard refill took %d runs from the pool, want %d", got, wantTake)
+	if got := k.shared.nextPage - before; got != 2 {
+		t.Errorf("shard carved %d pages, want exactly 2", got)
 	}
-	if got := len(s2.alloc.runs[2]); got != wantTake-1 {
-		t.Errorf("shard stashed %d runs locally, want %d", got, wantTake-1)
+	s.freeRun(p, 2)
+	if got, err := k.allocRun(2); err != nil || got != p {
+		t.Errorf("root allocRun = %d, %v; want the shard's freed run %d", got, err, p)
 	}
-
-	cached := len(s.alloc.runs[2]) + len(s2.alloc.runs[2])
-	global := len(k.shared.pageRuns[2])
-	s.spillAllocCache()
-	s2.spillAllocCache()
-	if len(s.alloc.runs) != 0 || len(s2.alloc.runs) != 0 {
-		t.Error("spillAllocCache left runs in the shard caches")
-	}
-	if got := len(k.shared.pageRuns[2]); got != global+cached {
-		t.Errorf("global pool has %d runs after spill, want %d", got, global+cached)
+	for _, v := range []*VMM{k, s} {
+		if _, err := v.allocPages(1000); !errors.Is(err, ErrOutOfMemory) {
+			t.Errorf("over-free-store allocation = %v, want ErrOutOfMemory", err)
+		}
 	}
 }
 
 // TestHaltedVMRunsRecycledAfterParallelRun: shadow-table runs released
-// by VMs halting on worker shards must reach the global pool by the
-// merge barrier, so the root's next CreateVM recycles them instead of
-// growing physical memory.
+// by VMs halting on worker shards must reach the shared pool, so the
+// root's next CreateVM recycles them instead of growing physical
+// memory.
 func TestHaltedVMRunsRecycledAfterParallelRun(t *testing.T) {
-	k := New(16<<20, Config{Workers: 2, WaitTimeout: 2})
+	k := New(16<<20, Config{WaitTimeout: 2})
 	var vms []*VM
 	for i := 0; i < 4; i++ {
 		vms = append(vms, addTestVM(t, k, "", parComputeSrc, nil))
 	}
-	k.Run(10_000_000)
+	k.RunParallel(2, 10_000_000)
 	assertAllHaltedNormally(t, vms)
 	if pr := k.LastParallelRun(); pr.VMs != 4 {
 		t.Fatalf("parallel engine did not run: %+v", pr)
@@ -193,15 +111,14 @@ func TestHaltedVMRunsRecycledAfterParallelRun(t *testing.T) {
 }
 
 // TestPagesInUseLeakGate pins the measure the soak's leak gate compares
-// before and after its gated epoch. Runs parked for reuse — in the
-// global pool, in a shard's run cache, or as a shard's span remainder —
+// before and after its gated epoch. Runs parked in the pool for reuse
 // are not in use, so a burst that carves one more run than the warm-up
 // did leaves PagesInUse at its baseline while FreePages drops; a page
-// allocated after the baseline and never returned still trips it.
+// allocated after the baseline and never returned still trips it,
+// whether the root or a worker shard allocated it.
 func TestPagesInUseLeakGate(t *testing.T) {
 	k := New(16<<20, Config{})
 	s := k.newWorkerShard()
-	k.workerShards = append(k.workerShards, s)
 	mustRun := func(v *VMM, n uint32) uint32 {
 		t.Helper()
 		p, err := v.allocRun(n)
@@ -212,15 +129,14 @@ func TestPagesInUseLeakGate(t *testing.T) {
 	}
 
 	// Warm-up: one 4-page run through the root, one 2-page run through
-	// the shard (which carves a whole span for it).
+	// the shard.
 	k.freeRun(mustRun(k, 4), 4)
 	s.freeRun(mustRun(s, 2), 2)
 	base, free := k.PagesInUse(), k.FreePages()
 
 	// The gated burst holds two runs of each size at once: the pool has
-	// one 4-page run, so the second is carved fresh; the shard's cache
-	// has one 2-page run, so the second comes from its span. All go
-	// back to the pool and the shard's cache.
+	// one of each, so the second is carved fresh. All go back to the
+	// pool.
 	a, b := mustRun(k, 4), mustRun(k, 4)
 	k.freeRun(a, 4)
 	k.freeRun(b, 4)
@@ -234,9 +150,95 @@ func TestPagesInUseLeakGate(t *testing.T) {
 		t.Fatalf("pages in use %d after pool growth, want baseline %d", got, base)
 	}
 
-	// A page deliberately leaked after the baseline.
-	mustRun(k, 1)
-	if got := k.PagesInUse(); got != base+1 {
-		t.Fatalf("pages in use %d after a leaked page, want %d", got, base+1)
+	// A page deliberately leaked after the baseline, through each
+	// instance in turn.
+	for i, v := range []*VMM{k, s} {
+		mustRun(v, 1)
+		if got, want := k.PagesInUse(), base+uint32(i)+1; got != want {
+			t.Fatalf("pages in use %d after %d leaked pages, want %d", got, i+1, want)
+		}
 	}
+}
+
+// TestOutOfMemoryHoldsNoPages: a VM build refused for lack of physical
+// memory is ErrOutOfMemory and holds no pages afterwards — every run
+// carved before the refusal goes back to the pool, so PagesInUse is
+// unchanged. Each case leaves one page less free than the build needs,
+// so all but its last run fit.
+func TestOutOfMemoryHoldsNoPages(t *testing.T) {
+	img, prog := guestImage(t, cloneComputeSrc, nil)
+	cfg := VMConfig{
+		MemBytes: gMemSize, Image: img, StartPC: prog.MustSymbol("start"),
+		PreMapped: true, SBR: gSPT, SLR: gSPTLen, SCBB: gSCB,
+	}
+	// What one VM carves: its RAM, then its shadow tables.
+	probe := New(1<<20, Config{})
+	if _, err := probe.CreateVM(cfg); err != nil {
+		t.Fatal(err)
+	}
+	ramPages := uint32(gMemSize) / vax.PageSize
+	vmPages := probe.CarvedPages() - 1 // page 0 is reserved
+	shadowPages := vmPages - ramPages
+
+	// fill carves all but free pages of k's memory and returns the
+	// resulting PagesInUse baseline.
+	fill := func(k *VMM, free uint32) uint32 {
+		t.Helper()
+		if _, err := k.allocPagesRaw(k.FreePages() - free); err != nil {
+			t.Fatal(err)
+		}
+		return k.PagesInUse()
+	}
+
+	t.Run("create", func(t *testing.T) {
+		k := New(1<<20, Config{})
+		base := fill(k, vmPages-1)
+		if _, err := k.CreateVM(cfg); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("CreateVM = %v, want ErrOutOfMemory", err)
+		}
+		if got := k.PagesInUse(); got != base {
+			t.Errorf("pages in use %d after a refused CreateVM, want %d", got, base)
+		}
+	})
+
+	t.Run("image", func(t *testing.T) {
+		k := New(1<<20, Config{})
+		base := k.PagesInUse()
+		big := cfg
+		big.Image = make([]byte, gMemSize+1)
+		if _, err := k.CreateVM(big); err == nil {
+			t.Fatal("CreateVM loaded an image larger than the VM")
+		}
+		if got := k.PagesInUse(); got != base {
+			t.Errorf("pages in use %d after a refused image load, want %d", got, base)
+		}
+	})
+
+	t.Run("clone-dispatch", func(t *testing.T) {
+		k := New(1<<20, Config{})
+		src, err := k.CreateVM(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := k.Clone(src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := fill(k, shadowPages-1)
+		if k.ensureShadow(c) {
+			t.Fatal("clone built shadow tables on a full monitor")
+		}
+		if h, msg := c.Halted(); !h || !strings.Contains(msg, "out of physical memory") {
+			t.Fatalf("clone halted=%v %q, want an out-of-memory halt", h, msg)
+		}
+		if got := k.PagesInUse(); got != base {
+			t.Errorf("pages in use %d after a refused shadow build, want %d", got, base)
+		}
+		if err := k.DestroyVM(c); err != nil {
+			t.Fatal(err)
+		}
+		if got := k.PagesInUse(); got != base {
+			t.Errorf("pages in use %d after destroying the clone, want %d", got, base)
+		}
+	})
 }

@@ -73,9 +73,6 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 		return nil, fmt.Errorf("vmm: cannot clone a halted VM (%s)", src.haltMsg)
 	}
 	pages := src.MemSize / vax.PageSize
-	if err := k.checkQuota(pages); err != nil {
-		return nil, err
-	}
 	k.captureLive(src)
 
 	k.shared.mu.Lock()

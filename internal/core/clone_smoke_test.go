@@ -54,7 +54,7 @@ func TestCloneSmokeParity(t *testing.T) {
 		if cloneBacked {
 			memBytes = uint32(fleet)*(48<<10) + (1 << 20)
 		}
-		k := New(memBytes, Config{Workers: workers, WaitTimeout: 2})
+		k := New(memBytes, Config{WaitTimeout: 2})
 		var vms [fleet]*VM
 		if cloneBacked {
 			idleT := boot(k, idleImg, idleProg.MustSymbol("start"))
@@ -90,7 +90,7 @@ func TestCloneSmokeParity(t *testing.T) {
 				vms[i] = boot(k, img, start)
 			}
 		}
-		k.Run(0)
+		k.RunParallel(workers, 0)
 		var out [fleet]outcome
 		for i, vm := range vms {
 			halted, msg := vm.Halted()

@@ -27,6 +27,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -157,17 +158,6 @@ type Config struct {
 	// 8 when Recover is set).
 	RecoverBudget int
 
-	// Workers selects the execution engine. The default (0 or 1) is the
-	// deterministic single-threaded round-robin scheduler, which every
-	// experiment and the fault campaign rely on for exact replay. A
-	// value above 1 makes Run use the parallel engine: a fixed pool of
-	// Workers goroutines, each driving a private VMM shard, pulls
-	// runnable VMs from a work queue (M:N scheduling; parked VMs cost
-	// no worker time). Ignored — with a serial fallback — when a
-	// fault injector is attached, because injection schedules are keyed
-	// to the single machine-wide tick stream.
-	Workers int
-
 	// Translation enables the hot-trace superblock tier: decoded
 	// instructions that stay hot are chained into superblocks the
 	// processor replays without per-instruction fetch/decode (see
@@ -189,10 +179,6 @@ type Config struct {
 	// across goroutines never contends on the pool lock. Usually set
 	// via WithMemCache.
 	MemCache *mem.Cache
-
-	// Quota is the whole-monitor admission limit on VMs and nominal
-	// pages (see quota.go); the zero value admits everything.
-	Quota Quota
 }
 
 func (cfg Config) withDefaults() Config {
@@ -238,12 +224,12 @@ type Stats struct {
 // vmmShared is the state genuinely shared between a root VMM and the
 // per-worker shards of a parallel run. Everything else a VMM holds is
 // goroutine-confined: either per-VM (shadow tables, statistics, cycle
-// accounting), per-worker (CPU, MMU, TLB, decode cache, the allocator
-// cache below) or owned by whichever engine is running. The global
-// page pool sits behind a mutex because workers reach it only to
-// refill or spill their local caches in batches; nothing touches it
-// per step. Events need no shared state at all: each lands in its own
-// VM's log, stamped with the shard's cycle count.
+// accounting), per-worker (CPU, MMU, TLB, decode cache) or owned by
+// whichever engine is running. The page pool sits behind a mutex
+// because every instance, root or shard, allocates from it directly;
+// it does so only on slow paths (building shadow tables, a COW break,
+// a VM halting), never per step. Events need no shared state at all:
+// each lands in its own VM's log, stamped with the shard's cycle count.
 type vmmShared struct {
 	mu       sync.Mutex // guards nextPage and pageRuns (cold paths)
 	nextPage uint32     // physical page bump allocator
@@ -263,34 +249,6 @@ type vmmShared struct {
 	refs *mem.PageRefs
 }
 
-// Per-worker allocator cache tuning. Spans and run batches are small:
-// a worker shard allocates only on slow paths (a VM halting on it, a
-// shadow space growing), so the cache exists to keep those paths off
-// the global mutex, not to hoard memory.
-const (
-	// allocSpanPages is how many pages a worker shard carves from the
-	// global bump allocator per refill; the remainder becomes its
-	// private span served without locking.
-	allocSpanPages = 64
-	// runRefillBatch is how many recycled runs of one size a worker
-	// pulls from the global pool under a single lock acquisition.
-	runRefillBatch = 4
-	// runCacheMax bounds the recycled runs of one size a worker keeps
-	// before spilling half back to the global pool.
-	runCacheMax = 8
-)
-
-// allocCache is a VMM instance's private allocator front. On the root
-// it stays empty (the root allocates exactly and is single-threaded at
-// allocation sites, keeping FreePages and out-of-memory semantics
-// precise); on a worker shard it absorbs freeRun/allocRun traffic so
-// steady-state halts and shadow growth never contend on vmmShared.mu.
-type allocCache struct {
-	spanPage uint32 // next free page of the private span
-	spanLeft uint32 // pages remaining in the span
-	runs     map[uint32][]uint32
-}
-
 // VMM is the virtual machine monitor.
 type VMM struct {
 	CPU   *cpu.CPU
@@ -308,8 +266,7 @@ type VMM struct {
 	nextID int
 
 	shared *vmmShared
-	parent *VMM       // non-nil on a per-worker shard of a parallel run
-	alloc  allocCache // this instance's private allocator front
+	parent *VMM // non-nil on a per-worker shard of a parallel run
 
 	// workerShards is the root's pool of per-worker shard VMMs, built
 	// lazily by RunParallel and reused across runs so repeated parallel
@@ -357,26 +314,36 @@ func New(memBytes uint32, cfg Config, opts ...Option) *VMM {
 	} else {
 		m = mem.New(memBytes)
 	}
+	// page 0 reserved for the (unused) real SCB
+	shared := &vmmShared{nextPage: 1, pageRuns: make(map[uint32][]uint32)}
+	return newInstance(m, cfg.withDefaults(), shared, cfg.Recorder)
+}
+
+// newInstance builds one VMM instance over physical memory m and the
+// shared page pool: the root monitor (New) or a worker shard
+// (newWorkerShard). Its processor, interval clock and I/O scratch page
+// are its own, and the processor is wired to the monitor here for
+// both, so a shard's processor cannot drift from the root's.
+func newInstance(m *mem.Memory, cfg Config, shared *vmmShared, rec *trace.Recorder) *VMM {
 	c := cpu.New(m, cpu.ModifiedVAX)
 	k := &VMM{
-		CPU:   c,
-		Mem:   m,
-		Clock: dev.NewClock(),
-		cfg:   cfg.withDefaults(),
-		cur:   -1,
-		rec:   cfg.Recorder,
-		// page 0 reserved for the (unused) real SCB
-		shared: &vmmShared{nextPage: 1, pageRuns: make(map[uint32][]uint32)},
+		CPU:    c,
+		Mem:    m,
+		Clock:  dev.NewClock(),
+		cfg:    cfg,
+		cur:    -1,
+		rec:    rec,
+		shared: shared,
 		ioBuf:  make([]byte, vax.PageSize),
 	}
 	c.Sink = k
 	c.AddDevice(k.Clock)
-	c.TrapAllInVM = k.cfg.Scheme == TrapAll
-	c.ProbeWTrapOnDeny = k.cfg.ReadOnlyShadow
+	c.TrapAllInVM = cfg.Scheme == TrapAll
+	c.ProbeWTrapOnDeny = cfg.ReadOnlyShadow
 	k.Clock.Interval(clockPeriod)
 	// The VMM parks the processor in kernel mode; VMs run with PSL<VM>.
 	c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
-	if k.cfg.Translation {
+	if cfg.Translation {
 		k.enableTranslation(c)
 	}
 	return k
@@ -446,10 +413,13 @@ func (k *VMM) Current() *VM {
 	return k.vms[k.cur]
 }
 
-// allocPages carves n contiguous physical pages out of real memory.
-// The root allocates exactly (FreePages and out-of-memory reporting
-// stay precise for the serial harness); a worker shard over-allocates
-// a span and serves subsequent requests from it without locking.
+// ErrOutOfMemory is the monitor's one out-of-memory refusal: every
+// failed page allocation wraps it, so callers test for it with
+// errors.Is.
+var ErrOutOfMemory = errors.New("vmm: out of physical memory")
+
+// allocPages carves n contiguous physical pages out of real memory,
+// zeroed.
 func (k *VMM) allocPages(n uint32) (uint32, error) {
 	p, err := k.allocPagesRaw(n)
 	if err != nil {
@@ -458,42 +428,18 @@ func (k *VMM) allocPages(n uint32) (uint32, error) {
 	return p, k.zeroPages(p, n)
 }
 
-// allocPagesRaw carves page frames without zeroing them. Callers that
-// fully initialize the run (shadow-table construction, COW page
-// copies) skip the memclr; everything else goes through allocPages.
+// allocPagesRaw carves exactly n page frames from the bump allocator
+// without zeroing them. Callers that fully initialize the run (shadow-
+// table construction, COW page copies) skip the memclr; everything
+// else goes through allocPages.
 func (k *VMM) allocPagesRaw(n uint32) (uint32, error) {
-	if k.alloc.spanLeft >= n && n > 0 {
-		p := k.alloc.spanPage
-		k.alloc.spanPage += n
-		k.alloc.spanLeft -= n
-		return p, nil
-	}
-	want := n
-	if k.parent != nil && want < allocSpanPages {
-		want = allocSpanPages
-	}
 	k.shared.mu.Lock()
-	free := k.Mem.Pages() - k.shared.nextPage
-	if want > free {
-		want = n // batch does not fit; fall back to the exact request
-	}
-	if n > free {
-		k.shared.mu.Unlock()
-		return 0, fmt.Errorf("vmm: out of physical memory (%d pages requested, %d free)",
-			n, free)
+	defer k.shared.mu.Unlock()
+	if free := k.Mem.Pages() - k.shared.nextPage; n > free {
+		return 0, fmt.Errorf("%w (%d pages requested, %d free)", ErrOutOfMemory, n, free)
 	}
 	p := k.shared.nextPage
-	k.shared.nextPage += want
-	k.shared.mu.Unlock()
-	if want > n {
-		// Park any old span remainder as a recycled run, then adopt the
-		// new span's tail as the private span.
-		if k.alloc.spanLeft > 0 {
-			k.freeRun(k.alloc.spanPage, k.alloc.spanLeft)
-		}
-		k.alloc.spanPage = p + n
-		k.alloc.spanLeft = want - n
-	}
+	k.shared.nextPage += n
 	return p, nil
 }
 
@@ -504,40 +450,16 @@ func (k *VMM) zeroPages(p, n uint32) error {
 }
 
 // allocRun allocates a run of n pages for shadow-table storage,
-// preferring recycled runs over the bump allocator — first from this
-// instance's private cache, then from the global pool (a worker shard
-// pulls a small batch under one lock so repeated allocations stay
-// local). Runs are handed back with stale contents — pooled runs carry
-// the previous owner's PTEs and carved runs skip the memclr — so every
+// preferring a recycled run from the pool over the bump allocator.
+// Runs are handed back with stale contents — pooled runs carry the
+// previous owner's PTEs and carved runs skip the memclr — so every
 // caller must initialize the run (clear-on-reuse restores the null-PTE
 // default; COW breaks copy a whole page over it).
 func (k *VMM) allocRun(n uint32) (uint32, error) {
-	if local := k.alloc.runs[n]; len(local) > 0 {
-		p := local[len(local)-1]
-		k.alloc.runs[n] = local[:len(local)-1]
+	if p, ok := k.takeRun(n); ok {
 		k.Stats.ShadowPoolHits++
 		return p, nil
 	}
-	k.shared.mu.Lock()
-	if runs := k.shared.pageRuns[n]; len(runs) > 0 {
-		take := 1
-		if k.parent != nil && len(runs) > 1 {
-			take = min(len(runs), runRefillBatch)
-		}
-		grabbed := runs[len(runs)-take:]
-		k.shared.pageRuns[n] = runs[:len(runs)-take]
-		k.shared.mu.Unlock()
-		p := grabbed[len(grabbed)-1]
-		if take > 1 {
-			if k.alloc.runs == nil {
-				k.alloc.runs = make(map[uint32][]uint32)
-			}
-			k.alloc.runs[n] = append(k.alloc.runs[n], grabbed[:len(grabbed)-1]...)
-		}
-		k.Stats.ShadowPoolHits++
-		return p, nil
-	}
-	k.shared.mu.Unlock()
 	k.Stats.ShadowPoolMisses++
 	return k.allocPagesRaw(n)
 }
@@ -549,66 +471,23 @@ func (k *VMM) allocRun(n uint32) (uint32, error) {
 // existing harness stay byte-identical. The run comes back with stale
 // contents; the caller zeroes it and drops cached decodes.
 func (k *VMM) takeRun(n uint32) (uint32, bool) {
-	if local := k.alloc.runs[n]; len(local) > 0 {
-		p := local[len(local)-1]
-		k.alloc.runs[n] = local[:len(local)-1]
-		return p, true
-	}
 	k.shared.mu.Lock()
 	defer k.shared.mu.Unlock()
-	if runs := k.shared.pageRuns[n]; len(runs) > 0 {
-		p := runs[len(runs)-1]
-		k.shared.pageRuns[n] = runs[:len(runs)-1]
-		return p, true
+	runs := k.shared.pageRuns[n]
+	if len(runs) == 0 {
+		return 0, false
 	}
-	return 0, false
+	k.shared.pageRuns[n] = runs[:len(runs)-1]
+	return runs[len(runs)-1], true
 }
 
-// freeRun parks a page run for recycling. The root goes straight to
-// the global pool (its freeing sites are single-threaded); a worker
-// shard keeps the run in its private cache — the common halt-on-shard
-// path then costs no lock at all — and spills half of an overfull size
-// class back to the global pool so no worker hoards the free store.
+// freeRun parks a page run in the pool for recycling.
 func (k *VMM) freeRun(page, n uint32) {
 	if n == 0 {
 		return
 	}
-	if k.parent == nil {
-		k.shared.mu.Lock()
-		k.shared.pageRuns[n] = append(k.shared.pageRuns[n], page)
-		k.shared.mu.Unlock()
-		return
-	}
-	if k.alloc.runs == nil {
-		k.alloc.runs = make(map[uint32][]uint32)
-	}
-	local := append(k.alloc.runs[n], page)
-	if len(local) > runCacheMax {
-		spill := len(local) / 2
-		k.shared.mu.Lock()
-		k.shared.pageRuns[n] = append(k.shared.pageRuns[n], local[:spill]...)
-		k.shared.mu.Unlock()
-		local = append(local[:0], local[spill:]...)
-	}
-	k.alloc.runs[n] = local
-}
-
-// spillAllocCache returns a worker shard's cached runs to the global
-// pool. Called at the merge barrier so runs released by VMs that
-// halted on this shard (and any span remainder's reuse value) become
-// visible to the root's next CreateVM. The span itself stays with the
-// shard — shards are reused across runs and keep their working set.
-func (k *VMM) spillAllocCache() {
-	if len(k.alloc.runs) == 0 {
-		return
-	}
 	k.shared.mu.Lock()
-	for n, runs := range k.alloc.runs {
-		if len(runs) > 0 {
-			k.shared.pageRuns[n] = append(k.shared.pageRuns[n], runs...)
-		}
-		delete(k.alloc.runs, n)
-	}
+	k.shared.pageRuns[n] = append(k.shared.pageRuns[n], page)
 	k.shared.mu.Unlock()
 }
 
@@ -651,32 +530,17 @@ func (k *VMM) CarvedPages() uint32 {
 }
 
 // PagesInUse reports the carved pages not parked for reuse: CarvedPages
-// minus the recycled-run pool, the worker shards' run caches and their
-// unused span remainders. Unlike FreePages it does not fall when the
-// pool grows, so it returns to baseline after destroy even when a
-// burst carved a run the pool then kept. Call it between runs, not
-// while RunParallel is executing (the shard caches are unlocked).
+// minus the recycled-run pool. Unlike FreePages it does not fall when
+// the pool grows, so it returns to baseline after destroy even when a
+// burst carved a run the pool then kept.
 func (k *VMM) PagesInUse() uint32 {
-	parked := k.alloc.parked()
-	for _, s := range k.workerShards {
-		parked += s.alloc.parked()
-	}
 	k.shared.mu.Lock()
 	defer k.shared.mu.Unlock()
+	var parked uint32
 	for n, runs := range k.shared.pageRuns {
 		parked += n * uint32(len(runs))
 	}
 	return k.shared.nextPage - parked
-}
-
-// parked counts the pages an allocator cache holds for reuse: its
-// cached runs and its span remainder.
-func (a *allocCache) parked() uint32 {
-	pages := a.spanLeft
-	for n, runs := range a.runs {
-		pages += n * uint32(len(runs))
-	}
-	return pages
 }
 
 // NominalPages sums every VM's configured memory in pages — what the
@@ -705,17 +569,10 @@ func (k *VMM) cowShared(frame uint32) bool {
 // isolation comparisons between VMs stay honest.
 func (k *VMM) VMMCycles() uint64 { return k.vmmCycles }
 
-// Run starts (or continues) executing virtual machines for at most
-// maxSteps processor steps (0 = until everything halts).
-//
-// With Config.Workers > 1, more than one live VM and no fault injector
-// attached, the parallel engine runs instead and maxSteps bounds each
-// VM's worker rather than the machine; everything else uses the
-// deterministic serial scheduler.
+// Run starts (or continues) executing virtual machines on the
+// deterministic serial scheduler for at most maxSteps processor steps
+// (0 = until everything halts). RunParallel is the M:N engine.
 func (k *VMM) Run(maxSteps uint64) uint64 {
-	if k.parent == nil && k.cfg.Workers > 1 && k.faults == nil && k.liveVMs() > 1 {
-		return k.RunParallel(k.cfg.Workers, maxSteps)
-	}
 	if k.Current() == nil {
 		k.scheduleNext()
 	}
@@ -745,17 +602,6 @@ func (k *VMM) Run(maxSteps uint64) uint64 {
 		total += k.CPU.Run(budget)
 	}
 	return total
-}
-
-// liveVMs counts VMs that have not halted.
-func (k *VMM) liveVMs() int {
-	n := 0
-	for _, vm := range k.vms {
-		if !vm.halted {
-			n++
-		}
-	}
-	return n
 }
 
 // compressMode maps a VM access mode to the real mode it executes in

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -107,38 +106,5 @@ func TestHaltVMExported(t *testing.T) {
 	k.HaltVM(vm, "again") // idempotent: must not clobber the message
 	if _, msg := vm.Halted(); msg != "operator says stop" {
 		t.Fatalf("msg = %q after double halt", msg)
-	}
-}
-
-func TestQuotaBackstop(t *testing.T) {
-	img, prog := guestImage(t, cloneComputeSrc, nil)
-	cfg := VMConfig{
-		MemBytes: gMemSize, Image: img, StartPC: prog.MustSymbol("start"),
-		PreMapped: true, SBR: gSPT, SLR: gSPTLen, SCBB: gSCB,
-	}
-
-	k := New(8<<20, Config{Quota: Quota{MaxVMs: 1}})
-	if _, err := k.CreateVM(cfg); err != nil {
-		t.Fatal(err)
-	}
-	_, err := k.CreateVM(cfg)
-	var qe *QuotaError
-	if !errors.As(err, &qe) || qe.Resource != "vms" {
-		t.Fatalf("over-quota create = %v", err)
-	}
-
-	kp := New(8<<20, Config{Quota: Quota{MaxPages: gMemSize / 512}})
-	if _, err := kp.CreateVM(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kp.CreateVM(cfg); err == nil {
-		t.Fatal("page-quota breach admitted")
-	}
-
-	// A halted VM still counts against pages but frees a VM slot.
-	vm := k.VMs()[0]
-	k.HaltVM(vm, "stop")
-	if _, err := k.CreateVM(cfg); err != nil {
-		t.Fatalf("create after halt = %v (MaxVMs counts live VMs)", err)
 	}
 }

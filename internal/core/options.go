@@ -52,9 +52,6 @@ func (cfg Config) Validate() error {
 	if cfg.PrefetchGroup > vax.PageSize/4 {
 		return fmt.Errorf("PrefetchGroup %d exceeds one guest PTE page (%d)", cfg.PrefetchGroup, vax.PageSize/4)
 	}
-	if cfg.Workers > 4096 {
-		return fmt.Errorf("Workers %d is beyond any plausible host", cfg.Workers)
-	}
 	if cfg.CostScalePercent < 0 {
 		return fmt.Errorf("CostScalePercent must be non-negative, got %d", cfg.CostScalePercent)
 	}

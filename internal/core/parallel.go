@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
-	"repro/internal/dev"
 	"repro/internal/trace"
 	"repro/internal/vax"
 )
@@ -19,16 +18,15 @@ import (
 // many host cores instead, with M:N scheduling: a fixed pool of M
 // worker goroutines, each owning a *shard* — a private VMM instance
 // with its own virtual processor (CPU, MMU, TLB, decoded-instruction
-// cache), interval clock, I/O scratch buffer, statistics and allocator
-// cache — pulls N runnable VMs from a work queue. Physical memory and
-// the global page pool stay shared behind vmmShared, but nothing
-// touches them per step: workers refill and spill their allocator
-// caches in batches, and each event lands in its own VM's log, written
-// only by the worker driving that VM. Because every VM occupies a
-// disjoint range of physical memory (its RAM and its shadow-table
-// pages are both carved out at CreateVM time), shards never write each
-// other's bytes, and all of the serial emulation machinery runs on a
-// shard unchanged.
+// cache), interval clock, I/O scratch buffer and statistics — pulls N
+// runnable VMs from a work queue. Physical memory and the page pool
+// stay shared behind vmmShared, but nothing touches them per step:
+// shards allocate from the pool only on slow paths, and each event
+// lands in its own VM's log, written only by the worker driving that
+// VM. Because every VM's frames are its own (shared frames are never
+// written: COW breaks privatize them first) and its shadow-table pages
+// are carved for it alone, shards never write each other's bytes, and
+// all of the serial emulation machinery runs on a shard unchanged.
 //
 // A VM is dispatched onto whichever worker dequeues it. Dispatching is
 // a world switch on that worker's shard, so the architectural state
@@ -45,9 +43,9 @@ import (
 //
 // The engine is intentionally NOT deterministic: interleaving depends
 // on the host scheduler. Experiments and the fault campaign therefore
-// keep the serial engine (the default, and the forced fallback when a
-// fault injector is attached, since injection schedules key off the
-// single machine-wide tick stream).
+// use Run, the serial engine; RunParallel itself falls back to it when
+// a fault injector is attached, since injection schedules key off the
+// single machine-wide tick stream.
 
 // ParallelRunStats summarizes the last RunParallel invocation.
 type ParallelRunStats struct {
@@ -257,33 +255,14 @@ type worker struct {
 	_          [64]byte
 }
 
-// newWorkerShard builds a per-worker monitor. It mirrors New, but over
-// the shared physical memory and global page pool, with a one-slot VM
-// table that attach fills per dispatch. Shards live on the root's
-// workerShards pool and are reused across runs.
+// newWorkerShard builds a per-worker monitor over the shared physical
+// memory and page pool, with a one-slot VM table that attach fills per
+// dispatch. Shards live on the root's workerShards pool and are reused
+// across runs.
 func (k *VMM) newWorkerShard() *VMM {
-	c := cpu.New(k.Mem, k.CPU.Variant)
-	s := &VMM{
-		CPU:    c,
-		Mem:    k.Mem,
-		Clock:  dev.NewClock(),
-		cfg:    k.cfg,
-		vms:    make([]*VM, 1),
-		cur:    -1,
-		shared: k.shared,
-		parent: k,
-		rec:    k.rec,
-		ioBuf:  make([]byte, vax.PageSize),
-	}
-	c.Sink = s
-	c.AddDevice(s.Clock)
-	c.TrapAllInVM = s.cfg.Scheme == TrapAll
-	c.ProbeWTrapOnDeny = s.cfg.ReadOnlyShadow
-	s.Clock.Interval(clockPeriod)
-	c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
-	if s.cfg.Translation {
-		s.enableTranslation(c)
-	}
+	s := newInstance(k.Mem, k.cfg, k.shared, k.rec)
+	s.vms = make([]*VM, 1)
+	s.parent = k
 	return s
 }
 
@@ -317,8 +296,7 @@ func (k *VMM) resetShard(s *VMM) {
 // mergeShard folds a finished shard's statistics back into the root.
 // Monotonic machine-wide clocks (cycles, ticks) take the furthest
 // shard; event counters sum (resetShard zeroed them, so these are this
-// run's deltas); cached free runs spill to the global pool so the
-// root's next CreateVM can recycle what halted VMs released here.
+// run's deltas).
 func (k *VMM) mergeShard(s *VMM) {
 	k.Stats.VMMEntries += s.Stats.VMMEntries
 	k.Stats.WorldSwitches += s.Stats.WorldSwitches
@@ -333,7 +311,6 @@ func (k *VMM) mergeShard(s *VMM) {
 		k.CPU.Cycles = s.CPU.Cycles
 	}
 	k.vmmCycles += s.vmmCycles
-	s.spillAllocCache()
 }
 
 // attach dispatches a VM onto a worker's shard. The previous owner
@@ -462,11 +439,12 @@ func (e *engine) drive(w *worker, vm *VM) {
 // RunParallel executes every live VM on a fixed pool of workers, until
 // each VM halts or has consumed maxStepsPerVM processor steps (0 = no
 // bound: run until all halt — beware VMs that idle forever). It
-// returns the total steps executed across all shards. The root VMM
-// must not itself be a shard and must have no fault injector attached.
+// returns the total steps executed across all shards. On a shard, or
+// with a fault injector attached, it runs the serial engine (Run)
+// instead, with maxStepsPerVM bounding the machine.
 func (k *VMM) RunParallel(workers int, maxStepsPerVM uint64) uint64 {
 	if k.parent != nil || k.faults != nil {
-		return k.CPU.Run(maxStepsPerVM)
+		return k.Run(maxStepsPerVM)
 	}
 	if cur := k.Current(); cur != nil {
 		k.suspend(cur)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/trace"
 	"repro/internal/vax"
 )
@@ -131,7 +132,7 @@ func TestSerialFairnessMixedWorkloads(t *testing.T) {
 // console and mailbox traffic in flight — the race-detector workout
 // for the sharded engine.
 func TestParallelMixedWorkloadConcurrent(t *testing.T) {
-	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Workers: 4})
+	k, vms := mixedFleet(t, Config{WaitTimeout: 2})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -155,7 +156,7 @@ func TestParallelMixedWorkloadConcurrent(t *testing.T) {
 		}
 	}()
 
-	steps := k.Run(10_000_000) // dispatches to the parallel engine
+	steps := k.RunParallel(4, 10_000_000)
 	close(stop)
 	wg.Wait()
 
@@ -175,13 +176,13 @@ func TestParallelMixedWorkloadConcurrent(t *testing.T) {
 // TestParallelFairnessFewerWorkers runs 6 VMs on 2 workers: the
 // semaphore quantum rotation must let every VM finish.
 func TestParallelFairnessFewerWorkers(t *testing.T) {
-	k := New(24<<20, Config{WaitTimeout: 2, Workers: 2})
+	k := New(24<<20, Config{WaitTimeout: 2})
 	var vms []*VM
 	for i := 0; i < 3; i++ {
 		vms = append(vms, addTestVM(t, k, "", parComputeSrc, nil))
 		vms = append(vms, addTestVM(t, k, "", parWaitSrc, nil))
 	}
-	k.Run(10_000_000)
+	k.RunParallel(2, 10_000_000)
 	assertAllHaltedNormally(t, vms)
 	if pr := k.LastParallelRun(); pr.Workers != 2 || pr.VMs != 6 {
 		t.Errorf("LastParallelRun = %+v, want 6 VMs on 2 workers", pr)
@@ -205,13 +206,13 @@ func TestAllWaitingIdleWakeSerial(t *testing.T) {
 // parallel engine. Workers park; the last one awake must wake the
 // fleet so WAIT timeouts keep advancing (no deadlock, no lost wakeup).
 func TestAllWaitingIdleWakeParallel(t *testing.T) {
-	k := New(16<<20, Config{WaitTimeout: 2, Workers: 3})
+	k := New(16<<20, Config{WaitTimeout: 2})
 	vms := []*VM{
 		addTestVM(t, k, "", parWaitSrc, nil),
 		addTestVM(t, k, "", parWaitSrc, nil),
 		addTestVM(t, k, "", parWaitSrc, nil),
 	}
-	k.Run(10_000_000)
+	k.RunParallel(3, 10_000_000)
 	assertAllHaltedNormally(t, vms)
 }
 
@@ -219,7 +220,7 @@ func TestAllWaitingIdleWakeParallel(t *testing.T) {
 // interrupt arrives parks its worker; a host-side PostIRQ must unpark
 // it and get the interrupt delivered.
 func TestExternalPostIRQWakesParkedWorker(t *testing.T) {
-	k := New(16<<20, Config{Workers: 2})
+	k := New(16<<20, Config{})
 	idle := addTestVM(t, k, "idle", parIdleUntilIRQSrc,
 		map[vax.Vector]string{vax.VecDisk: "dskh"})
 	compute := addTestVM(t, k, "compute", parComputeSrc, nil)
@@ -227,7 +228,7 @@ func TestExternalPostIRQWakesParkedWorker(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		k.Run(50_000_000)
+		k.RunParallel(2, 50_000_000)
 	}()
 	// Let the idle guest reach its parked WAIT, then post the interrupt.
 	time.Sleep(20 * time.Millisecond)
@@ -244,7 +245,9 @@ func TestExternalPostIRQWakesParkedWorker(t *testing.T) {
 }
 
 // TestParallelMatchesSerialResults: the same compute images produce
-// the same guest-visible results under both engines.
+// the same guest-visible results under both engines, and under
+// RunParallel with a fault injector attached, which must fall back to
+// the serial engine rather than run a processor no VM is on.
 func TestParallelMatchesSerialResults(t *testing.T) {
 	src := `
 start:	clrl r6
@@ -254,15 +257,22 @@ loop:	addl2 #7, r6
 	movl r6, @#0x80006000
 	halt
 `
-	run := func(workers int) uint32 {
-		k := New(16<<20, Config{Workers: workers})
+	run := func(workers int, inj *fault.Injector) uint32 {
+		k := New(16<<20, Config{})
+		if inj != nil {
+			k.AttachFaults(inj)
+		}
 		vms := []*VM{
 			addTestVM(t, k, "", src, nil),
 			addTestVM(t, k, "", src, nil),
 			addTestVM(t, k, "", src, nil),
 			addTestVM(t, k, "", src, nil),
 		}
-		k.Run(5_000_000)
+		if workers > 1 {
+			k.RunParallel(workers, 5_000_000)
+		} else {
+			k.Run(5_000_000)
+		}
 		assertAllHaltedNormally(t, vms)
 		v := guestLong(t, vms[0], 0x6000)
 		for _, vm := range vms[1:] {
@@ -272,10 +282,13 @@ loop:	addl2 #7, r6
 		}
 		return v
 	}
-	serial := run(1)
-	parallel := run(4)
+	serial := run(1, nil)
+	parallel := run(4, nil)
 	if serial != parallel {
 		t.Errorf("serial result %d != parallel result %d", serial, parallel)
+	}
+	if injected := run(4, fault.New(1, fault.Config{})); injected != serial {
+		t.Errorf("RunParallel with an injector computed %d, the serial engine %d", injected, serial)
 	}
 	if serial != 7000 {
 		t.Errorf("guest computed %d, want 7000", serial)
@@ -305,7 +318,7 @@ func TestVMMCyclesBucket(t *testing.T) {
 // TestAuditTrailParallel: events recorded by concurrent shards surface
 // in the audit view, ordered by (cycle, VM).
 func TestAuditTrailParallel(t *testing.T) {
-	k := New(16<<20, Config{Workers: 4})
+	k := New(16<<20, Config{})
 	rec := k.EnableRecorder(1024)
 	vms := []*VM{
 		addTestVM(t, k, "", parComputeSrc, nil),
@@ -313,7 +326,7 @@ func TestAuditTrailParallel(t *testing.T) {
 		addTestVM(t, k, "", parWaitSrc, nil),
 		addTestVM(t, k, "", parWaitSrc, nil),
 	}
-	k.Run(10_000_000)
+	k.RunParallel(4, 10_000_000)
 	assertAllHaltedNormally(t, vms)
 	trail := rec.Audit()
 	if len(trail) == 0 {
@@ -339,8 +352,8 @@ func auditBefore(a, b trace.Event) bool {
 	return a.Cycle < b.Cycle || a.Cycle == b.Cycle && a.VM < b.VM
 }
 
-// TestSerialEngineStaysDefault: without Workers the engine never goes
-// parallel, even with many VMs (the determinism guarantee).
+// TestSerialEngineStaysDefault: Run never goes parallel, even with
+// many VMs (the determinism guarantee); only RunParallel does.
 func TestSerialEngineStaysDefault(t *testing.T) {
 	k, vms := mixedFleet(t, Config{WaitTimeout: 2})
 	k.Run(10_000_000)
@@ -373,7 +386,7 @@ dskh:	incl r7
 // Run under -race this also exercises the engine's handoff ordering.
 func TestParkPostWakeChurn(t *testing.T) {
 	const nVMs = 64
-	k := New(16<<20, Config{Workers: 4, WaitTimeout: 4})
+	k := New(16<<20, Config{WaitTimeout: 4})
 	vms := make([]*VM, nVMs)
 	for i := range vms {
 		vms[i] = addTestVM(t, k, fmt.Sprintf("churn%d", i), parChurnSrc,
@@ -383,7 +396,7 @@ func TestParkPostWakeChurn(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		k.Run(0)
+		k.RunParallel(4, 0)
 	}()
 	// Four hammers, one per stripe of the fleet, posting until the run
 	// completes. Posting to an already-halted VM is a harmless no-op,

@@ -15,10 +15,10 @@ import (
 // recordedMixedRun runs the standard mixed fleet with a recorder of
 // the given log capacity and returns the recorder plus the total
 // events retained across VMs.
-func recordedMixedRun(t *testing.T, logCap, workers int) (*trace.Recorder, int) {
+func recordedMixedRun(t *testing.T, logCap int) (*trace.Recorder, int) {
 	t.Helper()
 	rec := trace.NewRecorder(logCap)
-	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Workers: workers, Recorder: rec})
+	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Recorder: rec})
 	k.Run(10_000_000)
 	assertAllHaltedNormally(t, vms)
 	total := 0
@@ -35,8 +35,8 @@ func recordedMixedRun(t *testing.T, logCap, workers int) (*trace.Recorder, int) 
 // single-writer/merge-barrier contract.
 func TestRecorderParallelAllShards(t *testing.T) {
 	rec := trace.NewRecorder(1 << 16)
-	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Workers: 4, Recorder: rec})
-	k.Run(10_000_000)
+	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Recorder: rec})
+	k.RunParallel(4, 10_000_000)
 	assertAllHaltedNormally(t, vms)
 	if rec.Dropped() != 0 {
 		t.Errorf("dropped %d events with %d-event logs", rec.Dropped(), 1<<16)
@@ -76,14 +76,14 @@ func TestRecorderParallelAllShards(t *testing.T) {
 // retained + dropped must equal the lossless total, and what a 4-event
 // log retains must be exactly the lossless run's newest 4 events.
 func TestRecorderDropCounterExact(t *testing.T) {
-	big, total := recordedMixedRun(t, 1<<16, 0)
+	big, total := recordedMixedRun(t, 1<<16)
 	if d := big.Dropped(); d != 0 {
 		t.Fatalf("reference run dropped %d events", d)
 	}
 	if total == 0 {
 		t.Fatal("reference run recorded nothing")
 	}
-	small, _ := recordedMixedRun(t, 4, 0)
+	small, _ := recordedMixedRun(t, 4)
 	var retained, dropped int
 	bigVMs := big.VMs()
 	for i, v := range small.VMs() {
@@ -113,8 +113,12 @@ func TestEventLogRetentionBothEngines(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rec := trace.NewRecorder(64)
-			k, vms := mixedFleet(t, Config{WaitTimeout: 2, Workers: workers, Recorder: rec})
-			k.Run(10_000_000)
+			k, vms := mixedFleet(t, Config{WaitTimeout: 2, Recorder: rec})
+			if workers > 1 {
+				k.RunParallel(workers, 10_000_000)
+			} else {
+				k.Run(10_000_000)
+			}
 			assertAllHaltedNormally(t, vms)
 			if rec.Dropped() == 0 {
 				t.Fatal("no log filled: the run exercised no eviction")

@@ -49,8 +49,10 @@ type shadowSpace struct {
 	released bool
 }
 
-// newShadowSpace allocates and wires a VM's shadow tables.
-func (k *VMM) newShadowSpace(vm *VM) (*shadowSpace, error) {
+// newShadowSpace allocates and wires a VM's shadow tables. A build
+// refused part-way (out of physical memory) parks every run it already
+// carved back in the pool, so a failed build holds no pages.
+func (k *VMM) newShadowSpace(vm *VM) (_ *shadowSpace, err error) {
 	slots := k.cfg.ShadowCacheSlots
 	s := &shadowSpace{
 		vm:        vm,
@@ -60,6 +62,11 @@ func (k *VMM) newShadowSpace(vm *VM) (*shadowSpace, error) {
 		slotLRU:   make([]uint64, slots),
 		runs:      make([][2]uint32, 0, slots+3), // SPT, slots, P1, identity
 	}
+	defer func() {
+		if err != nil {
+			s.releaseRuns(k)
+		}
+	}()
 
 	vmPages := vm.MemSize / vax.PageSize
 	s.identPTEs = vmPages

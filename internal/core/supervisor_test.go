@@ -253,7 +253,6 @@ inner:	sobgtr r11, inner
 	halt
 `
 	k, vm0, _ := bootVM(t, Config{
-		Workers:         2,
 		Watchdog:        16,
 		CheckpointEvery: 3, CheckpointGenerations: 4,
 		Recover: true, RecoverBudget: 8,
@@ -278,7 +277,7 @@ inner:	sobgtr r11, inner
 	}
 	vmW.SPs[vax.Kernel] = gKSP
 
-	k.Run(100_000_000)
+	k.RunParallel(2, 100_000_000)
 
 	for i, vm := range victims {
 		if h, msg := vm.Halted(); !h || !strings.Contains(msg, "HALT") {

@@ -63,12 +63,12 @@ func TestWithTranslationMatchesBaseline(t *testing.T) {
 // reach the right answer and the merged run stats must show superblock
 // activity.
 func TestWithTranslationParallelEngine(t *testing.T) {
-	k := New(16<<20, Config{Workers: 4, Translation: true})
+	k := New(16<<20, Config{Translation: true})
 	var vms []*VM
 	for i := 0; i < 4; i++ {
 		vms = append(vms, addTestVM(t, k, "", trHotLoopSrc, nil))
 	}
-	k.Run(50_000_000)
+	k.RunParallel(4, 50_000_000)
 	for i, vm := range vms {
 		if halted, msg := vm.Halted(); !halted || !strings.Contains(msg, "HALT") {
 			t.Fatalf("vm%d did not finish: %t %q", i, halted, msg)

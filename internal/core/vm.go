@@ -254,9 +254,6 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 		cfg.MemBytes = 1 << 20
 	}
 	pages := (cfg.MemBytes + vax.PageSize - 1) / vax.PageSize
-	if err := k.checkQuota(pages); err != nil {
-		return nil, err
-	}
 	// Prefer a recycled run of this exact geometry (DestroyVM parks
 	// them) over carving fresh pages; recycled runs carry the previous
 	// owner's bytes and possibly cached decodes, so restore the
@@ -265,6 +262,7 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 	if recycled {
 		k.CPU.InvalidateDecode(base*vax.PageSize, pages*vax.PageSize)
 		if err := k.zeroPages(base, pages); err != nil {
+			k.freeRun(base, pages)
 			return nil, err
 		}
 	} else {
@@ -288,12 +286,17 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 	if vm.name == "" {
 		vm.name = defaultVMName(vm.ID)
 	}
+	// From here every failure returns the RAM run (and the shadow
+	// tables, once built) to the pool: a refused CreateVM holds no pages.
 	shadow, err := k.newShadowSpace(vm)
 	if err != nil {
+		k.freeRun(base, pages)
 		return nil, err
 	}
 	vm.shadow = shadow
 	if len(cfg.Image) > 0 && vm.dmaWrite(cfg.LoadAt, cfg.Image) != nil {
+		shadow.releaseRuns(k)
+		k.freeRun(base, pages)
 		return nil, fmt.Errorf("vmm: image does not fit in VM memory")
 	}
 	blocks := cfg.DiskBlocks

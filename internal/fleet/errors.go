@@ -49,8 +49,7 @@ func BadRequest(format string, args ...any) *Error {
 	return errf("bad_request", http.StatusBadRequest, format, args...)
 }
 
-// QuotaExceeded reports a tenant (or whole-monitor) admission limit
-// breach (429).
+// QuotaExceeded reports a tenant admission limit breach (429).
 func QuotaExceeded(format string, args ...any) *Error {
 	return errf("quota_exceeded", http.StatusTooManyRequests, format, args...)
 }
@@ -61,15 +60,13 @@ func BudgetExhausted(format string, args ...any) *Error {
 	return errf("cycle_budget_exhausted", http.StatusForbidden, format, args...)
 }
 
-// wrapCore lifts core-layer admission failures into typed API errors;
-// anything unrecognized passes through for the 500 path.
+// wrapCore lifts core-layer refusals into typed API errors: physical
+// memory that cannot back the request is a 503 out_of_memory, the
+// machine's limit rather than the tenant's. Anything unrecognized
+// passes through for the 500 path.
 func wrapCore(err error) error {
-	if err == nil {
-		return nil
-	}
-	var qe *core.QuotaError
-	if errors.As(err, &qe) {
-		return QuotaExceeded("monitor %s", qe.Error())
+	if errors.Is(err, core.ErrOutOfMemory) {
+		return errf("out_of_memory", http.StatusServiceUnavailable, "%v", err)
 	}
 	return err
 }
@@ -80,10 +77,6 @@ func HTTPStatus(err error) (int, string) {
 	var e *Error
 	if errors.As(err, &e) {
 		return e.Status, e.Code
-	}
-	var qe *core.QuotaError
-	if errors.As(err, &qe) {
-		return http.StatusTooManyRequests, "quota_exceeded"
 	}
 	return http.StatusInternalServerError, "internal"
 }

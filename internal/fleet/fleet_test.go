@@ -329,20 +329,3 @@ func TestSummaryAndAdoption(t *testing.T) {
 		t.Fatalf("nominal pages = %d", sum.NominalPages)
 	}
 }
-
-func TestWrapCoreQuota(t *testing.T) {
-	k := core.New(32<<20, core.Config{Quota: core.Quota{MaxVMs: 1}})
-	m := NewManager(k, Config{})
-	if _, err := m.Create(Spec{Workload: "stamp"}); err != nil {
-		t.Fatal(err)
-	}
-	// The monitor-wide backstop surfaces as the same typed 429 the
-	// tenant quotas use.
-	_, err := m.Create(Spec{Workload: "stamp"})
-	if code(t, err) != "quota_exceeded" {
-		t.Fatalf("monitor quota breach = %v", err)
-	}
-	if !strings.Contains(err.Error(), "monitor") {
-		t.Fatalf("err = %v, want the monitor-level wording", err)
-	}
-}

@@ -215,4 +215,43 @@ func TestQuotaErrorsOnBothSurfaces(t *testing.T) {
 	}
 }
 
+// TestOutOfMemoryOnBothSurfaces: a create the monitor's physical
+// memory cannot back is the typed out_of_memory refusal on the REPL
+// (code in the text) and a 503 over HTTP, not an internal error.
+func TestOutOfMemoryOnBothSurfaces(t *testing.T) {
+	k := core.New(2<<20, core.Config{})
+	m := New(k.CPU)
+	m.VMM = k
+	m.Fleet = fleet.NewManager(k, fleet.Config{})
+	var mu sync.Mutex
+	srv := newTestServer(t, m, &mu)
+
+	// REPL: create until the monitor runs out; the typed code leads the
+	// error text.
+	var out string
+	for i := 0; i < 64; i++ {
+		if out, _ = m.Execute("create vm" + itoa(i) + " stamp"); !strings.Contains(out, "created") {
+			break
+		}
+	}
+	if !strings.Contains(out, "out_of_memory") {
+		t.Fatalf("REPL create on a full monitor = %q", out)
+	}
+
+	// HTTP: 503 with the same stable code.
+	status, body := srv.post(t, "/v1/vms", `{"workload":"stamp"}`)
+	if status != 503 {
+		t.Fatalf("HTTP create on a full monitor: status %d (%s)", status, body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(body), &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Error != "out_of_memory" {
+		t.Fatalf("HTTP create on a full monitor: body %s", body)
+	}
+}
+
 func itoa(n int) string { return strconv.Itoa(n) }
