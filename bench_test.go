@@ -129,34 +129,42 @@ func BenchmarkE3RecorderOverhead(b *testing.B) {
 	b.ReportMetric(float64(on.Nanoseconds())/float64(b.N), "on-ns/op")
 }
 
-// benchThroughput measures the raw execution rate of a tight guest
-// compute loop, after the decoded-instruction cache (and, tier-on, the
-// superblock cache) is warm. It reports guest instructions per second
-// and, via ReportAllocs, holds the steady-state hot path to zero
-// allocations per iteration.
-func benchThroughput(b *testing.B, translate bool) {
-	prog, err := asm.Assemble(`
+// throughputProg is the tight guest compute loop of
+// BenchmarkInterpreterThroughput: 2003 bound instructions per run.
+const throughputProg = `
 start:	clrl r0
 	movl #1000, r1
 loop:	addl2 #7, r0
 	sobgtr r1, loop
 	halt
-`, 0x400)
+`
+
+// newThroughputCPU loads throughputProg on a bare machine and returns
+// the processor and the program's start address.
+func newThroughputCPU(tb testing.TB) (*cpu.CPU, uint32) {
+	tb.Helper()
+	prog, err := asm.Assemble(throughputProg, 0x400)
 	if err != nil {
-		b.Fatalf("assemble: %v", err)
+		tb.Fatalf("assemble: %v", err)
 	}
 	m := mem.New(64 * 1024)
 	if err := m.StoreBytes(prog.Origin, prog.Code); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c := cpu.New(m, cpu.StandardVAX)
 	c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
 	c.SetSP(0x8000)
-	c.EnableTranslation(translate)
-	start := prog.MustSymbol("start")
+	return c, prog.MustSymbol("start")
+}
 
-	// Warm-up run: populates the decode cache (and crosses the heat
-	// threshold, tier-on) so the timed iterations measure the hot path.
+// BenchmarkInterpreterThroughput measures the raw execution rate of a
+// tight guest compute loop once the decoded-instruction cache is warm.
+// It reports guest instructions per second and, via ReportAllocs,
+// holds the steady-state hot path to zero allocations per iteration.
+func BenchmarkInterpreterThroughput(b *testing.B) {
+	c, start := newThroughputCPU(b)
+	// Warm-up run: populates the decode cache so the timed iterations
+	// measure the hot path.
 	c.SetPC(start)
 	c.Run(0)
 	if !c.Halted {
@@ -176,19 +184,8 @@ loop:	addl2 #7, r0
 	if c.R[0] != 7000 {
 		b.Fatalf("guest computed %d, want 7000", c.R[0])
 	}
-	if translate && c.Stats.SBEnters == 0 {
-		b.Fatal("translation tier never entered a superblock")
-	}
 	b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "instr/sec")
 }
-
-// BenchmarkInterpreterThroughput is the baseline fetch-decode-execute
-// rate with the hot-trace tier off.
-func BenchmarkInterpreterThroughput(b *testing.B) { benchThroughput(b, false) }
-
-// BenchmarkTranslationThroughput is the same loop with the hot-trace
-// superblock tier on; ci.sh gates on its speedup over the baseline.
-func BenchmarkTranslationThroughput(b *testing.B) { benchThroughput(b, true) }
 
 // Guest layout for the multi-VM scaling benchmark (mirrors the
 // internal/core test harness: identity-mapped SPT, code at S+0x1000).

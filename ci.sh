@@ -271,45 +271,20 @@ echo "$pairs" | awk '{
     if (delta > 5) { print "  REGRESSION: recorder-on E3 more than 5% slower"; exit 1 }
 }'
 
-echo "== translation-tier gate (superblock vs interpreter instr/sec, <1.5x fails)"
-best_rate() {
-    awk '/^Benchmark/ {
-        for (i = 2; i <= NF; i++)
-            if ($(i) == "instr/sec" && $(i-1) + 0 > best) best = $(i-1) + 0
-    } END { print best + 0 }'
-}
-# Interleave baseline/tier measurements (three alternating pairs, best
-# of each) so host noise lands on both sides of the ratio. 20000 runs of
-# the 2003-instruction loop keep each measurement near a second; a
-# handful of runs measured scheduler noise, not the tiers.
-#
-# The threshold: tier-off replay runs register/literal instructions in
-# their pre-bound form too, so the tier's remaining edge is dispatch and
-# interrupt-poll hoisting, measured at 2.0-2.7x best-of-3 (2-vCPU
-# shared host). 1.5x sits below that noise band and well above the
-# ~1.0x of a tier that stopped entering superblocks.
-base=0; tier=0
-for pass in 1 2 3; do
-    b=$(go test -run '^$' -bench 'BenchmarkInterpreterThroughput$' -benchtime 20000x . | best_rate)
-    t=$(go test -run '^$' -bench 'BenchmarkTranslationThroughput$' -benchtime 20000x . | best_rate)
-    if [ "$(echo "$b $base" | awk '{print ($1 > $2)}')" = 1 ]; then base=$b; fi
-    if [ "$(echo "$t $tier" | awk '{print ($1 > $2)}')" = 1 ]; then tier=$t; fi
-done
-echo "  instr/sec (best of 3 interleaved): interpreter $base, translation $tier"
-awk -v base="$base" -v tier="$tier" 'BEGIN {
-    if (base + 0 == 0 || tier + 0 == 0) { print "  no benchmark output"; exit 1 }
-    printf "  translation speedup %.2fx\n", tier / base
-    if (tier / base < 1.5) { print "  REGRESSION: translation tier under 1.5x the interpreter"; exit 1 }
-}'
+echo "== run-loop gate (bound instructions run back to back between device deadlines)"
+# Deterministic: on the throughput loop, Run must tick a device with a
+# 5000-cycle period at most once per 100 instructions, and the device
+# must see the same summed cycles as one Step at a time gives it.
+go test -count=1 -run '^TestRunLoopBatchesDeviceTicks$' .
 
-echo "== experiments output identical with translation off"
+echo "== experiments output identical to EXPERIMENTS.md"
 tmpmd=$(mktemp) tmpwant=$(mktemp) tmpgot=$(mktemp)
 go run ./cmd/experiments -md > "$tmpmd"
 grep -q '^## T1' "$tmpmd" || { echo "generated output missing '## T1' marker" >&2; exit 1; }
 sed -n '/^## T1/,$p' EXPERIMENTS.md > "$tmpwant"
 sed -n '/^## T1/,$p' "$tmpmd" > "$tmpgot"
 if ! diff "$tmpwant" "$tmpgot"; then
-    echo "EXPERIMENTS.md body diverges from tier-off output; regenerate it" >&2
+    echo "EXPERIMENTS.md body diverges from the experiments' output; regenerate it" >&2
     rm -f "$tmpmd" "$tmpwant" "$tmpgot"
     exit 1
 fi

@@ -43,15 +43,12 @@ func run() int {
 	seedbase := flag.Int64("seedbase", 1, "first campaign seed (with -faults)")
 	traceCap := flag.Int("trace", exp.RecorderCap,
 		"flight-recorder events kept per VM; 0 disables tracing (also VAX_TRACE)")
-	translate := flag.Bool("translate", exp.Translation,
-		"enable the hot-trace superblock translation tier (also VAX_TRANSLATE)")
 	soak := flag.Bool("soak", false, "run the fleet-API soak: concurrent HTTP-driven VM lifecycles with leak and latency gates")
 	lifecycles := flag.Int("lifecycles", 2000, "total VM lifecycles (with -soak)")
 	clients := flag.Int("clients", 8, "concurrent API clients (with -soak)")
 	tenants := flag.Int("tenants", 4, "tenants the lifecycles spread across (with -soak)")
 	flag.Parse()
 	exp.RecorderCap = *traceCap
-	exp.Translation = *translate
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

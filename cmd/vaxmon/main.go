@@ -41,8 +41,6 @@ func main() {
 		"flight-recorder events kept per VM in -vm mode; 0 disables tracing")
 	httpAddr := flag.String("http", "",
 		"serve the fleet API (/v1), Prometheus (/metrics) and JSON (/metrics.json) on this address")
-	translate := flag.Bool("translate", false,
-		"enable the hot-trace superblock translation tier")
 	serve := flag.Bool("serve", false,
 		"drive the fleet continuously in the background (for API-driven use)")
 	flag.Parse()
@@ -80,7 +78,6 @@ func main() {
 		if *traceCap > 0 {
 			opts = append(opts, core.WithRecorder(trace.NewRecorder(*traceCap)))
 		}
-		opts = append(opts, core.WithTranslation(*translate))
 		k := core.New(16<<20, core.Config{}, opts...)
 		if _, err := vmos.BootVM(k, im, 16); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -96,7 +93,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		ma.CPU.EnableTranslation(*translate)
 		mon = monitor.New(ma.CPU)
 	}
 	mon.Symbols = im.Kernel.Symbols

@@ -258,7 +258,7 @@ func (k *VMM) cowBreak(vm *VM, pfn uint32) bool {
 	vm.Stats.COWBreaks++
 	// The new page may carry stale cached decodes from a recycled run;
 	// the old frame's decodes stay valid for its remaining holders (the
-	// decode cache and superblock tier are keyed by physical page, and
+	// decode cache is keyed by physical page, and
 	// this VM can no longer fetch from the old frame).
 	k.CPU.InvalidateDecode(page*vax.PageSize, vax.PageSize)
 	k.cowSweep(vm, old)

@@ -158,15 +158,6 @@ type Config struct {
 	// 8 when Recover is set).
 	RecoverBudget int
 
-	// Translation enables the hot-trace superblock tier: decoded
-	// instructions that stay hot are chained into superblocks the
-	// processor replays without per-instruction fetch/decode (see
-	// cpu.EnableTranslation). Off by default — the tier trades the
-	// one-instruction-per-Step guarantee for throughput, so replay-
-	// exact harnesses (fault campaigns, experiments) leave it off.
-	// Usually set via WithTranslation.
-	Translation bool
-
 	// Recorder attaches a flight recorder: every VM created on this
 	// monitor gets an event log and latency histograms in it.
 	// nil (the default) disables recording; the hot paths then pay one
@@ -343,23 +334,7 @@ func newInstance(m *mem.Memory, cfg Config, shared *vmmShared, rec *trace.Record
 	k.Clock.Interval(clockPeriod)
 	// The VMM parks the processor in kernel mode; VMs run with PSL<VM>.
 	c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
-	if cfg.Translation {
-		k.enableTranslation(c)
-	}
 	return k
-}
-
-// enableTranslation opts a processor into the superblock tier and
-// wires its compile callback into the flight recorder. The callback
-// closure is created only on tier-on monitors, keeping the default
-// construction path allocation-identical to previous releases.
-func (k *VMM) enableTranslation(c *cpu.CPU) {
-	c.EnableTranslation(true)
-	c.OnTraceCompile = func(startVA uint32, steps int) {
-		if vm := k.Current(); vm != nil && vm.rec != nil {
-			vm.rec.Record(trace.EvTraceCompile, c.Cycles, c.PC(), startVA)
-		}
-	}
 }
 
 // Config returns the VMM's effective configuration.

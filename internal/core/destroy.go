@@ -40,7 +40,7 @@ func (k *VMM) DestroyVM(vm *VM) error {
 		vm.shadow.releaseRuns(k)
 	}
 	// Keep the frames this VM held last, in place. Each may carry cached
-	// decodes (or superblocks) that would go stale on reuse.
+	// decodes that would go stale on reuse.
 	refs := k.shared.refs
 	last := vm.frames[:0]
 	for _, f := range vm.frames {

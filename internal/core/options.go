@@ -11,7 +11,7 @@ import (
 // Functional options for New. A Config literal sets every plain knob;
 // the options below are the attachments the experiment harness, the
 // benchmark module and vaxmon compose at construction (a flight
-// recorder, the translation tier, a memory cache).
+// recorder, a memory cache).
 
 // Option adjusts a Config before validation.
 type Option func(*Config)
@@ -21,11 +21,13 @@ func WithRecorder(rec *trace.Recorder) Option {
 	return func(cfg *Config) { cfg.Recorder = rec }
 }
 
-// WithTranslation toggles the hot-trace superblock execution tier on
-// every processor the monitor drives (the serial machine and, under
-// the parallel engine, each worker shard).
-func WithTranslation(on bool) Option {
-	return func(cfg *Config) { cfg.Translation = on }
+// WithTranslation leaves the Config unchanged: the superblock tier it
+// switched is gone, and every processor runs bound instructions back
+// to back on its own.
+//
+// Deprecated: bench/ is its last caller.
+func WithTranslation(bool) Option {
+	return func(*Config) {}
 }
 
 // WithMemCache routes the monitor's physical-memory allocation and

@@ -73,17 +73,11 @@ type ParallelRunStats struct {
 	MinWorkerSteps uint64
 	MaxWorkerSteps uint64
 
-	// Processor-tier totals summed over the worker shards: decoded-
-	// instruction cache hits, misses and invalidations, and — when the
-	// translation tier is on — superblock builds, entries, steps
-	// retired in blocks, and invalidations.
+	// Decoded-instruction cache hits, misses and invalidations summed
+	// over the worker shards.
 	DecodeHits          uint64
 	DecodeMisses        uint64
 	DecodeInvalidations uint64
-	SBBuilds            uint64
-	SBEnters            uint64
-	SBSteps             uint64
-	SBInvalidations     uint64
 
 	// COW breaks summed over the participating VMs' lifetime counters,
 	// read after the merge barrier. Every other per-VM total is in
@@ -532,10 +526,6 @@ func (k *VMM) RunParallel(workers int, maxStepsPerVM uint64) uint64 {
 		pr.DecodeHits += cs.DecodeHits - w.statsBase.DecodeHits
 		pr.DecodeMisses += cs.DecodeMisses - w.statsBase.DecodeMisses
 		pr.DecodeInvalidations += cs.DecodeInvalidations - w.statsBase.DecodeInvalidations
-		pr.SBBuilds += cs.SBBuilds - w.statsBase.SBBuilds
-		pr.SBEnters += cs.SBEnters - w.statsBase.SBEnters
-		pr.SBSteps += cs.SBSteps - w.statsBase.SBSteps
-		pr.SBInvalidations += cs.SBInvalidations - w.statsBase.SBInvalidations
 		pr.Dispatches += w.dispatches
 		pr.Steals += w.steals
 		pr.Parks += w.parks

@@ -113,10 +113,6 @@ func (pr ParallelRunStats) Counters(emit func(name string, v uint64)) {
 	emit("decode_hits", pr.DecodeHits)
 	emit("decode_misses", pr.DecodeMisses)
 	emit("decode_invalidations", pr.DecodeInvalidations)
-	emit("sb_builds", pr.SBBuilds)
-	emit("sb_enters", pr.SBEnters)
-	emit("sb_steps", pr.SBSteps)
-	emit("sb_invalidations", pr.SBInvalidations)
 	emit("cow_breaks", pr.CowBreaks)
 	// Occupancy balance in parts per thousand: 1000 = perfectly even,
 	// 0 = at least one worker never ran a step.

@@ -336,7 +336,7 @@ over:	halt
 }
 
 // TestBoundSelfModifying rewrites a bound MOVL's source register byte
-// after the instruction has replayed in bound form: the next tier-off
+// after the instruction has replayed in bound form: the next
 // execution must read the new register.
 func TestBoundSelfModifying(t *testing.T) {
 	ma := newMachine(t, StandardVAX, `

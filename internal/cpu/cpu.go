@@ -56,8 +56,18 @@ type ExceptionSink interface {
 // Device is a hardware model that advances with the processor and may
 // request interrupts or service IPR and memory-mapped register accesses.
 type Device interface {
-	// Tick is called after every instruction with the cycles it consumed.
+	// Tick advances the device by the cycles since its last tick. The
+	// processor ticks after every step that may touch device state; a
+	// run of bound instructions, which cannot, gets one Tick summing
+	// their cycles, and the run ends at the instruction that reaches
+	// Deadline.
 	Tick(c *CPU, cycles uint64)
+	// Deadline returns how many cycles may pass before the device's
+	// next state change (an interrupt posting, a transfer completing).
+	// Ticking a cycles, a below it, and then b more must leave the
+	// device exactly as one Tick of a+b. ^uint64(0) means no change is
+	// scheduled.
+	Deadline() uint64
 }
 
 // IPRHandler lets a device claim internal processor registers.
@@ -93,14 +103,11 @@ type Stats struct {
 	DecodeMisses        uint64
 	DecodeInvalidations uint64
 
-	// Superblock translation-tier counters (see sblock.go): blocks
-	// built, block entries, instructions retired inside blocks, exits
-	// before a block's last step, and blocks dropped by invalidation.
-	SBBuilds        uint64
-	SBEnters        uint64
-	SBSteps         uint64
-	SBEarlyExits    uint64
-	SBInvalidations uint64
+	// Deprecated: the superblock tier is gone and these always read
+	// 0. bench/ is their last reader.
+	SBBuilds uint64
+	// Deprecated: always 0, as SBBuilds.
+	SBSteps uint64
 }
 
 // HaltReason explains why the processor stopped.
@@ -196,19 +203,9 @@ type CPU struct {
 	vmScratch vax.VMTrapScratch
 
 	// dc is the decoded-instruction cache; cur is the record/replay
-	// cursor of the instruction currently executing (dcache.go). sb is
-	// the hot-trace superblock tier, nil unless EnableTranslation
-	// opted this processor in (sblock.go).
+	// cursor of the instruction currently executing (dcache.go).
 	dc  dcache
 	cur cursor
-	sb  *sbCache
-
-	// OnTraceCompile, when non-nil, is invoked after each superblock
-	// install with the block's start VA and step count (the flight
-	// recorder's EvTraceCompile rides on it). Wired by the VMM only
-	// when the translation tier is enabled, so the default path keeps
-	// no closure.
-	OnTraceCompile func(startVA uint32, steps int)
 }
 
 // New creates a processor over the given memory with mapping disabled,
@@ -375,6 +372,12 @@ func (c *CPU) EnableModifyFault(on bool) { c.modifyFaultOptIn = on }
 // ModifyFaultOptIn reports whether the base-architecture modify fault
 // option is enabled.
 func (c *CPU) ModifyFaultOptIn() bool { return c.modifyFaultOptIn }
+
+// EnableTranslation does nothing: the superblock tier it switched is
+// gone, and Run executes bound instructions back to back on its own.
+//
+// Deprecated: bench/ is its last caller.
+func (c *CPU) EnableTranslation(bool) {}
 
 // GuestPSL composes the VM's full PSL from the real PSL and VMPSL, the
 // merge MOVPSL performs in microcode (Section 4.2.1): mode, IPL and

@@ -12,7 +12,8 @@ import (
 // opcode byte, so re-execution translates the PC once and replays the
 // templates. Entries whose operands are all registers and literals are
 // also bound when recorded (sbBind), and a hit on one runs the bound
-// form without the cursor or the generic handler.
+// form without the cursor or the generic handler. The run loop
+// (exception.go) tests for such a hit with one compare: btag.
 //
 // Keying by physical address makes invalidation precise: a write to a
 // physical page drops the decodes from that page no matter which
@@ -34,6 +35,11 @@ import (
 //   - A plain entry needs no TLB-coherence work: its tag is verified
 //     against a fresh translation of the PC on every execution, so a
 //     mapping change redirects or misses exactly like the TLB does.
+//   - btag equals tag exactly while the entry is valid, single-page
+//     and bound, and holds noBTag otherwise: initDecodeCache,
+//     finishRecord, invalidateDecodePA and FlushDecodeCache keep it so.
+//     A straddling entry never carries one, so flushStraddleDecodes
+//     need not touch it.
 
 const (
 	dcSlots    = 1024 // direct-mapped entries, indexed by PA low bits
@@ -58,13 +64,18 @@ type dcEntry struct {
 	straddle bool    // recorded bytes span a page boundary
 	opLen    uint8   // opcode length (2 for 0xFD-prefixed)
 	n        uint8   // recorded items
-	heat     uint16  // replays seen by the superblock tier (sblock.go)
+	btag     uint32  // tag if valid, single-page and bound; else noBTag
 	bound    sbBound // pre-bound form (fbNone: replay through the handler)
 	items    [dcItemsMax]dspec
 }
 
+// noBTag is the btag of slot i's entries when they are not a bound
+// hit: lookups index the slot by a PA's low bits, and this value's low
+// bits name another slot, so no PA can ever match it.
+func noBTag(i uint32) uint32 { return i ^ 1 }
+
 type dcache struct {
-	entries   []dcEntry
+	entries   *[dcSlots]dcEntry
 	pageBits  []uint64 // physical pages holding at least one cached decode
 	pageLim   uint32   // number of physical pages covered by pageBits
 	straddles int      // live straddle entries, guarding flushStraddleDecodes
@@ -182,22 +193,17 @@ func (c *CPU) fetchStream16() (uint16, error) {
 
 func (c *CPU) initDecodeCache() {
 	pages := c.Mem.Pages()
-	c.dc.entries = make([]dcEntry, dcSlots)
+	c.dc.entries = new([dcSlots]dcEntry)
+	for i := range c.dc.entries {
+		c.dc.entries[i].btag = noBTag(uint32(i))
+	}
 	c.dc.pageBits = make([]uint64, (pages+63)/64)
 	c.dc.pageLim = pages
 }
 
-// execOne fetches, decodes and executes a single instruction, replaying
-// from the decoded-instruction cache when the physical PC hits a valid
-// entry.
-func (c *CPU) execOne() error {
-	pa, paOK := c.MMU.TranslateFast(c.R[RegPC], mmu.Read, c.psl.Cur())
-	return c.execOneAt(pa, paOK)
-}
-
-// execOneAt is execOne with the PC's translation already done (the
-// superblock tier translates once for its block probe and passes the
-// result through here on a miss).
+// execOneAt fetches, decodes and executes the instruction at PC, whose
+// translation (pa, paOK) the caller has already made, replaying from
+// the decoded-instruction cache when pa hits a valid entry.
 func (c *CPU) execOneAt(pa uint32, paOK bool) error {
 	if paOK {
 		e := &c.dc.entries[pa&(dcSlots-1)]
@@ -268,7 +274,7 @@ func (c *CPU) execCold(pa uint32, paOK bool) error {
 	}
 
 	if !paOK {
-		// The PC's page was not in the TLB when execOne looked; the
+		// The PC's page was not in the TLB when the caller looked; the
 		// opcode fetch above walked it in, so one retry usually makes
 		// the instruction cacheable on its first execution.
 		pa, paOK = c.MMU.TranslateFast(va, mmu.Read, c.psl.Cur())
@@ -340,9 +346,12 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	e.straddle = straddle
 	e.opLen = opLen
 	e.n = cu.n
-	e.heat = 0
 	e.items = cu.items
 	e.bound = sbBind(e)
+	e.btag = noBTag(pa)
+	if !straddle && e.bound.kind != fbNone {
+		e.btag = pa
+	}
 	e.valid = true
 	c.dc.markPage(pa / vax.PageSize)
 }
@@ -361,9 +370,6 @@ func (c *CPU) invalidateDecodePA(pa uint32) {
 			cu.aborted = true
 		}
 	}
-	if c.sb != nil {
-		c.sbInvalidatePage(page)
-	}
 	if !c.dc.pageMarked(page) {
 		return
 	}
@@ -374,6 +380,7 @@ func (c *CPU) invalidateDecodePA(pa uint32) {
 		}
 		if e.tag/vax.PageSize == page || (e.straddle && e.tag2/vax.PageSize == page) {
 			e.valid = false
+			e.btag = noBTag(uint32(i))
 			if e.straddle {
 				c.dc.straddles--
 			}
@@ -402,8 +409,10 @@ func (c *CPU) InvalidateDecode(pa, n uint32) {
 // all of memory may have changed underneath the mappings).
 func (c *CPU) FlushDecodeCache() {
 	for i := range c.dc.entries {
-		if c.dc.entries[i].valid {
-			c.dc.entries[i].valid = false
+		e := &c.dc.entries[i]
+		if e.valid {
+			e.valid = false
+			e.btag = noBTag(uint32(i))
 			c.Stats.DecodeInvalidations++
 		}
 	}
@@ -411,7 +420,6 @@ func (c *CPU) FlushDecodeCache() {
 		c.dc.pageBits[i] = 0
 	}
 	c.dc.straddles = 0
-	c.sbFlush()
 }
 
 // flushStraddleDecodes drops the entries that depend on two
@@ -420,13 +428,6 @@ func (c *CPU) FlushDecodeCache() {
 // straddling entry's second page was translated at record time, so a
 // TLB invalidate must drop it.
 func (c *CPU) flushStraddleDecodes() {
-	if c.sb != nil {
-		// Superblocks revalidate their code-page translations at entry,
-		// so a TLB invalidate between blocks costs nothing; one issued
-		// mid-block must force an exit before the next step, because the
-		// entry check has already passed.
-		c.sb.tlbFlush = true
-	}
 	if c.dc.straddles == 0 {
 		return
 	}

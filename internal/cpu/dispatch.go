@@ -19,7 +19,7 @@ type instrEntry struct {
 	nOps    uint8  // operand-specifier count
 	opSize  uint8  // primary operand access size in bytes
 	opSize2 uint8  // secondary operand size (CVT destination)
-	bind    uint8  // bound kind for register/literal shapes (sblock.go), fbNone if never bound
+	bind    uint8  // bound kind for register/literal shapes (bound.go), fbNone if never bound
 	cond    uint8  // branch predicate (fbBcond rows)
 }
 
@@ -75,7 +75,7 @@ func regVariantFD(op uint16, nOps, opSize int, modFn func(*CPU, *instrEntry) err
 	}
 }
 
-// bound marks a row as bindable (sblock.go): its register/literal
+// bound marks a row as bindable (bound.go): its register/literal
 // shapes run as the given three-address kind.
 func (e *instrEntry) bound(kind uint8) *instrEntry {
 	e.bind = kind

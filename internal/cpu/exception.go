@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"repro/internal/mem"
+	"repro/internal/mmu"
 	"repro/internal/vax"
 )
 
@@ -119,55 +120,148 @@ func (c *CPU) handleError(err error, startPC uint32) {
 
 // Step advances the machine by one instruction (or one interrupt
 // delivery, or one idle WAIT cycle).
-func (c *CPU) Step() {
+func (c *CPU) Step() { c.step(1) }
+
+// Run steps the machine until it halts or maxSteps steps have been
+// taken (0 = no limit). A step is an instruction, an interrupt delivery
+// or an idle WAIT cycle. It returns the number of steps taken.
+func (c *CPU) Run(maxSteps uint64) uint64 {
+	var steps uint64
+	for !c.Halted {
+		budget := ^uint64(0)
+		if maxSteps != 0 {
+			budget = maxSteps - steps
+		}
+		steps += c.step(budget)
+		if maxSteps != 0 && steps >= maxSteps {
+			break
+		}
+	}
+	return steps
+}
+
+// step takes at most budget (at least 1) steps and returns how many it
+// took. The prologue — interrupt poll, WAIT, register snapshot and the
+// trap-all test — runs once, and a bound decode-cache hit then starts a
+// run of bound instructions executed back to back (runBound). Each step
+// leaves every simulated count exactly as a Step of its own would.
+func (c *CPU) step(budget uint64) uint64 {
 	if c.Halted {
-		return
+		return 0
 	}
 	before := c.Cycles
 	if lvl := c.PendingAbove(c.psl.IPL()); lvl > 0 {
-		if c.sb != nil && c.sb.building {
-			// Delivery redirects PC into a handler; the trace being
-			// recorded ends at the instruction before it.
-			c.sbFinishBuild()
-		}
 		c.deliverInterrupt(lvl)
 		c.tick(c.Cycles - before)
-		return
+		return 1
 	}
 	if c.waiting {
 		// WAIT idles until an interrupt arrives (or the VMM's timeout).
 		c.Cycles += CostWaitIdle
 		c.tick(c.Cycles - before)
-		return
+		return 1
 	}
 	c.regSnapshot = c.R
-	c.instStartPC = c.R[RegPC]
-	if c.TrapAllInVM && c.InVMMode() && c.VMPSL.Cur() == vax.Kernel && !c.trapAllSkipOnce {
+	pc := c.R[RegPC]
+	c.instStartPC = pc
+	trapAll := c.TrapAllInVM && c.InVMMode() && c.VMPSL.Cur() == vax.Kernel
+	if trapAll && !c.trapAllSkipOnce {
 		// Goldberg scheme 1: every VM-kernel instruction traps for
 		// emulation before it is even decoded.
 		c.Stats.VMTraps++
 		c.Cycles += CostVMTrap
-		if c.sb != nil && c.sb.building {
-			c.sbFinishBuild()
-		}
-		c.raise(c.vmScratch.Set(vax.Fault, 0xFFFF, c.instStartPC,
-			c.instStartPC, c.GuestPSL(), nil, nil))
+		c.raise(c.vmScratch.Set(vax.Fault, 0xFFFF, pc, pc, c.GuestPSL(), nil, nil))
 		c.tick(c.Cycles - before)
-		return
+		return 1
 	}
 	c.trapAllSkipOnce = false
-	if c.sb != nil {
-		// The translation tier executes a whole superblock per Step
-		// when one is valid at the PC (interrupts were polled above;
-		// devices tick below on the block's accumulated cycles).
-		c.stepTranslated()
+	pa, ok := c.MMU.TranslateFast(pc, mmu.Read, c.psl.Cur())
+	if !ok || c.dc.entries[pa&(dcSlots-1)].btag != pa {
+		c.execStep(pa, ok)
 		c.tick(c.Cycles - before)
-		return
+		return 1
 	}
-	if err := c.execOne(); err != nil {
+	c.Stats.DecodeHits++
+	c.Stats.Instructions++
+	next := c.execBound(&c.dc.entries[pa&(dcSlots-1)].bound, pc)
+	if budget == 1 || trapAll {
+		// Under trap-all the next VM-kernel instruction traps again.
+		c.tick(c.Cycles - before)
+		return 1
+	}
+	return c.runBound(next, pc&^vax.PageMask, pa-pc, budget, before)
+}
+
+// execStep executes the instruction at instStartPC, whose translation
+// (pa, ok) is already made, through the decode cache or the cold path,
+// and takes any fault it raises.
+func (c *CPU) execStep(pa uint32, ok bool) {
+	if err := c.execOneAt(pa, ok); err != nil {
 		c.handleError(err, c.instStartPC)
 	}
 	c.Stats.Instructions++
+}
+
+// runBound continues at pc a run whose first step, begun at cycle
+// before, executed a bound instruction on the virtual page page, whose
+// physical address is its virtual address plus delta. Bound
+// instructions cannot fault, touch memory or devices, halt, wait, or
+// change the mode, the IPL, pending interrupts, the TLB or the page
+// tables, so nothing the prologue checks can change between them: the
+// run needs no interrupt poll, snapshot or device tick per instruction.
+// It ends at the step budget, at the nearest device deadline (the
+// instruction that reaches it still runs, and the tick follows, which
+// is exactly when per-step ticking would post the device's interrupt),
+// or at the first instruction that is not a bound hit. That one runs
+// as the run's last step, once the counters and devices have caught up,
+// with its own snapshot and the translation the loop already made.
+//
+// While PC stays on the run's virtual page its translation is pc +
+// delta; each such reuse is credited to the MMU as the TranslateFast
+// hit a step of its own would have made.
+func (c *CPU) runBound(pc, page, delta uint32, budget, before uint64) uint64 {
+	end := before + c.deadline()
+	if end < before {
+		end = ^uint64(0) // no deadline
+	}
+	entries := c.dc.entries
+	var bound, reused uint64
+	left := budget - 1 // steps the budget still allows
+	for left > 0 && c.Cycles < end {
+		left--
+		pa, ok := uint32(0), true
+		if pc&^vax.PageMask == page {
+			pa = pc + delta
+			reused++
+		} else {
+			pa, ok = c.MMU.TranslateFast(pc, mmu.Read, c.psl.Cur())
+			page, delta = pc&^vax.PageMask, pa-pc
+		}
+		e := &entries[pa&(dcSlots-1)]
+		if !ok || e.btag != pa {
+			c.settleRun(bound, reused, before)
+			before = c.Cycles
+			c.regSnapshot = c.R
+			c.instStartPC = pc
+			c.execStep(pa, ok)
+			c.tick(c.Cycles - before)
+			return budget - left
+		}
+		bound++
+		pc = c.execBound(&e.bound, pc)
+	}
+	c.settleRun(bound, reused, before)
+	return budget - left
+}
+
+// settleRun brings the counters and devices up to date with a run's
+// bound instructions after its first: it credits their decode hits,
+// instructions and reused translations, and ticks the devices once
+// with every cycle since before.
+func (c *CPU) settleRun(bound, reused, before uint64) {
+	c.Stats.DecodeHits += bound
+	c.Stats.Instructions += bound
+	c.MMU.CountFastHits(reused)
 	c.tick(c.Cycles - before)
 }
 
@@ -177,17 +271,12 @@ func (c *CPU) tick(cycles uint64) {
 	}
 }
 
-// Run steps the machine until it halts or maxSteps steps have been
-// taken (0 = no limit). A step is an instruction, an interrupt delivery
-// or an idle WAIT cycle. It returns the number of steps taken.
-func (c *CPU) Run(maxSteps uint64) uint64 {
-	var steps uint64
-	for !c.Halted {
-		c.Step()
-		steps++
-		if maxSteps != 0 && steps >= maxSteps {
-			break
-		}
+// deadline returns the cycles that may pass before the nearest device
+// state change (see Device.Deadline).
+func (c *CPU) deadline() uint64 {
+	d := ^uint64(0)
+	for _, dev := range c.devices {
+		d = min(d, dev.Deadline())
 	}
-	return steps
+	return d
 }

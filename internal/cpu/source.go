@@ -23,9 +23,4 @@ func (c *CPU) Counters(emit func(name string, v uint64)) {
 	emit("decode_hits", s.DecodeHits)
 	emit("decode_misses", s.DecodeMisses)
 	emit("decode_invalidations", s.DecodeInvalidations)
-	emit("sb_builds", s.SBBuilds)
-	emit("sb_enters", s.SBEnters)
-	emit("sb_steps", s.SBSteps)
-	emit("sb_early_exits", s.SBEarlyExits)
-	emit("sb_invalidations", s.SBInvalidations)
 }

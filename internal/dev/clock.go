@@ -31,6 +31,18 @@ func (k *Clock) Interval(cycles uint32) {
 // Running reports whether the clock is counting.
 func (k *Clock) Running() bool { return k.iccs&vax.ICCSRun != 0 }
 
+// Deadline implements cpu.Device: the cycles until ICR overflows (an
+// ICR of 0 overflows on the next cycle), unbounded while stopped.
+func (k *Clock) Deadline() uint64 {
+	if k.iccs&vax.ICCSRun == 0 {
+		return ^uint64(0)
+	}
+	if k.icr == 0 {
+		return 1
+	}
+	return uint64(-k.icr)
+}
+
 // Tick implements cpu.Device.
 func (k *Clock) Tick(c *cpu.CPU, cycles uint64) {
 	if k.iccs&vax.ICCSRun == 0 {

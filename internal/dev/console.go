@@ -32,9 +32,21 @@ func (t *Console) Output() string { return t.out.String() }
 // Feed queues input bytes for the receiver.
 func (t *Console) Feed(s string) { t.in = append(t.in, s...) }
 
+// rxDue reports whether the receiver interrupt posts at the next tick.
+func (t *Console) rxDue() bool { return t.rxIE && len(t.in) > 0 && !t.rxInt }
+
+// Deadline implements cpu.Device: 0 while a receive interrupt is due
+// (the next tick posts it), unbounded otherwise.
+func (t *Console) Deadline() uint64 {
+	if t.rxDue() {
+		return 0
+	}
+	return ^uint64(0)
+}
+
 // Tick implements cpu.Device.
 func (t *Console) Tick(c *cpu.CPU, cycles uint64) {
-	if t.rxIE && len(t.in) > 0 && !t.rxInt {
+	if t.rxDue() {
 		t.rxInt = true
 		c.RequestInterrupt(vax.IPLConsole, vax.VecConsole)
 	}

@@ -114,6 +114,15 @@ func (d *Disk) StoreReg(c *cpu.CPU, offset uint32, v uint32) error {
 	return nil
 }
 
+// Deadline implements cpu.Device: the cycles until an in-flight
+// transfer completes, unbounded while the controller is idle.
+func (d *Disk) Deadline() uint64 {
+	if d.csr&DiskCSRReady != 0 || d.busyFor == 0 {
+		return ^uint64(0)
+	}
+	return d.busyFor
+}
+
 // Tick implements cpu.Device: completes an in-flight transfer when its
 // latency elapses.
 func (d *Disk) Tick(c *cpu.CPU, cycles uint64) {

@@ -29,11 +29,13 @@ func E9CostSensitivity() (*Result, error) {
 	mix := vmos.Config{Processes: workload.Mix(10, 5, 16)}
 	compute := vmos.Config{Processes: []vmos.Process{workload.Compute(20000)}, NoClock: true}
 
-	bareMix, err := runBareOS(mix)
+	// One machine at a time: each is released as soon as its cycles
+	// are read, so the sweep never holds more than one 16 MB monitor.
+	bareMix, err := bareOSCycles(mix)
 	if err != nil {
 		return nil, err
 	}
-	bareCompute, err := runBareOS(compute)
+	bareCompute, err := bareOSCycles(compute)
 	if err != nil {
 		return nil, err
 	}
@@ -41,25 +43,22 @@ func E9CostSensitivity() (*Result, error) {
 	ok := true
 	var ratios []float64
 	for _, scale := range []int{50, 100, 200} {
-		kMix, _, _, err := runVMOS(core.Config{ShadowCacheSlots: 4, CostScalePercent: scale}, mix)
+		vmMix, err := vmOSCycles(core.Config{ShadowCacheSlots: 4, CostScalePercent: scale}, mix)
 		if err != nil {
 			return nil, err
 		}
-		kCompute, _, _, err := runVMOS(core.Config{CostScalePercent: scale}, compute)
+		vmCompute, err := vmOSCycles(core.Config{CostScalePercent: scale}, compute)
 		if err != nil {
 			return nil, err
 		}
-		kTrap, _, _, err := runVMOS(core.Config{Scheme: core.TrapAll,
+		vmTrap, err := vmOSCycles(core.Config{Scheme: core.TrapAll,
 			ShadowCacheSlots: 4, CostScalePercent: scale}, mix)
 		if err != nil {
 			return nil, err
 		}
-		mixRatio := float64(bareMix.CPU.Cycles) / float64(kMix.CPU.Cycles)
-		compRatio := float64(bareCompute.CPU.Cycles) / float64(kCompute.CPU.Cycles)
-		schemeRatio := float64(kTrap.CPU.Cycles) / float64(kMix.CPU.Cycles)
-		kMix.Release()
-		kCompute.Release()
-		kTrap.Release()
+		mixRatio := float64(bareMix) / float64(vmMix)
+		compRatio := float64(bareCompute) / float64(vmCompute)
+		schemeRatio := float64(vmTrap) / float64(vmMix)
 		ratios = append(ratios, mixRatio)
 		r.addRow(fmt.Sprintf("%d%%", scale),
 			fmt.Sprintf("%.2f", mixRatio),
@@ -76,8 +75,6 @@ func E9CostSensitivity() (*Result, error) {
 			ok = false
 		}
 	}
-	bareMix.Release()
-	bareCompute.Release()
 	// The ratio must respond monotonically to the scale (sanity that the
 	// knob actually works).
 	if !(ratios[0] > ratios[1] && ratios[1] > ratios[2]) {
@@ -89,4 +86,26 @@ func E9CostSensitivity() (*Result, error) {
 		ratios[0], ratios[1], ratios[2])
 	r.Match = ok
 	return r, nil
+}
+
+// bareOSCycles runs cfg on a bare machine and releases it, returning
+// the cycles it took.
+func bareOSCycles(cfg vmos.Config) (uint64, error) {
+	ma, err := runBareOS(cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer ma.Release()
+	return ma.CPU.Cycles, nil
+}
+
+// vmOSCycles runs cfg in a VM and releases the monitor, returning the
+// cycles it took.
+func vmOSCycles(kcfg core.Config, cfg vmos.Config) (uint64, error) {
+	k, _, _, err := runVMOS(kcfg, cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer k.Release()
+	return k.CPU.Cycles, nil
 }

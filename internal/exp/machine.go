@@ -29,22 +29,6 @@ func envRecorderCap() int {
 	return n
 }
 
-// Translation, when true, enables the hot-trace superblock tier on
-// every VMM the harness builds through newVMM. It is set by the
-// experiments binary's -translate flag or the VAX_TRANSLATE
-// environment variable; false (the default) keeps the experiments on
-// the plain interpreter so their published output is reproducible
-// byte for byte.
-var Translation = envTranslation()
-
-func envTranslation() bool {
-	switch os.Getenv("VAX_TRANSLATE") {
-	case "", "0", "false", "off":
-		return false
-	}
-	return true
-}
-
 // newVMM is the single construction funnel for the harness's virtual
 // machines. The experiments reproduce the paper's pure demand-fill
 // design point (one shadow PTE per fault, Section 4.3.1), so FillBatch
@@ -52,19 +36,6 @@ func envTranslation() bool {
 // production-path optimization measured by the benchmarks, not by the
 // paper's figures.
 func newVMM(memBytes uint32, kcfg core.Config, opts ...core.Option) *core.VMM {
-	if Translation {
-		kcfg.Translation = true
-	}
-	return newVMMExact(memBytes, kcfg, opts...)
-}
-
-// newVMMExact is newVMM without the -translate override. The fault and
-// recovery campaigns (E10/E11) use it: their injection plans, watchdog
-// budgets and checkpoint cadences are keyed to step counts, and a
-// tier-on step retires a whole superblock, so deterministic
-// step-count-equals-instruction-count semantics are part of their
-// harness contract.
-func newVMMExact(memBytes uint32, kcfg core.Config, opts ...core.Option) *core.VMM {
 	if kcfg.FillBatch == 0 {
 		kcfg.FillBatch = 1
 	}

@@ -31,7 +31,9 @@ func runBareOS(cfg vmos.Config) (*vmos.Machine, error) {
 	}
 	seedDisk(ma.Disk.Image())
 	if !ma.Run(perfMaxSteps) {
-		return nil, fmt.Errorf("bare MiniOS did not finish (pc=%#x)", ma.CPU.PC())
+		err := fmt.Errorf("bare MiniOS did not finish (pc=%#x)", ma.CPU.PC())
+		ma.Release()
+		return nil, err
 	}
 	return ma, nil
 }
@@ -47,15 +49,18 @@ func runVMOS(kcfg core.Config, cfg vmos.Config) (*core.VMM, *core.VM, *vmos.Imag
 	}
 	k := newVMM(16<<20, kcfg)
 	vm, err := vmos.BootVM(k, im, 64)
-	if err != nil {
-		return nil, nil, nil, err
+	if err == nil {
+		seedDisk(vm.Disk().Image())
+		k.Run(perfMaxSteps)
+		if h, msg := vm.Halted(); !h {
+			err = fmt.Errorf("VM MiniOS did not finish (pc=%#x)", k.CPU.PC())
+		} else if msg != "HALT executed in VM kernel mode" {
+			err = fmt.Errorf("VM MiniOS died: %s", msg)
+		}
 	}
-	seedDisk(vm.Disk().Image())
-	k.Run(perfMaxSteps)
-	if h, msg := vm.Halted(); !h {
-		return nil, nil, nil, fmt.Errorf("VM MiniOS did not finish (pc=%#x)", k.CPU.PC())
-	} else if msg != "HALT executed in VM kernel mode" {
-		return nil, nil, nil, fmt.Errorf("VM MiniOS died: %s", msg)
+	if err != nil {
+		k.Release()
+		return nil, nil, nil, err
 	}
 	return k, vm, im, nil
 }
@@ -352,12 +357,6 @@ func E6Efficiency() (*Result, error) {
 	r.addRow("bare VAX", fmt.Sprintf("%d", bare.CPU.Cycles), "1.00")
 	r.addRow("virtual VAX", fmt.Sprintf("%d", k.CPU.Cycles), fmt.Sprintf("%.3f", ratio))
 	r.addNote("VM-emulation traps during the run: %d (boot and exit only)", vm.Stats.VMTraps)
-	if Translation {
-		// Off by default: this note only appears under -translate /
-		// VAX_TRANSLATE, so the published output stays byte-identical.
-		r.addNote("hot-trace tier: %d superblocks built, %d entries, %d instructions retired in blocks",
-			k.CPU.Stats.SBBuilds, k.CPU.Stats.SBEnters, k.CPU.Stats.SBSteps)
-	}
 	r.PaperClaim = "all unprivileged VAX instructions execute directly on the hardware (Section 5)"
 	r.Measured = fmt.Sprintf("VM at %.1f%% of native for compute-bound code", ratio*100)
 	r.Match = ratio >= 0.95

@@ -376,6 +376,19 @@ func (u *MMU) TranslateFast(va uint32, a Access, mode vax.Mode) (uint32, bool) {
 	return pte.PFN()*vax.PageSize + (va & vax.PageMask), true
 }
 
+// CountFastHits credits n translations that the caller resolved by
+// reusing a successful TranslateFast of the same page, with the mode
+// and the TLB unchanged since: the statistics read as if each had been
+// its own TranslateFast. With mapping off TranslateFast counts
+// nothing, and neither does this.
+func (u *MMU) CountFastHits(n uint64) {
+	if u.Enabled {
+		u.Stats.Translations += n
+		u.Stats.TLBHits += n
+		u.Stats.FastTranslations += n
+	}
+}
+
 // ProbePTE fetches (without caching) the PTE governing va, for the PROBE
 // and PROBEVM instructions. The bool reports whether the page is within
 // the region length; out-of-length probes are simply inaccessible rather

@@ -574,10 +574,6 @@ func (m *Monitor) stat() string {
 		s.CHMs, s.REIs, s.MOVPSLs, s.Probes,
 		u.TLBHits, u.TLBMisses, u.TNVFaults, u.ProtFaults, u.ModifyFaults, u.MSets,
 		s.DecodeHits, s.DecodeMisses, s.DecodeInvalidations, u.FastTranslations)
-	if c.TranslationEnabled() {
-		out += fmt.Sprintf("sblock: builds %d  enters %d  steps %d  early-exits %d  invalidations %d\n",
-			s.SBBuilds, s.SBEnters, s.SBSteps, s.SBEarlyExits, s.SBInvalidations)
-	}
 	if m.VMM == nil {
 		return out
 	}
@@ -619,10 +615,6 @@ func (m *Monitor) stat() string {
 		out += fmt.Sprintf("parallel: worker-steps %d min / %d max  occupancy %d%%  decode %d/%d hit/miss\n",
 			pr.MinWorkerSteps, pr.MaxWorkerSteps, pr.OccupancyPermille()/10,
 			pr.DecodeHits, pr.DecodeMisses)
-		if pr.SBBuilds > 0 || pr.SBEnters > 0 {
-			out += fmt.Sprintf("parallel: sb-builds %d  sb-enters %d  sb-steps %d  sb-invalidations %d\n",
-				pr.SBBuilds, pr.SBEnters, pr.SBSteps, pr.SBInvalidations)
-		}
 	}
 	return out
 }

@@ -40,7 +40,6 @@ const (
 	EvSchedSteal               // VM migrated to a new worker; arg = worker id
 	EvCheckpoint               // checkpoint generation taken; arg = sequence
 	EvRecover                  // VM restored from a checkpoint; arg = generation
-	EvTraceCompile             // superblock installed by the hot-trace tier; arg = start VA
 	EvCowBreak                 // copy-on-write break: shared page privatized; arg = VM page frame
 
 	EvVMCreated         // VM created, cloned or restored
@@ -60,8 +59,7 @@ var kindNames = [NumKinds]string{
 	"vm-trap", "chm", "rei", "shadow-fill", "batch-fill", "modify-fault",
 	"virtual-irq", "kcall-start", "kcall-done", "kcall-retry",
 	"sched-run", "sched-park", "watchdog-trip", "machine-check",
-	"sched-steal", "checkpoint", "recover", "trace-compile",
-	"cow-break",
+	"sched-steal", "checkpoint", "recover", "cow-break",
 	"vm-created", "vm-halted", "priv-fault", "reflected",
 	"selfcheck-repair", "fault-injected", "unknown-kcall",
 	"recovery-fallback", "recovery-escalated",
