@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -69,6 +70,39 @@ func TestExperimentAllocParity(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s allocates %.0f times per run, want exactly %.0f", tc.id, got, tc.want)
 		}
+	}
+}
+
+// TestE11AllocBudget pins E11's allocation in bytes. A checkpoint
+// generation shares its unchanged pages with the one before it, so a
+// warm run allocates about 12 MiB; encoding each VM's full image at
+// every one of the run's 2161 checkpoints allocates about 171 MiB, and
+// fails.
+func TestE11AllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation")
+	}
+	if testing.Short() {
+		t.Skip("E11 runs nine recovery machines")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spec, ok := exp.ByID("E11")
+	if !ok {
+		t.Fatal("unknown experiment E11")
+	}
+	run := func() {
+		if _, err := spec.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the monitor-memory pool, as a benchmark pass is warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const budget = 40 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("E11 allocates %.1f MB per run, budget %d MB", float64(got)/(1<<20), budget>>20)
 	}
 }
 

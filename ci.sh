@@ -226,6 +226,15 @@ go test -race -count=10 \
     -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes|TestCloneSmokeParity|TestHaltedVMRunsRecycledAfterParallelRun)$' \
     ./internal/core/
 
+echo "== fuzz: checkpoint decoder and both restore paths (10 s each)"
+# Checkpoint bytes are a trust boundary: arbitrary input must end in a
+# typed error, never a panic, and a refused restore must hold no pages.
+# Minimizing each new interesting input is capped at 100 runs: with the
+# default 60 s cap, minimizing took the whole 10 s of FuzzRestore at
+# 0 execs/s, where the cap leaves about 20k execs/s on a 2-vCPU host.
+go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 10s -fuzzminimizetime 100x ./internal/ckpt/
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
+
 # bench/ is a module of its own, so the root ./... patterns skip it; its
 # smoke test checks the workload catalogue against BENCHMARK.json, the
 # correctness checks and seed repeatability.

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/vax"
 )
 
 const (
@@ -363,51 +365,80 @@ func Sections(r io.Reader) (map[SectionKind][]byte, error) {
 	}
 }
 
-// PackPages encodes a physical-memory image with zero-page run-length
-// elision: a u32 run header whose top bit marks a literal run (the
-// header is followed by pages*pageSize raw bytes) and whose low 31
-// bits count pages; zero runs are the header alone. len(mem) must be
-// a multiple of pageSize.
-func PackPages(mem []byte, pageSize int) ([]byte, error) {
-	if pageSize <= 0 || len(mem)%pageSize != 0 {
-		return nil, fmt.Errorf("%w: image length %d not a multiple of page size %d",
-			ErrFormat, len(mem), pageSize)
+// Page is one page of a page-run payload. A page list names a page by
+// reference, nil for a zero page, so page lists that share unchanged
+// pages cost one pointer per page.
+type Page [vax.PageSize]byte
+
+// StreamLen returns the length of an uncompressed stream whose sections
+// carry payloads of the given lengths, the length the Encoder would
+// write, without encoding. It rejects what Section would reject: a
+// payload over the section size cap, or too many sections.
+func StreamLen(payloadLens ...int) (int, error) {
+	if len(payloadLens) > maxSections {
+		return 0, fmt.Errorf("%w: too many sections", ErrFormat)
 	}
-	pages := len(mem) / pageSize
-	var out []byte
-	var hdr [4]byte
-	for p := 0; p < pages; {
-		if pageZero(mem[p*pageSize : (p+1)*pageSize]) {
-			n := 1
-			for p+n < pages && pageZero(mem[(p+n)*pageSize:(p+n+1)*pageSize]) {
-				n++
-			}
-			binary.LittleEndian.PutUint32(hdr[:], uint32(n))
-			out = append(out, hdr[:]...)
-			p += n
-		} else {
-			n := 1
-			for p+n < pages && !pageZero(mem[(p+n)*pageSize:(p+n+1)*pageSize]) {
-				n++
-			}
-			binary.LittleEndian.PutUint32(hdr[:], uint32(n)|1<<31)
-			out = append(out, hdr[:]...)
-			out = append(out, mem[p*pageSize:(p+n)*pageSize]...)
-			p += n
+	n := headerLen
+	for _, l := range payloadLens {
+		if l > maxSectionBytes {
+			return 0, fmt.Errorf("%w: section exceeds %d bytes", ErrFormat, maxSectionBytes)
 		}
+		n += sectionLen + l
 	}
-	return out, nil
+	return n + sectionLen + 4 + 8*len(payloadLens), nil
 }
 
-// UnpackPages decodes a PackPages payload into dst, which must be
-// exactly covered by the encoded runs. dst is fully overwritten
-// (zero runs clear their pages).
-func UnpackPages(data []byte, dst []byte, pageSize int) error {
-	if pageSize <= 0 || len(dst)%pageSize != 0 {
-		return fmt.Errorf("%w: destination length %d not a multiple of page size %d",
-			ErrFormat, len(dst), pageSize)
+// PackedLen returns the length of AppendPages' encoding of pages.
+func PackedLen(pages []*Page) int {
+	n := 0
+	for p := 0; p < len(pages); {
+		run := pageRun(pages[p:])
+		n += 4
+		if pages[p] != nil {
+			n += run * vax.PageSize
+		}
+		p += run
 	}
-	pages := len(dst) / pageSize
+	return n
+}
+
+// AppendPages appends the page-run encoding of pages to dst: a u32 run
+// header whose top bit marks a literal run (the header is followed by
+// the run's pages) and whose low 31 bits count pages. Consecutive nil
+// pages make one zero run, the header alone; consecutive non-nil pages
+// make one literal run.
+func AppendPages(dst []byte, pages []*Page) []byte {
+	for p := 0; p < len(pages); {
+		run := pageRun(pages[p:])
+		if pages[p] == nil {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(run))
+		} else {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(run)|1<<31)
+			for _, pg := range pages[p : p+run] {
+				dst = append(dst, pg[:]...)
+			}
+		}
+		p += run
+	}
+	return dst
+}
+
+// pageRun returns how many leading pages share the first page's kind,
+// zero or literal.
+func pageRun(pages []*Page) int {
+	zero := pages[0] == nil
+	n := 1
+	for n < len(pages) && (pages[n] == nil) == zero {
+		n++
+	}
+	return n
+}
+
+// UnpackPages decodes a page-run payload into dst, whose length the
+// runs must cover exactly. Zero runs set nil entries; literal pages
+// alias data, which the caller must therefore not modify.
+func UnpackPages(data []byte, dst []*Page) error {
+	pages := len(dst)
 	p := 0
 	for len(data) > 0 {
 		if len(data) < 4 {
@@ -424,14 +455,15 @@ func UnpackPages(data []byte, dst []byte, pageSize int) error {
 				ErrFormat, n, p, pages)
 		}
 		if h&(1<<31) != 0 {
-			need := n * pageSize
-			if len(data) < need {
+			if len(data) < n*vax.PageSize {
 				return fmt.Errorf("%w: truncated literal page run", ErrFormat)
 			}
-			copy(dst[p*pageSize:], data[:need])
-			data = data[need:]
+			for i := range n {
+				dst[p+i] = (*Page)(data[:vax.PageSize])
+				data = data[vax.PageSize:]
+			}
 		} else {
-			zero(dst[p*pageSize : (p+n)*pageSize])
+			clear(dst[p : p+n])
 		}
 		p += n
 	}
@@ -439,27 +471,4 @@ func UnpackPages(data []byte, dst []byte, pageSize int) error {
 		return fmt.Errorf("%w: page runs cover %d of %d pages", ErrFormat, p, pages)
 	}
 	return nil
-}
-
-// pageZero reports whether p is all zero bytes, testing a word at a
-// time with a byte loop for the tail.
-func pageZero(p []byte) bool {
-	for len(p) >= 8 {
-		if binary.LittleEndian.Uint64(p) != 0 {
-			return false
-		}
-		p = p[8:]
-	}
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func zero(p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
 }

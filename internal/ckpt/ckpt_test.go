@@ -49,6 +49,12 @@ func TestRoundTrip(t *testing.T) {
 		if sec, ok := secs[SecCycles]; !ok || len(sec) != 0 {
 			t.Errorf("compress=%v: SecCycles = %v, %v", compress, sec, ok)
 		}
+		if !compress {
+			n, err := StreamLen(len("cpu-registers"), len(want), 0)
+			if err != nil || n != len(img) {
+				t.Errorf("StreamLen = %d, %v; the encoder wrote %d bytes", n, err, len(img))
+			}
+		}
 	}
 }
 
@@ -141,66 +147,42 @@ func TestOversizeSectionRejected(t *testing.T) {
 }
 
 func TestPackPagesRoundTrip(t *testing.T) {
-	const page = 512
-	mem := make([]byte, 16*page)
 	// Pages 0-2 zero, 3-4 literal, 5-12 zero, 13-15 literal.
-	for i := 3 * page; i < 5*page; i++ {
-		mem[i] = byte(i)
+	pages := make([]*Page, 16)
+	for i := range pages {
+		if (i >= 3 && i < 5) || i >= 13 {
+			pages[i] = new(Page)
+			for j := range pages[i] {
+				pages[i][j] = byte(i*7 + j)
+			}
+		}
 	}
-	for i := 13 * page; i < 16*page; i++ {
-		mem[i] = byte(i * 7)
+	packed := AppendPages(nil, pages)
+	if len(packed) != PackedLen(pages) {
+		t.Errorf("packed %d bytes, PackedLen says %d", len(packed), PackedLen(pages))
 	}
-	packed, err := PackPages(mem, page)
-	if err != nil {
-		t.Fatal(err)
+	if want := 4*4 + 5*len(Page{}); len(packed) != want {
+		t.Errorf("packed %d bytes, want %d (four run headers, five literal pages)", len(packed), want)
 	}
-	if len(packed) >= len(mem) {
-		t.Errorf("packed %d bytes, raw %d: zero elision did nothing", len(packed), len(mem))
-	}
-	got := make([]byte, len(mem))
+	got := make([]*Page, len(pages))
 	for i := range got {
-		got[i] = 0xAA // prove zero runs really clear their pages
+		got[i] = new(Page) // prove zero runs really clear their entries
 	}
-	if err := UnpackPages(packed, got, page); err != nil {
+	if err := UnpackPages(packed, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, mem) {
-		t.Error("unpacked image differs from original")
+	for i := range pages {
+		if (pages[i] == nil) != (got[i] == nil) || (pages[i] != nil && *pages[i] != *got[i]) {
+			t.Errorf("page %d differs after the round trip", i)
+		}
 	}
-}
-
-// TestPageZeroMatchesByteLoop pins the word-at-a-time zero test to the
-// plain byte loop: one non-zero byte at every offset of a page, and
-// lengths that are not a multiple of the word size (the tail path).
-func TestPageZeroMatchesByteLoop(t *testing.T) {
-	byteLoop := func(p []byte) bool {
-		for _, b := range p {
-			if b != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 17, 511, 512, 513} {
-		buf := make([]byte, n)
-		if !pageZero(buf) {
-			t.Fatalf("len %d: all-zero buffer reported non-zero", n)
-		}
-		for i := range buf {
-			for _, v := range []byte{0x01, 0x80} {
-				buf[i] = v
-				if got, want := pageZero(buf), byteLoop(buf); got != want {
-					t.Fatalf("len %d, byte %#x at %d: pageZero = %v, byte loop %v", n, v, i, got, want)
-				}
-				buf[i] = 0
-			}
-		}
+	if !bytes.Equal(AppendPages(nil, got), packed) {
+		t.Error("re-encoding the unpacked pages changed the payload")
 	}
 }
 
 func TestUnpackPagesRejectsBadRuns(t *testing.T) {
-	const page = 512
-	dst := make([]byte, 4*page)
+	dst := make([]*Page, 4)
 	cases := map[string][]byte{
 		"truncated header":  {0x01},
 		"zero-length run":   {0, 0, 0, 0},
@@ -209,15 +191,9 @@ func TestUnpackPagesRejectsBadRuns(t *testing.T) {
 		"short coverage":    {0x02, 0, 0, 0},
 	}
 	for name, data := range cases {
-		if err := UnpackPages(data, dst, page); !errors.Is(err, ErrFormat) {
+		if err := UnpackPages(data, dst); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
-	}
-}
-
-func TestPackPagesRejectsRaggedImage(t *testing.T) {
-	if _, err := PackPages(make([]byte, 700), 512); !errors.Is(err, ErrFormat) {
-		t.Error("ragged image packed without error")
 	}
 }
 

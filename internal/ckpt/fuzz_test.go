@@ -15,8 +15,7 @@ func decodeAll(data []byte) {
 	// A stream that validates may still carry page payloads; exercise
 	// the run-length decoder on them too.
 	if pages, ok := secs[SecPages]; ok {
-		dst := make([]byte, 64*512)
-		_ = UnpackPages(pages, dst, 512)
+		_ = UnpackPages(pages, make([]*Page, 64))
 	}
 }
 
@@ -28,8 +27,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	var buf bytes.Buffer
 	e, _ := NewEncoder(&buf, false)
 	_ = e.Section(SecCPU, []byte("cpu"))
-	pk, _ := PackPages(make([]byte, 4*512), 512)
-	_ = e.Section(SecPages, pk)
+	_ = e.Section(SecPages, AppendPages(nil, make([]*Page, 4)))
 	_ = e.Close()
 	f.Add(buf.Bytes())
 

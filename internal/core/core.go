@@ -472,7 +472,7 @@ func (k *VMM) freeRun(page, n uint32) {
 // pages (or page 0), so the rest of the buffer is still zero. The
 // monitor must not be used afterwards: every memory access fails as a
 // bus error. Harness code calls this after reading a finished
-// machine's statistics so the next machine reuses the 16 MB buffer.
+// machine's statistics so the next machine reuses the buffer.
 func (k *VMM) Release() {
 	if k.parent != nil {
 		return

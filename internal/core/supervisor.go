@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/trace"
@@ -51,45 +50,52 @@ func (k *VMM) maybeCheckpoint(vm *VM) {
 	k.checkpointVM(vm)
 }
 
-// checkpointVM writes one generation of the VM into its ring,
-// advancing the head. Cold path by construction (policy intervals are
-// thousands of ticks); allocates the image buffer freely.
+// checkpointVM captures one generation of the VM into its ring,
+// advancing the head. This is not a cold path: E11 checkpoints every 3
+// ticks of a progressing VM, 2161 times a run. So a generation shares
+// each unchanged page with the newest one (capture) and stays in
+// memory; its stream is encoded only when a restore or a poisoning
+// needs it, and its length, which the cycle charge needs, is computed.
 func (k *VMM) checkpointVM(vm *VM) error {
 	gens := k.cfg.CheckpointGenerations
 	if gens <= 0 {
 		gens = 1
 	}
 	start := k.CPU.Cycles
-	var buf bytes.Buffer
-	if err := k.WriteCheckpoint(vm, &buf); err != nil {
+	g, err := k.capture(vm, vm.checkpointGen(0))
+	n := 0
+	if err == nil {
+		n, err = g.encodedLen()
+	}
+	if err != nil {
 		if vm.rec != nil {
 			k.event(vm, trace.EvCheckpoint, uint32(vm.ckptSeq), "failed: "+err.Error())
 		}
 		return err
 	}
 	if vm.ckptGens == nil {
-		vm.ckptGens = make([][]byte, gens)
+		vm.ckptGens = make([]*generation, gens)
 		vm.ckptHead = gens - 1 // first advance lands on index 0
 	}
 	vm.ckptHead = (vm.ckptHead + 1) % len(vm.ckptGens)
-	vm.ckptGens[vm.ckptHead] = buf.Bytes()
+	vm.ckptGens[vm.ckptHead] = g
 	vm.ckptSeq++
 	vm.ckptLastTick = vm.ticks
 	vm.ckptMark = vm.progressSeq
 	vm.Stats.Checkpoints++
 	// The serialization work is real VMM time: charge a cycle per 64
-	// bytes of image, scaled like every other emulation path.
-	k.charge(uint64(buf.Len()) / 64)
+	// bytes of the stream, scaled like every other emulation path.
+	k.charge(uint64(n) / 64)
 	if vm.rec != nil {
 		vm.rec.RecordDetail(trace.EvCheckpoint, start, k.guestPC(vm), uint32(vm.ckptSeq),
-			fmt.Sprintf("%d bytes", buf.Len()))
+			fmt.Sprintf("%d bytes", n))
 	}
 	return nil
 }
 
 // checkpointGen returns the generation back steps behind the newest
 // (0 = newest), or nil when the ring holds no such generation.
-func (vm *VM) checkpointGen(back int) []byte {
+func (vm *VM) checkpointGen(back int) *generation {
 	n := len(vm.ckptGens)
 	if n == 0 || back < 0 {
 		return nil
@@ -149,21 +155,29 @@ func (k *VMM) tryRecover(vm *VM) bool {
 	}
 	// The fault plan may poison the newest generation before the
 	// supervisor reads it — the campaign's way of proving the CRC
-	// rejection + generation-fallback path end to end.
+	// rejection + generation-fallback path end to end. The flip lands
+	// in the generation's own materialized stream, never in a blob that
+	// other generations share.
 	if k.faults != nil && k.faults.TakeCkptCorruption(vm.ID) {
-		if img := vm.checkpointGen(0); len(img) > 0 {
-			img[k.faults.Pick(len(img))] ^= byte(1 + k.faults.Pick(255))
-			k.faults.NoteCkptCorruption()
-			k.event(vm, trace.EvFaultInjected, 0, "newest checkpoint generation corrupted")
+		if g := vm.checkpointGen(0); g != nil {
+			if img, err := g.stream(); err == nil {
+				img[k.faults.Pick(len(img))] ^= byte(1 + k.faults.Pick(255))
+				g.poisoned = img
+				k.faults.NoteCkptCorruption()
+				k.event(vm, trace.EvFaultInjected, 0, "newest checkpoint generation corrupted")
+			}
 		}
 	}
 	for {
-		img := vm.checkpointGen(vm.ckptFallback)
-		if img == nil {
+		g := vm.checkpointGen(vm.ckptFallback)
+		if g == nil {
 			k.escalate(vm, "no valid checkpoint generation left")
 			return false
 		}
-		err := k.restoreInPlace(vm, img)
+		img, err := g.stream()
+		if err == nil {
+			err = k.restoreInPlace(vm, img)
+		}
 		if err == nil {
 			break
 		}

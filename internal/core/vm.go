@@ -212,13 +212,13 @@ type VM struct {
 	// Everything here is lazily initialized by the first checkpoint so
 	// a VM on a monitor with checkpointing disabled carries only zero
 	// values (CreateVM stays allocation-neutral).
-	ckptGens     [][]byte // generation ring; nil until the first checkpoint
-	ckptHead     int      // ring index of the newest generation
-	ckptSeq      uint64   // checkpoints taken over the VM's lifetime
-	ckptLastTick uint64   // vm.ticks at the last periodic checkpoint
-	ckptMark     uint64   // progressSeq at the last periodic checkpoint
-	ckptFallback int      // generations to step back at the next recovery
-	progressSeq  uint64   // monotonic progress-event counter
+	ckptGens     []*generation // generation ring; nil until the first checkpoint
+	ckptHead     int           // ring index of the newest generation
+	ckptSeq      uint64        // checkpoints taken over the VM's lifetime
+	ckptLastTick uint64        // vm.ticks at the last periodic checkpoint
+	ckptMark     uint64        // progressSeq at the last periodic checkpoint
+	ckptFallback int           // generations to step back at the next recovery
+	progressSeq  uint64        // monotonic progress-event counter
 	// pendingRecover marks a recoverable death (watchdog trip,
 	// handler-less machine check) awaiting the supervisor. The VM halts
 	// normally first — callers unwind through the vm.halted guards —

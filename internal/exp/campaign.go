@@ -111,7 +111,7 @@ func campaignMachine(inj *fault.Injector) (k *core.VMM, vms []*core.VM, err erro
 	// newVMM pins FillBatch 1, keeping the campaign on the paper's
 	// demand-fill design point so its output stays byte-identical
 	// across the batching knob.
-	k = newVMM(16<<20, core.Config{Watchdog: 48, SelfCheckInterval: 8})
+	k = newVMM(core.Config{Watchdog: 48, SelfCheckInterval: 8})
 	if inj != nil {
 		k.AttachFaults(inj)
 	}

@@ -30,7 +30,7 @@ func E9CostSensitivity() (*Result, error) {
 	compute := vmos.Config{Processes: []vmos.Process{workload.Compute(20000)}, NoClock: true}
 
 	// One machine at a time: each is released as soon as its cycles
-	// are read, so the sweep never holds more than one 16 MB monitor.
+	// are read, so the sweep never holds more than one monitor.
 	bareMix, err := bareOSCycles(mix)
 	if err != nil {
 		return nil, err

@@ -56,6 +56,7 @@ func Figure2() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tv.k.Release()
 	if err := tv.run(1000); err != nil {
 		return nil, err
 	}
@@ -104,6 +105,7 @@ privh:	halt
 	if err != nil {
 		return nil, err
 	}
+	defer tv.k.Release()
 	// Sample the real mode at each guest MOVPSL via a tracking sink is
 	// intrusive; instead rely on the architecture: the real mode is
 	// compressMode(vm mode), verified by the access outcomes below.

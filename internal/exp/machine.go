@@ -29,20 +29,27 @@ func envRecorderCap() int {
 	return n
 }
 
+// experimentMem is the physical memory of every monitor the harness
+// builds. The largest any experiment carves is about 341 KB (MiniOS
+// VMs with their shadow tables), so 2 MB leaves room while keeping a
+// pass's live heap small: monitors that are alive together, or not yet
+// collected, each hold their whole buffer.
+const experimentMem = 2 << 20
+
 // newVMM is the single construction funnel for the harness's virtual
 // machines. The experiments reproduce the paper's pure demand-fill
 // design point (one shadow PTE per fault, Section 4.3.1), so FillBatch
 // is pinned to 1 unless a caller overrides it; batched fill is a
 // production-path optimization measured by the benchmarks, not by the
 // paper's figures.
-func newVMM(memBytes uint32, kcfg core.Config, opts ...core.Option) *core.VMM {
+func newVMM(kcfg core.Config, opts ...core.Option) *core.VMM {
 	if kcfg.FillBatch == 0 {
 		kcfg.FillBatch = 1
 	}
 	if RecorderCap > 0 && kcfg.Recorder == nil {
 		opts = append(opts, core.WithRecorder(trace.NewRecorder(RecorderCap)))
 	}
-	return core.New(memBytes, kcfg, opts...)
+	return core.New(experimentMem, kcfg, opts...)
 }
 
 // Micro-machines for the behaviour-matrix experiments (Tables 1-4):
@@ -201,12 +208,13 @@ func newTinyVM(kcfg core.Config, src string, vectors map[vax.Vector]string,
 	for vec, label := range vectors {
 		binary.LittleEndian.PutUint32(img[uint32(vec):], prog.MustSymbol(label))
 	}
-	k := newVMM(8<<20, kcfg) // the tables observe per-fault fills, not batches
+	k := newVMM(kcfg) // the tables observe per-fault fills, not batches
 	vm, err := k.CreateVM(core.VMConfig{
 		MemBytes: tgMem, Image: img, StartPC: prog.MustSymbol("start"),
 		PreMapped: true, SBR: tgSPT, SLR: tgSPTLen, SCBB: 0,
 	})
 	if err != nil {
+		k.Release()
 		return nil, err
 	}
 	vm.SPs[vax.Kernel] = vax.SystemBase + 0x8000

@@ -47,7 +47,7 @@ func runVMOS(kcfg core.Config, cfg vmos.Config) (*core.VMM, *core.VM, *vmos.Imag
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	k := newVMM(16<<20, kcfg)
+	k := newVMM(kcfg)
 	vm, err := vmos.BootVM(k, im, 64)
 	if err == nil {
 		seedDisk(vm.Disk().Image())

@@ -111,7 +111,7 @@ inner:	sobgtr r11, inner
 // machine-check victim, bystander — optionally with a fault plan, and
 // runs it to completion.
 func recoveryMachine(inj *fault.Injector) (k *core.VMM, vms []*core.VM, err error) {
-	k = newVMM(16<<20, core.Config{
+	k = newVMM(core.Config{
 		Watchdog:        8,
 		CheckpointEvery: 3, CheckpointGenerations: 6,
 		Recover: true, RecoverBudget: 24,

@@ -197,6 +197,7 @@ privh:	halt
 	if err != nil {
 		return nil, err
 	}
+	defer tv.k.Release()
 	if err := tv.run(100000); err != nil {
 		return nil, err
 	}
@@ -278,7 +279,8 @@ clkh:	incl r10
 	}
 	copy(img[tgCode:], prog.Code)
 	putLong(img, uint32(vax.VecClock), prog.MustSymbol("clkh"))
-	k := newVMM(16<<20, core.Config{})
+	k := newVMM(core.Config{})
+	defer k.Release()
 	var vms []*core.VM
 	for i := 0; i < 2; i++ {
 		vm, err := k.CreateVM(core.VMConfig{

@@ -239,6 +239,7 @@ privh:	halt
 	if err != nil {
 		return nil, err
 	}
+	defer tv.k.Release()
 	// Make page 33's shadow start unfilled by removing it from the
 	// identity prefill? It is filled on demand anyway: the guest PTE is
 	// valid but the shadow starts null, so the PROBE traps.

@@ -205,7 +205,7 @@ func (m *Memory) FillLong(addr, n, v uint32) error {
 }
 
 // The backing-store pool. A monitor's physical memory is by far the
-// largest allocation in the simulator (16 MB per VMM instance), and the
+// largest allocation in the simulator (megabytes per VMM instance), and the
 // experiment harness creates and discards machines by the hundred; the
 // pool recycles those buffers. Buffers enter the pool fully zeroed
 // (Release zeroes the dirty extent the caller declares), so New can
