@@ -223,7 +223,8 @@ loop:	addl2 #7, r0
 
 // multiVMIdleImage builds a pre-mapped idle guest: three WAITs (each
 // riding the VMM's WAIT timeout), then HALT — the shape of a mostly-
-// idle timesharing VM, and the shape the parallel engine parks.
+// idle timesharing VM, which its worker idles through timeout by
+// timeout.
 func multiVMIdleImage(b *testing.B) ([]byte, uint32) {
 	b.Helper()
 	prog, err := asm.Assemble(`
@@ -313,7 +314,7 @@ func benchMultiVM(b *testing.B, nVMs, idlers, workers int) {
 // serial round-robin engine against the parallel engine at 1, 2, 4 and
 // 8 VMs (one worker per VM), then pushes fleet density: 64, 256 and
 // 1024 mostly-idle VMs (one compute guest per 32) on a fixed pool of 8
-// workers, where parked VMs must cost no worker time. The instr/sec
+// workers, each running its eighth of the fleet. The instr/sec
 // metric is the number the tentpole is judged by: parallel/8VM should
 // deliver at least twice serial/8VM on a host with 8 or more cores.
 func BenchmarkMultiVMScaling(b *testing.B) {

@@ -214,16 +214,20 @@ go test ./...
 echo "== go test -race (all packages)"
 go test -race ./...
 
-echo "== migration race check (event-log, decode-hygiene and page-pool tests on the parallel engine, -count=10)"
-# A VM's event log is unsynchronized: only the worker driving the VM
-# writes it, and readers wait for the merge barrier. A migrating VM's
-# cached decodes are dropped frame by frame on whichever worker attaches
-# it. Every shard allocation takes the shared page-pool mutex, and the
-# clone smoke (256 overcommitted clones on 8 workers) is where shards
-# allocate concurrently. Repeating the tests that cross those handoffs
+echo "== migration race check (event-log, decode-hygiene, mailbox and page-pool tests on the parallel engine, -count=10)"
+# A VM's event log is unsynchronized: only the worker running the VM
+# writes it, and readers wait for the merge barrier. A VM stays on one
+# worker for a whole run, so its decodes never move mid-run; what
+# crosses engines is the root's decode cache, which the merge flushes
+# because the workers' stores changed the VMs' pages under it. Host
+# goroutines post interrupts into running VMs' mailboxes. Every shard
+# allocation takes the shared page-pool mutex, and the clone smoke (256
+# overcommitted clones on 8 workers) is where shards allocate
+# concurrently. Each VM's counts must also repeat exactly however the
+# workers interleave. Repeating the tests that cross those handoffs
 # gives a rare interleaving ten chances to show.
 go test -race -count=10 \
-    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes|TestCloneSmokeParity|TestHaltedVMRunsRecycledAfterParallelRun)$' \
+    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes|TestCloneSmokeParity|TestHaltedVMRunsRecycledAfterParallelRun|TestParkPostWakeChurn|TestParallelRepeatable)$' \
     ./internal/core/
 
 echo "== fuzz: checkpoint decoder and both restore paths (10 s each)"

@@ -111,8 +111,8 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 	// Shadow tables are deliberately NOT built here: they are a cache,
 	// and ensureShadow builds them at the clone's first dispatch. A
 	// clone that never runs costs no table pages, and under the parallel
-	// engine the ~30 KB table build lands on whichever worker shard
-	// first dispatches the clone instead of serializing the clone loop.
+	// engine the ~30 KB table build lands on the worker shard that runs
+	// the clone instead of serializing the clone loop.
 
 	// Virtual processor state: the clone resumes from the source's
 	// exact machine state (captureLive refreshed it above).
@@ -134,12 +134,9 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 	vm.clockIE = src.clockIE
 	vm.ticks = src.ticks
 	vm.uptime = src.uptime
-	vm.uptimeSeen = src.uptimeSeen
-	vm.tickBias = src.tickBias
 	vm.pendingIRQ = src.pendingIRQ
 	vm.waiting = src.waiting
 	vm.waitDeadline = src.waitDeadline
-	vm.waitRemaining = src.waitRemaining
 	vm.lastProgress = vm.ticks
 	vm.disk = src.disk.clone()
 	vm.Stats.SharedPages = uint64(pages)

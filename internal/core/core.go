@@ -546,7 +546,7 @@ func (k *VMM) VMMCycles() uint64 { return k.vmmCycles }
 
 // Run starts (or continues) executing virtual machines on the
 // deterministic serial scheduler for at most maxSteps processor steps
-// (0 = until everything halts). RunParallel is the M:N engine.
+// (0 = until everything halts). RunParallel runs it on several workers.
 func (k *VMM) Run(maxSteps uint64) uint64 {
 	if k.Current() == nil {
 		k.scheduleNext()

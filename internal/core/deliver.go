@@ -306,6 +306,5 @@ func (k *VMM) deliverPendingIRQs(vm *VM) {
 			vm.rec.Observe(trace.LatKCall, k.CPU.Cycles-vm.kcallStart)
 		}
 	}
-	vm.idleWaits = 0 // a real delivery breaks any idle-WAIT streak
 	k.deliverToVM(vm, vec, nil, k.CPU.PC(), vax.Kernel, int(level))
 }

@@ -48,7 +48,7 @@ func TestWithTranslationMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestWithTranslationParallelEngine runs a small fleet on the M:N
+// TestWithTranslationParallelEngine runs a small fleet on the parallel
 // engine: every guest must reach the right answer, with the merged
 // instruction count equal to four serial runs'.
 func TestWithTranslationParallelEngine(t *testing.T) {

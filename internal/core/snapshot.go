@@ -621,10 +621,9 @@ func (k *VMM) restoreInPlace(vm *VM, image []byte) error {
 	}
 	k.CPU.MMU.TBIA()
 
-	// The rolled-back guest restarts its watchdog budget and idle
-	// accounting; external interrupt mailboxes survive untouched (posts
-	// that raced the failure still deliver).
+	// The rolled-back guest restarts its watchdog budget; external
+	// interrupt mailboxes survive untouched (posts that raced the
+	// failure still deliver).
 	vm.lastProgress = vm.ticks
-	vm.idleWaits = 0
 	return nil
 }

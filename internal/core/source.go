@@ -103,11 +103,6 @@ func (pr ParallelRunStats) Counters(emit func(name string, v uint64)) {
 	emit("instructions", pr.Instrs)
 	emit("cycles", pr.Cycles)
 	emit("dispatches", pr.Dispatches)
-	emit("steals", pr.Steals)
-	emit("parks", pr.Parks)
-	emit("wakes", pr.Wakes)
-	emit("idle_wakes", pr.IdleWakes)
-	emit("max_queue_depth", uint64(pr.MaxQueueDepth))
 	emit("min_worker_steps", pr.MinWorkerSteps)
 	emit("max_worker_steps", pr.MaxWorkerSteps)
 	emit("decode_hits", pr.DecodeHits)

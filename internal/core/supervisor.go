@@ -27,9 +27,10 @@ import (
 // Recovery is deliberately deferred: a death unwinds through the normal
 // vm.halted guards first (a KCALL emulation path half-way through its
 // unwind must not find a revived VM's registers under it), and the
-// rollback happens at one of three safe points — the clock-tick
-// handler, the serial Run halt loop, or the parallel engine's drive
-// loop, each at an instruction boundary with no VM mid-emulation.
+// rollback happens at one of two safe points — the clock-tick handler
+// or Run's halt loop, each at an instruction boundary with no VM
+// mid-emulation. A worker of RunParallel runs Run on its shard, so it
+// recovers its own share at the same two points.
 
 // maybeCheckpoint takes the periodic checkpoint of the running VM when
 // its policy interval has matured. Guarded by the progress mark: a VM

@@ -222,29 +222,16 @@ func (k *VMM) handleRealInterrupt(e *vax.Exception, start uint64) {
 	// Therefore the VMOS code should read this time rather than
 	// computing it." The cell carries real uptime for every VM,
 	// running, waiting or preempted.
-	// tickBias rebases the cell into the VM's own clock domain: worker
-	// shards advance their clocks independently, so a VM migrating
-	// between them would otherwise see uptime jump or run backwards.
-	// On the serial engine the bias is zero and this is the identity.
 	for _, vm := range k.vms {
 		if !vm.halted && vm.uptime != 0 {
-			vm.writePhys(vm.uptime, uint32(k.Stats.ClockTicks-vm.tickBias))
+			vm.writePhys(vm.uptime, uint32(k.Stats.ClockTicks))
 		}
 	}
-	// Wake WAITing VMs whose timeout expired or that have work. Bare
-	// timeouts with nothing pending feed the idle-wait streak the
-	// parallel engine uses as its parking heuristic.
+	// Wake WAITing VMs whose timeout expired or that have work.
 	for _, vm := range k.vms {
 		vm.drainExternalIRQs()
-		if vm.waiting {
-			switch {
-			case vm.pendingAbove(0) > 0:
-				vm.idleWaits = 0
-				vm.waiting = false
-			case k.Stats.ClockTicks >= vm.waitDeadline:
-				vm.idleWaits++
-				vm.waiting = false
-			}
+		if vm.waiting && (vm.pendingAbove(0) > 0 || k.Stats.ClockTicks >= vm.waitDeadline) {
+			vm.waiting = false
 		}
 	}
 

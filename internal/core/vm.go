@@ -159,46 +159,18 @@ type VM struct {
 
 	pendingIRQ [32]vax.Vector // virtual device interrupts by level
 
-	// Cross-goroutine interrupt mailbox and scheduler state, padded on
-	// both sides so concurrent posts against one VM never bounce cache
-	// lines holding a neighbor VM's (or this VM's owner-confined) hot
-	// fields. pendingIRQ above is owned by the goroutine executing the
-	// VM; any other goroutine (tests, the parallel engine, cross-VM
-	// wiring) posts through PostIRQ, which stores the vector in extIRQ,
-	// sets the level's bit in extMask and unparks the VM if its engine
-	// parked it. The owner folds the mailbox into pendingIRQ with
+	// Cross-goroutine interrupt mailbox, padded on both sides so
+	// concurrent posts against one VM never bounce cache lines holding
+	// a neighbor VM's (or this VM's owner-confined) hot fields.
+	// pendingIRQ above is owned by the goroutine executing the VM; any
+	// other goroutine (tests, the fleet, cross-VM wiring) posts through
+	// PostIRQ, which stores the vector in extIRQ and sets the level's
+	// bit in extMask. The owner folds the mailbox into pendingIRQ with
 	// drainExternalIRQs at every delivery opportunity.
 	_       [64]byte
 	extIRQ  [32]atomic.Uint32
 	extMask atomic.Uint32
-	// sched is the parallel engine's per-VM state machine (schedIdle /
-	// schedQueued / schedRunning / schedParked / schedDone). Cold
-	// transitions (park, unpark, finish) happen under the engine mutex;
-	// hot ones (queued<->running) are owner-only stores.
-	sched atomic.Uint32
-	// eng points at the engine of the parallel run in flight (nil
-	// outside one); PostIRQ goes through it to unpark the VM.
-	eng atomic.Pointer[engine]
-	_   [64]byte
-
-	// idleWaits counts consecutive WAIT timeouts with no intervening
-	// progress or interrupt; the parallel engine parks a worker whose VM
-	// keeps idling instead of letting it spin (owner-goroutine only,
-	// except that unpark resets it before requeueing — the queue
-	// handoff orders that write before the next owner's reads).
-	idleWaits uint32
-
-	// M:N migration state, owner-confined (the work-queue handoff
-	// sequences owners): which worker shard ran the VM last (so a
-	// dispatch elsewhere invalidates stale cached decodes), the WAIT
-	// deadline expressed as ticks remaining (shard clocks advance
-	// independently, so absolute deadlines do not survive migration),
-	// the uptime-cell rebasing pair, and the remaining step budget.
-	lastShard     *VMM
-	waitRemaining uint64
-	uptimeSeen    uint64 // last uptime value observed by this VM, in ticks
-	tickBias      uint64 // clock-domain bias: cell value = ClockTicks - tickBias
-	stepsLeft     uint64 // per-run step budget remaining (parallel engine)
+	_       [64]byte
 
 	waiting      bool
 	waitDeadline uint64 // real tick count at which WAIT times out
@@ -504,11 +476,8 @@ func (vm *VM) postIRQ(level uint8, vec vax.Vector) {
 // PostIRQ posts a virtual device interrupt to the VM from outside its
 // execution goroutine. Safe to call concurrently with a running
 // engine; the interrupt is folded into the VM's pending set at its
-// next delivery opportunity, and a VM parked by the parallel engine is
-// put back on the run queue. The mailbox store strictly precedes the
-// unpark attempt: park (under the engine mutex) re-checks the mailbox
-// after publishing the parked state, so whichever side loses the
-// interleaving still observes the other — no lost wakeups.
+// next delivery opportunity — at the latest the next clock tick, whose
+// wake scan drains every mailbox, so a VM idling in WAIT sees it.
 func (vm *VM) PostIRQ(level uint8, vec vax.Vector) {
 	if level >= 32 || vec == 0 {
 		return
@@ -519,9 +488,6 @@ func (vm *VM) PostIRQ(level uint8, vec vax.Vector) {
 		if vm.extMask.CompareAndSwap(old, old|1<<level) {
 			break
 		}
-	}
-	if e := vm.eng.Load(); e != nil {
-		e.unpark(vm)
 	}
 }
 

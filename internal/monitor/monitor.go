@@ -50,7 +50,7 @@ func (m *Monitor) Sources() []trace.Source {
 		for _, vm := range m.VMM.VMs() {
 			srcs = append(srcs, vm)
 		}
-		// The merged totals of the last parallel run carry the scheduler
+		// The merged totals of the last parallel run carry the worker
 		// counters (and the worker_occupancy_permille balance ratio) that
 		// no per-VM or monitor source exposes.
 		if pr := m.VMM.LastParallelRun(); pr.VMs > 0 {
@@ -609,9 +609,8 @@ func (m *Monitor) stat() string {
 	}
 	if pr := m.VMM.LastParallelRun(); pr.VMs > 0 {
 		out += fmt.Sprintf(
-			"parallel: %d workers  %d vms  steps %d  instrs %d\nsched: dispatches %d  steals %d  parks %d  wakes %d  idle-wakes %d  max-queue %d\n",
-			pr.Workers, pr.VMs, pr.Steps, pr.Instrs,
-			pr.Dispatches, pr.Steals, pr.Parks, pr.Wakes, pr.IdleWakes, pr.MaxQueueDepth)
+			"parallel: %d workers  %d vms  steps %d  instrs %d  dispatches %d\n",
+			pr.Workers, pr.VMs, pr.Steps, pr.Instrs, pr.Dispatches)
 		out += fmt.Sprintf("parallel: worker-steps %d min / %d max  occupancy %d%%  decode %d/%d hit/miss\n",
 			pr.MinWorkerSteps, pr.MaxWorkerSteps, pr.OccupancyPermille()/10,
 			pr.DecodeHits, pr.DecodeMisses)

@@ -34,10 +34,9 @@ const (
 	EvKCallDone                // KCALL completed; arg = status
 	EvKCallRetry               // transient disk error retried; arg = attempt
 	EvSchedRun                 // VM resumed on the processor; arg = guest PC
-	EvSchedPark                // VM gave up the processor (WAIT / worker park)
+	EvSchedPark                // VM gave up the processor (WAIT)
 	EvWatchdogTrip             // watchdog halted the VM; arg = idle ticks
 	EvMachineCheck             // virtual machine check delivered; arg = cause
-	EvSchedSteal               // VM migrated to a new worker; arg = worker id
 	EvCheckpoint               // checkpoint generation taken; arg = sequence
 	EvRecover                  // VM restored from a checkpoint; arg = generation
 	EvCowBreak                 // copy-on-write break: shared page privatized; arg = VM page frame
@@ -59,7 +58,7 @@ var kindNames = [NumKinds]string{
 	"vm-trap", "chm", "rei", "shadow-fill", "batch-fill", "modify-fault",
 	"virtual-irq", "kcall-start", "kcall-done", "kcall-retry",
 	"sched-run", "sched-park", "watchdog-trip", "machine-check",
-	"sched-steal", "checkpoint", "recover", "cow-break",
+	"checkpoint", "recover", "cow-break",
 	"vm-created", "vm-halted", "priv-fault", "reflected",
 	"selfcheck-repair", "fault-injected", "unknown-kcall",
 	"recovery-fallback", "recovery-escalated",
