@@ -123,7 +123,6 @@ func TestSupervisorAllocParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.FillBatch = 1
 			k := core.New(16<<20, cfg)
 			if _, err := vmos.BootVM(k, im, 64); err != nil {
 				t.Fatal(err)

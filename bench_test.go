@@ -260,14 +260,13 @@ func benchMultiVM(b *testing.B, nVMs, idlers, workers int) {
 	if idlers > 0 {
 		cfg.WaitTimeout = 2
 	}
-	cache := mem.NewCache()
 	var instrs uint64
 	var setup time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		t0 := time.Now()
-		k := core.New(memBytes, cfg, core.WithMemCache(cache))
+		k := core.New(memBytes, cfg)
 		vms := make([]*core.VM, nVMs)
 		for j := range vms {
 			img, startPC := computeImg, computeStart
@@ -401,14 +400,13 @@ func benchMultiVMClone(b *testing.B, nVMs, idlers, workers int) {
 	if idlers > 0 {
 		cfg.WaitTimeout = 2
 	}
-	cache := mem.NewCache()
 	var instrs uint64
 	var setup time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		t0 := time.Now()
-		k := core.New(memBytes, cfg, core.WithMemCache(cache))
+		k := core.New(memBytes, cfg)
 		boot := func(img []byte, startPC uint32) *core.VM {
 			vm, err := k.CreateVM(core.VMConfig{
 				MemBytes: mvMemSize, Image: img, StartPC: startPC,

@@ -303,6 +303,11 @@ if ! diff "$tmpwant" "$tmpgot"; then
 fi
 rm -f "$tmpmd" "$tmpwant" "$tmpgot"
 
+echo "== examples (each exits non-zero when its guest dies or its own check fails)"
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
+
 echo "== clone smoke (256 clones: shared pages, completion, parity with boots)"
 go test -run 'TestCloneSmokeParity$' -count=1 ./internal/core/ > /dev/null
 

@@ -61,6 +61,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *schemeName)
 		os.Exit(2)
 	}
+	if *nvms < 1 {
+		fmt.Fprintf(os.Stderr, "-vms must be at least 1, got %d\n", *nvms)
+		os.Exit(2)
+	}
+	cfg := core.Config{
+		Scheme:           scheme,
+		ShadowCacheSlots: *slots,
+		PrefetchGroup:    *prefetch,
+		MMIOEmulatedIO:   *mmio,
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	procs, err := buildProcesses(*wl)
 	if err != nil {
@@ -77,12 +91,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	k := core.New(uint32(16+8*(*nvms))<<20, core.Config{
-		Scheme:           scheme,
-		ShadowCacheSlots: *slots,
-		PrefetchGroup:    *prefetch,
-		MMIOEmulatedIO:   *mmio,
-	})
+	k := core.New(uint32(16+8*(*nvms))<<20, cfg)
 	if *audit > 0 {
 		k.EnableRecorder(*audit)
 	}

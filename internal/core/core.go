@@ -74,7 +74,10 @@ const (
 	timeSlice = 4
 )
 
-// Config tunes the VMM; zero values give the paper's production design.
+// Config tunes the VMM. The zero value is the paper's design: ring
+// compression, shadow PTEs filled on demand one per fault (Section
+// 4.3.1), the modify fault and KCALL start-I/O. The multi-process
+// shadow-table cache of Section 7.2 is opt-in (ShadowCacheSlots).
 type Config struct {
 	Scheme RingScheme
 
@@ -87,19 +90,6 @@ type Config struct {
 	// fault (Section 4.3.1's rejected experiment). 0 or 1 means pure
 	// on-demand fill.
 	PrefetchGroup int
-
-	// FillBatch is the shadow-fill cluster size: on a demand fill the
-	// VMM also fills up to FillBatch-1 following shadow PTEs from the
-	// same guest page-table page, in one walk of the guest's tables.
-	// Unlike PrefetchGroup (which re-walks the guest tables and pays
-	// the full fill cost per extra PTE — the paper's rejected
-	// experiment), the batch amortizes one walk across the cluster and
-	// never overwrites a non-null shadow PTE. Bounded by the guest
-	// PTE page, the region limit and the shadow table size. 0 selects
-	// the default of 8; 1 (or negative) disables batching — the
-	// experiment harness pins 1 to reproduce the paper's pure
-	// demand-fill design point.
-	FillBatch int
 
 	// MMIOEmulatedIO makes virtual disks appear as memory-mapped
 	// controllers whose every register reference traps for emulation,
@@ -157,19 +147,6 @@ type Config struct {
 	// RecoverBudget bounds recoveries per VM (0 selects the default of
 	// 8 when Recover is set).
 	RecoverBudget int
-
-	// Recorder attaches a flight recorder: every VM created on this
-	// monitor gets an event log and latency histograms in it.
-	// nil (the default) disables recording; the hot paths then pay one
-	// pointer test and allocate nothing. Usually set via WithRecorder.
-	Recorder *trace.Recorder
-
-	// MemCache, when non-nil, sources the monitor's physical memory
-	// from (and Release returns it to) a private mem.Cache instead of
-	// the global buffer pool, so harness code that churns machines
-	// across goroutines never contends on the pool lock. Usually set
-	// via WithMemCache.
-	MemCache *mem.Cache
 }
 
 func (cfg Config) withDefaults() Config {
@@ -178,12 +155,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.PrefetchGroup < 1 {
 		cfg.PrefetchGroup = 1
-	}
-	if cfg.FillBatch == 0 {
-		cfg.FillBatch = 8
-	}
-	if cfg.FillBatch < 1 {
-		cfg.FillBatch = 1
 	}
 	if cfg.WaitTimeout == 0 {
 		cfg.WaitTimeout = 16
@@ -282,32 +253,20 @@ type VMM struct {
 }
 
 // New builds a VMM over a fresh modified-VAX machine with the given
-// physical memory size. Options are applied to cfg in order, after
-// which the configuration must pass Validate — a bad combination is a
-// programmer error and panics rather than limping into a run.
+// physical memory size, then applies the options to it in order. The
+// configuration must pass Validate — a bad combination is a programmer
+// error and panics rather than limping into a run.
 func New(memBytes uint32, cfg Config, opts ...Option) *VMM {
-	if len(opts) > 0 {
-		// Apply options to a branch-local copy: taking cfg's own
-		// address would spill the parameter to the heap on every call,
-		// including the common no-option one.
-		withOpts := cfg
-		for _, opt := range opts {
-			opt(&withOpts)
-		}
-		cfg = withOpts
-	}
 	if err := cfg.Validate(); err != nil {
 		panic("core.New: " + err.Error())
 	}
-	var m *mem.Memory
-	if cfg.MemCache != nil {
-		m = cfg.MemCache.New(memBytes)
-	} else {
-		m = mem.New(memBytes)
-	}
 	// page 0 reserved for the (unused) real SCB
 	shared := &vmmShared{nextPage: 1, pageRuns: make(map[uint32][]uint32)}
-	return newInstance(m, cfg.withDefaults(), shared, cfg.Recorder)
+	k := newInstance(mem.New(memBytes), cfg.withDefaults(), shared, nil)
+	for _, opt := range opts {
+		opt(k)
+	}
+	return k
 }
 
 // newInstance builds one VMM instance over physical memory m and the
@@ -480,10 +439,6 @@ func (k *VMM) Release() {
 	k.shared.mu.Lock()
 	dirty := k.shared.nextPage * vax.PageSize
 	k.shared.mu.Unlock()
-	if k.cfg.MemCache != nil {
-		k.cfg.MemCache.Release(k.Mem, dirty)
-		return
-	}
 	k.Mem.Release(dirty)
 }
 

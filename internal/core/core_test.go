@@ -51,10 +51,10 @@ func guestImage(t *testing.T, src string, vectors map[vax.Vector]string) ([]byte
 }
 
 // bootVM creates a VMM with one pre-mapped VM running src.
-func bootVM(t *testing.T, cfg Config, src string, vectors map[vax.Vector]string) (*VMM, *VM, *asm.Program) {
+func bootVM(t *testing.T, cfg Config, src string, vectors map[vax.Vector]string, opts ...Option) (*VMM, *VM, *asm.Program) {
 	t.Helper()
 	img, prog := guestImage(t, src, vectors)
-	k := New(8<<20, cfg)
+	k := New(8<<20, cfg, opts...)
 	vm, err := k.CreateVM(VMConfig{
 		MemBytes:  gMemSize,
 		Image:     img,

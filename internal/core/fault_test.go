@@ -150,8 +150,9 @@ start:	movl #99, r0         ; no such KCALL function
 }
 
 func TestKCALLDiskTransferNoAlloc(t *testing.T) {
-	// Satellite of the scratch-buffer fix: a disk transfer must not
-	// allocate per call in either direction.
+	// A disk transfer must not allocate per call in either direction,
+	// whether KCALL starts it or a GO written to the emulated
+	// controller's CSR does.
 	k, vm, _ := bootVM(t, Config{}, `
 start:	halt
 `, nil)
@@ -165,8 +166,21 @@ start:	halt
 			t.Fatal(err)
 		}
 	})
-	if read != 0 || write != 0 {
-		t.Errorf("allocs per transfer: read %.1f write %.1f, want 0", read, write)
+	k.diskRegWrite(vm, devRegBlock, 1)
+	k.diskRegWrite(vm, devRegAddr, 0x5000)
+	k.diskRegWrite(vm, devRegCount, vax.PageSize)
+	mmio := func(fn uint32) float64 {
+		return testing.AllocsPerRun(200, func() {
+			k.diskRegWrite(vm, devRegCSR, fn|devCSRGo)
+			if vm.disk.stat != KCallStatusOK {
+				t.Fatalf("MMIO transfer status %d, want OK", vm.disk.stat)
+			}
+		})
+	}
+	mmioRead, mmioWrite := mmio(devFuncRead), mmio(devFuncWrite)
+	if read != 0 || write != 0 || mmioRead != 0 || mmioWrite != 0 {
+		t.Errorf("allocs per transfer: KCALL read %.1f write %.1f, MMIO read %.1f write %.1f, want 0",
+			read, write, mmioRead, mmioWrite)
 	}
 }
 

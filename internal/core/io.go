@@ -295,10 +295,12 @@ func (k *VMM) diskRegWrite(vm *VM, off, v uint32) {
 			(k.faults.DiskAttempt(vm.ID, 0, v&devCSRFunc == devFuncWrite) != fault.DiskOK ||
 				k.faults.BusErrorHit(vm.ID, k.Stats.ClockTicks, d.addr, d.count))
 		if vm.contains(d.addr, d.count) && !injected && d.count <= vax.PageSize {
-			buf := make([]byte, d.count)
+			buf := k.ioBuf[:d.count]
 			switch v & devCSRFunc {
 			case devFuncRead:
-				if d.readBlock(d.block, buf[:min32len(buf, d)]) == nil {
+				n := min32len(buf, d)
+				clear(buf[n:]) // a disk shorter than count reads as zeros past its end
+				if d.readBlock(d.block, buf[:n]) == nil {
 					if vm.dmaWrite(d.addr, buf) == nil {
 						d.stat = KCallStatusOK
 					}

@@ -9,35 +9,34 @@ import (
 )
 
 // Functional options for New. A Config literal sets every plain knob;
-// the options below are the attachments the experiment harness, the
-// benchmark module and vaxmon compose at construction (a flight
-// recorder, a memory cache).
+// an option attaches something from outside to the new monitor.
 
-// Option adjusts a Config before validation.
-type Option func(*Config)
+// Option adjusts a newly built VMM before New returns it.
+type Option func(*VMM)
 
-// WithRecorder attaches a flight recorder (nil leaves recording off).
+// WithRecorder attaches a flight recorder: every VM created on the
+// monitor gets an event log and latency histograms in it. nil leaves
+// recording off; the hot paths then pay one pointer test and allocate
+// nothing. EnableRecorder attaches one after construction.
 func WithRecorder(rec *trace.Recorder) Option {
-	return func(cfg *Config) { cfg.Recorder = rec }
+	return func(k *VMM) { k.rec = rec }
 }
 
-// WithTranslation leaves the Config unchanged: the superblock tier it
+// WithTranslation leaves the monitor unchanged: the superblock tier it
 // switched is gone, and every processor runs bound instructions back
 // to back on its own.
 //
 // Deprecated: bench/ is its last caller.
 func WithTranslation(bool) Option {
-	return func(*Config) {}
+	return func(*VMM) {}
 }
 
-// WithMemCache routes the monitor's physical-memory allocation and
-// release through a goroutine-confined backing-store cache instead of
-// the global pool, so concurrent harness workers booting and
-// discarding machines don't contend on the pool mutex. The cache must
-// only be used from one goroutine at a time (nil keeps the global
-// pool).
-func WithMemCache(c *mem.Cache) Option {
-	return func(cfg *Config) { cfg.MemCache = c }
+// WithMemCache leaves the monitor unchanged: every monitor takes its
+// memory from mem.New and returns it with Release.
+//
+// Deprecated: bench/ is its last caller.
+func WithMemCache(*mem.Cache) Option {
+	return func(*VMM) {}
 }
 
 // Validate rejects configurations that clamping cannot repair. The
@@ -47,9 +46,6 @@ func WithMemCache(c *mem.Cache) Option {
 func (cfg Config) Validate() error {
 	if cfg.Scheme < RingCompression || cfg.Scheme > SeparateAddressSpace {
 		return fmt.Errorf("unknown ring scheme %d", cfg.Scheme)
-	}
-	if cfg.FillBatch > vax.PageSize/4 {
-		return fmt.Errorf("FillBatch %d exceeds one guest PTE page (%d)", cfg.FillBatch, vax.PageSize/4)
 	}
 	if cfg.PrefetchGroup > vax.PageSize/4 {
 		return fmt.Errorf("PrefetchGroup %d exceeds one guest PTE page (%d)", cfg.PrefetchGroup, vax.PageSize/4)

@@ -93,9 +93,9 @@ func addTestVM(t *testing.T, k *VMM, name, src string, vectors map[vax.Vector]st
 }
 
 // mixedFleet builds the standard 4-VM mixed workload on a fresh VMM.
-func mixedFleet(t *testing.T, cfg Config) (*VMM, []*VM) {
+func mixedFleet(t *testing.T, cfg Config, opts ...Option) (*VMM, []*VM) {
 	t.Helper()
-	k := New(16<<20, cfg)
+	k := New(16<<20, cfg, opts...)
 	vms := []*VM{
 		addTestVM(t, k, "compute", parComputeSrc, nil),
 		addTestVM(t, k, "io", parIOSrc, map[vax.Vector]string{vax.VecDisk: "dskh"}),

@@ -123,7 +123,7 @@ func TestGuestWalkMatchesHardwareWalk(t *testing.T) {
 					// PTE the other walk just updated.
 					hw.TBIA()
 					msets := hw.Stats.MSets
-					_, _, w := vm.guestWalk(va)
+					_, w := vm.guestWalk(va)
 					if vax.Region(va) == vax.RegionSystem {
 						walks[0][w]++
 					} else {

@@ -18,7 +18,7 @@ import (
 func recordedMixedRun(t *testing.T, logCap int) (*trace.Recorder, int) {
 	t.Helper()
 	rec := trace.NewRecorder(logCap)
-	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Recorder: rec})
+	k, vms := mixedFleet(t, Config{WaitTimeout: 2}, WithRecorder(rec))
 	k.Run(10_000_000)
 	assertAllHaltedNormally(t, vms)
 	total := 0
@@ -35,7 +35,7 @@ func recordedMixedRun(t *testing.T, logCap int) (*trace.Recorder, int) {
 // single-writer/merge-barrier contract.
 func TestRecorderParallelAllShards(t *testing.T) {
 	rec := trace.NewRecorder(1 << 16)
-	k, vms := mixedFleet(t, Config{WaitTimeout: 2, Recorder: rec})
+	k, vms := mixedFleet(t, Config{WaitTimeout: 2}, WithRecorder(rec))
 	k.RunParallel(4, 10_000_000)
 	assertAllHaltedNormally(t, vms)
 	if rec.Dropped() != 0 {
@@ -113,7 +113,7 @@ func TestEventLogRetentionBothEngines(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rec := trace.NewRecorder(64)
-			k, vms := mixedFleet(t, Config{WaitTimeout: 2, Recorder: rec})
+			k, vms := mixedFleet(t, Config{WaitTimeout: 2}, WithRecorder(rec))
 			if workers > 1 {
 				k.RunParallel(workers, 10_000_000)
 			} else {
@@ -177,10 +177,8 @@ func TestDestroyReleasesEventLog(t *testing.T) {
 // must not allocate whether the recorder is nil or attached.
 func TestRecorderHotPathNoAllocs(t *testing.T) {
 	run := func(rec *trace.Recorder) (fill, chm float64) {
-		cfg := Config{}
-		cfg.Recorder = rec
-		k, vm, _ := bootVM(t, cfg, "start:\thalt\nchmh:\thalt\n",
-			map[vax.Vector]string{vax.CHMVector(vax.Kernel): "chmh"})
+		k, vm, _ := bootVM(t, Config{}, "start:\thalt\nchmh:\thalt\n",
+			map[vax.Vector]string{vax.CHMVector(vax.Kernel): "chmh"}, WithRecorder(rec))
 		setupP0(t, vm, 0x5F0, 8, 40, true)
 		fill = testing.AllocsPerRun(200, func() {
 			if gf := k.fillShadow(vm, 0, false); gf != nil {

@@ -292,10 +292,9 @@ func (s *shadowSpace) invalidate(k *VMM, va uint32) {
 
 // fillShadow is the demand fill (Section 4.3.1): walk the VM's tables
 // for va once, map the guest PTE through the shadow-PTE rule into the
-// shadow slot, then extend the fill with the optional prefetch group and
-// the batch from the same walk. It returns the guest fault to reflect
-// when the VM's own tables make the reference invalid, or nil on
-// success.
+// shadow slot, then extend the fill with the optional prefetch group.
+// It returns the guest fault to reflect when the VM's own tables make
+// the reference invalid, or nil on success.
 func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 	var fillStart uint64
 	if vm.rec != nil {
@@ -306,7 +305,7 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		// Outside the VM's maximum table sizes: length violation.
 		return vm.avFault(va, wantWrite, true)
 	}
-	ptePhys, follow, w := vm.guestWalk(va)
+	ptePhys, w := vm.guestWalk(va)
 	gpte, gf := k.walkedPTE(vm, va, wantWrite, ptePhys, w)
 	if gf != nil || vm.halted {
 		return gf
@@ -344,7 +343,7 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		if !ok {
 			break
 		}
-		nPhys, _, w := vm.guestWalk(nva)
+		nPhys, w := vm.guestWalk(nva)
 		if w != walkOK {
 			continue
 		}
@@ -358,66 +357,11 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		k.charge(cpu.CostVMMShadowFill)
 	}
 
-	if k.cfg.FillBatch > 1 {
-		k.batchFill(vm, va, ptePhys, follow)
-	}
 	if vm.rec != nil {
 		vm.rec.Record(trace.EvShadowFill, fillStart, k.CPU.PC(), va)
 		vm.rec.Observe(trace.LatShadowFill, k.CPU.Cycles-fillStart)
 	}
 	return nil
-}
-
-// batchFill extends a demand fill with up to FillBatch-1 following
-// shadow PTEs read raw from the guest page-table page the demand fill's
-// walk already located (ptePhys, with follow PTEs after it in that
-// page). Where PrefetchGroup — the paper's rejected experiment —
-// re-walks the guest tables and pays the full fill cost per extra PTE,
-// the whole batch costs one extra guest-table read. Two rules keep it
-// invisible to the guest: only null shadow slots are filled (a non-null
-// slot may carry shadow M-bit state the guest's tables do not), and a
-// neighbor the shadow-PTE rule leaves unmapped is skipped silently — a
-// speculative fill must never become a guest-visible fault. Neighbors
-// go through the same rule as the demand fill, so the first write to a
-// prefilled clean page still faults to the VMM (the modify fault, or the
-// read-only-shadow upgrade).
-func (k *VMM) batchFill(vm *VM, va, ptePhys, follow uint32) {
-	n := min32(uint32(k.cfg.FillBatch-1), follow)
-	filled := uint64(0)
-	for g := uint32(1); g <= n; g++ {
-		nva := va + g*vax.PageSize
-		if vax.Region(nva) != vax.Region(va) {
-			break
-		}
-		nslot, ok := vm.shadow.shadowSlot(nva)
-		if !ok {
-			break
-		}
-		cur, err := k.Mem.LoadLong(nslot)
-		if err != nil || vax.PTE(cur) != nullPTE {
-			continue
-		}
-		gv, ok := vm.readPhys(ptePhys + 4*g)
-		if !ok {
-			break
-		}
-		spte, m := k.shadowPTEFor(vm, vax.PTE(gv), k.cfg.ReadOnlyShadow)
-		if m != mapped {
-			continue
-		}
-		_ = k.Mem.StoreLong(nslot, uint32(spte))
-		filled++
-	}
-	if filled > 0 {
-		vm.Stats.FillBatches++
-		vm.Stats.BatchFills += filled
-		if vm.rec != nil {
-			vm.rec.Record(trace.EvBatchFill, k.CPU.Cycles, k.CPU.PC(), uint32(filled))
-		}
-		// One amortized walk for the cluster, not a full fill per PTE.
-		k.charge(cpu.CostVMMShadowFill / 2)
-		k.CPU.MMU.TBISRange(va+vax.PageSize, n)
-	}
 }
 
 // shadowMap is the verdict of the shadow-PTE rule: a mapping, or the
@@ -501,55 +445,49 @@ const (
 // VM terms (VM-physical frames, uncompressed protections), exactly as
 // the memory-management hardware would walk them. It returns the
 // VM-physical address of the guest PTE — S-region PTEs directly, P0/P1
-// PTEs through the guest's S-space PTE for their table page — and how
-// many following PTEs share that guest page-table page within the
-// region's length register. The walk reads but never faults or halts:
-// callers decide what an outcome other than walkOK means.
-func (vm *VM) guestWalk(va uint32) (ptePhys, follow uint32, w walkOutcome) {
+// PTEs through the guest's S-space PTE for their table page. The walk
+// reads but never faults or halts: callers decide what an outcome other
+// than walkOK means.
+func (vm *VM) guestWalk(va uint32) (ptePhys uint32, w walkOutcome) {
 	vpn := vax.VPN(va)
-	var lr uint32
 	switch vax.Region(va) {
 	case vax.RegionSystem:
 		if vpn >= vm.slr {
-			return 0, 0, walkLength
+			return 0, walkLength
 		}
-		ptePhys, lr = vm.sbr+4*vpn, vm.slr
+		ptePhys = vm.sbr + 4*vpn
 	case vax.RegionP0, vax.RegionP1:
-		br := vm.p0br
-		lr = vm.p0lr
+		br, lr := vm.p0br, vm.p0lr
 		if vax.Region(va) == vax.RegionP1 {
 			br, lr = vm.p1br, vm.p1lr
 		}
 		if vpn >= lr {
-			return 0, 0, walkLength
+			return 0, walkLength
 		}
 		// The process PTE lives in the VM's S space.
 		pteVA := br + 4*vpn
 		if vax.Region(pteVA) != vax.RegionSystem || vax.VPN(pteVA) >= vm.slr {
-			return 0, 0, walkPTEAV
+			return 0, walkPTEAV
 		}
 		sv, ok := vm.readPhys(vm.sbr + 4*vax.VPN(pteVA))
 		if !ok {
-			return 0, 0, walkOutside
+			return 0, walkOutside
 		}
 		spte := vax.PTE(sv)
 		if spte.Prot().Reserved() {
-			return 0, 0, walkPTEAV
+			return 0, walkPTEAV
 		}
 		if !spte.Valid() {
-			return 0, 0, walkPTETNV
+			return 0, walkPTETNV
 		}
 		ptePhys = spte.PFN()*vax.PageSize + (pteVA & vax.PageMask)
 	default:
-		return 0, 0, walkLength
+		return 0, walkLength
 	}
 	if !vm.contains(ptePhys, 4) {
-		return 0, 0, walkOutside
+		return 0, walkOutside
 	}
-	if off := ptePhys & vax.PageMask; off <= vax.PageSize-4 {
-		follow = min32((vax.PageSize-4-off)/4, lr-vpn-1)
-	}
-	return ptePhys, follow, walkOK
+	return ptePhys, walkOK
 }
 
 // walkedPTE reads the guest PTE a walk located, or turns a failed walk
@@ -578,7 +516,7 @@ func (k *VMM) walkedPTE(vm *VM, va uint32, write bool, ptePhys uint32, w walkOut
 // guestPTE reads the VM's own PTE for va (VM-physical frame,
 // uncompressed protection), or returns the guest fault its walk raises.
 func (k *VMM) guestPTE(vm *VM, va uint32, wantWrite bool) (vax.PTE, *guestFault) {
-	ptePhys, _, w := vm.guestWalk(va)
+	ptePhys, w := vm.guestWalk(va)
 	return k.walkedPTE(vm, va, wantWrite, ptePhys, w)
 }
 
@@ -587,7 +525,7 @@ func (k *VMM) guestPTE(vm *VM, va uint32, wantWrite bool) (vax.PTE, *guestFault)
 // shadow page table, and also sets the corresponding bit in the VM's
 // page table", Section 4.4.2).
 func (k *VMM) setGuestPTEModify(vm *VM, va uint32) {
-	ptePhys, _, w := vm.guestWalk(va)
+	ptePhys, w := vm.guestWalk(va)
 	if w != walkOK {
 		return
 	}

@@ -103,7 +103,7 @@ func TestPrefetchSkipsPTEOutsideMemory(t *testing.T) {
 	binary.LittleEndian.PutUint32(img[gSPT+4*last:], uint32(vax.NewPTE(true, vax.ProtUW, true, 20)))
 	copy(img[gCode:], prog.Code)
 
-	k := New(8<<20, Config{PrefetchGroup: 2, FillBatch: 1})
+	k := New(8<<20, Config{PrefetchGroup: 2})
 	vm, err := k.CreateVM(VMConfig{MemBytes: memBytes, Image: img,
 		StartPC: prog.MustSymbol("start"), PreMapped: true, SBR: gSPT, SLR: 4096, SCBB: gSCB})
 	if err != nil {

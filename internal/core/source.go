@@ -61,8 +61,6 @@ func (vm *VM) Counters(emit func(name string, v uint64)) {
 	emit("context_switches", s.ContextSwitches)
 	emit("shadow_fills", s.ShadowFills)
 	emit("prefetch_fills", s.PrefetchFills)
-	emit("fill_batches", s.FillBatches)
-	emit("batch_fills", s.BatchFills)
 	emit("slow_path_allocs", s.SlowPathAllocs)
 	emit("shadow_clears", s.ShadowClears)
 	emit("cache_hits", s.CacheHits)

@@ -45,8 +45,7 @@ func TestWatchdogRecovery(t *testing.T) {
 		Watchdog:        16,
 		CheckpointEvery: 3, CheckpointGenerations: 4,
 		Recover: true, RecoverBudget: 8,
-		Recorder: trace.NewRecorder(256),
-	}, flagGuest, nil)
+	}, flagGuest, nil, WithRecorder(trace.NewRecorder(256)))
 	runVM(t, k, vm, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {
 		t.Fatalf("halt reason %q, want normal HALT after recovery", msg)

@@ -65,9 +65,12 @@ type VMStats struct {
 	SelfCheckRepairs uint64 // shadow PTEs repaired by the self-check pass
 	UnknownKCALLs    uint64 // KCALLs with an unrecognized function code
 
-	FillBatches    uint64 // demand fills that batched at least one neighbor PTE
-	BatchFills     uint64 // neighbor shadow PTEs filled by batching
 	SlowPathAllocs uint64 // slow-path events that fell back to heap allocation
+
+	// BatchFills always reads 0: every demand fill fills one PTE.
+	//
+	// Deprecated: bench/ is its last caller.
+	BatchFills uint64
 
 	Checkpoints         uint64 // checkpoint generations taken
 	Recoveries          uint64 // supervisor restores from a checkpoint

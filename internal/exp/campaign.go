@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/vax"
@@ -77,75 +75,24 @@ start:	incl r5
 	brb start
 `
 
-// Campaign guest layout (VM-physical), mirroring the core tests.
-const (
-	cgSPT    = 0x0200
-	cgCode   = 0x1000
-	cgSPTLen = 64
-	cgMem    = 64 * 1024
-)
-
 const vmHaltNormal = "HALT executed in VM kernel mode"
 
-// campaignImage assembles src into a pre-mapped guest image.
-func campaignImage(src string, vectors map[vax.Vector]string) ([]byte, uint32, error) {
-	prog, err := asm.Assemble(src, vax.SystemBase+cgCode)
-	if err != nil {
-		return nil, 0, err
-	}
-	img := make([]byte, cgMem)
-	for i := uint32(0); i < cgSPTLen; i++ {
-		pte := vax.NewPTE(true, vax.ProtUW, true, i)
-		binary.LittleEndian.PutUint32(img[cgSPT+4*i:], uint32(pte))
-	}
-	copy(img[cgCode:], prog.Code)
-	for vec, label := range vectors {
-		binary.LittleEndian.PutUint32(img[uint32(vec):], prog.MustSymbol(label))
-	}
-	return img, prog.MustSymbol("start"), nil
+// campaignGuests are E10's three VMs: the victim, the bystander and the
+// runaway.
+var campaignGuests = []guest{
+	{"victim", victimSrc, map[vax.Vector]string{
+		vax.VecMachineCheck: "mckh",
+		vax.VecClock:        "clkh",
+		vax.VecDisk:         "dskh",
+	}},
+	{"bystander", bystanderSrc, nil},
+	{"runaway", runawaySrc, nil},
 }
 
 // campaignMachine builds the three-VM machine, optionally armed with a
 // fault plan, and runs it to completion.
-func campaignMachine(inj *fault.Injector) (k *core.VMM, vms []*core.VM, err error) {
-	// newVMM pins FillBatch 1, keeping the campaign on the paper's
-	// demand-fill design point so its output stays byte-identical
-	// across the batching knob.
-	k = newVMM(core.Config{Watchdog: 48, SelfCheckInterval: 8})
-	if inj != nil {
-		k.AttachFaults(inj)
-	}
-	guests := []struct {
-		name    string
-		src     string
-		vectors map[vax.Vector]string
-	}{
-		{"victim", victimSrc, map[vax.Vector]string{
-			vax.VecMachineCheck: "mckh",
-			vax.VecClock:        "clkh",
-			vax.VecDisk:         "dskh",
-		}},
-		{"bystander", bystanderSrc, nil},
-		{"runaway", runawaySrc, nil},
-	}
-	for _, g := range guests {
-		img, start, gerr := campaignImage(g.src, g.vectors)
-		if gerr != nil {
-			return nil, nil, fmt.Errorf("%s: %w", g.name, gerr)
-		}
-		vm, verr := k.CreateVM(core.VMConfig{
-			Name: g.name, MemBytes: cgMem, Image: img, StartPC: start,
-			PreMapped: true, SBR: cgSPT, SLR: cgSPTLen, SCBB: 0,
-		})
-		if verr != nil {
-			return nil, nil, fmt.Errorf("%s: %w", g.name, verr)
-		}
-		vm.SPs[vax.Kernel] = vax.SystemBase + 0x8000
-		vm.ISP = vax.SystemBase + 0x8800
-		vms = append(vms, vm)
-	}
-	k.Run(8_000_000)
-	return k, vms, nil
+func campaignMachine(inj *fault.Injector) (*core.VMM, []*core.VM, error) {
+	return runGuests(core.Config{Watchdog: 48, SelfCheckInterval: 8}, campaignGuests, inj, 8_000_000)
 }
 
 // campaignSeedRun runs one seed and returns the violated invariants

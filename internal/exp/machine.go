@@ -9,6 +9,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/vax"
@@ -37,19 +38,12 @@ func envRecorderCap() int {
 const experimentMem = 2 << 20
 
 // newVMM is the single construction funnel for the harness's virtual
-// machines. The experiments reproduce the paper's pure demand-fill
-// design point (one shadow PTE per fault, Section 4.3.1), so FillBatch
-// is pinned to 1 unless a caller overrides it; batched fill is a
-// production-path optimization measured by the benchmarks, not by the
-// paper's figures.
-func newVMM(kcfg core.Config, opts ...core.Option) *core.VMM {
-	if kcfg.FillBatch == 0 {
-		kcfg.FillBatch = 1
+// machines: it attaches a recorder when RecorderCap asks for one.
+func newVMM(kcfg core.Config) *core.VMM {
+	if RecorderCap > 0 {
+		return core.New(experimentMem, kcfg, core.WithRecorder(trace.NewRecorder(RecorderCap)))
 	}
-	if RecorderCap > 0 && kcfg.Recorder == nil {
-		opts = append(opts, core.WithRecorder(trace.NewRecorder(RecorderCap)))
-	}
-	return core.New(experimentMem, kcfg, opts...)
+	return core.New(experimentMem, kcfg)
 }
 
 // Micro-machines for the behaviour-matrix experiments (Tables 1-4):
@@ -174,15 +168,9 @@ func (mi *mappedMicro) run(maxSteps uint64) error {
 	return nil
 }
 
-// tinyVM builds a VMM with one pre-mapped guest (SCB at VM-phys 0,
-// identity SPT for 64 pages at 0x200, code at 0x1000), as in the core
-// package's tests.
-type tinyVM struct {
-	k    *core.VMM
-	vm   *core.VM
-	prog *asm.Program
-}
-
+// Pre-mapped guests, laid out as in the core package's tests: the SCB
+// at VM-physical 0, an identity SPT for 64 pages at 0x200 and code at
+// 0x1000, in 64 KB.
 const (
 	tgSPT    = 0x0200
 	tgCode   = 0x1000
@@ -190,11 +178,14 @@ const (
 	tgMem    = 64 * 1024
 )
 
-func newTinyVM(kcfg core.Config, src string, vectors map[vax.Vector]string,
-	pteOverride map[uint32]vax.PTE) (*tinyVM, error) {
+// tinyImage assembles src into a pre-mapped guest image: the identity
+// SPT (every page UW and premodified unless pteOverride replaces it),
+// the code, and SCB vectors pointing at the named handlers.
+func tinyImage(src string, vectors map[vax.Vector]string,
+	pteOverride map[uint32]vax.PTE) ([]byte, *asm.Program, error) {
 	prog, err := asm.Assemble(src, vax.SystemBase+tgCode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	img := make([]byte, tgMem)
 	for i := uint32(0); i < tgSPTLen; i++ {
@@ -208,11 +199,32 @@ func newTinyVM(kcfg core.Config, src string, vectors map[vax.Vector]string,
 	for vec, label := range vectors {
 		binary.LittleEndian.PutUint32(img[uint32(vec):], prog.MustSymbol(label))
 	}
-	k := newVMM(kcfg) // the tables observe per-fault fills, not batches
-	vm, err := k.CreateVM(core.VMConfig{
-		MemBytes: tgMem, Image: img, StartPC: prog.MustSymbol("start"),
+	return img, prog, nil
+}
+
+// createTiny creates a VM on k from a tinyImage, starting at "start".
+func createTiny(k *core.VMM, name string, img []byte, prog *asm.Program) (*core.VM, error) {
+	return k.CreateVM(core.VMConfig{
+		Name: name, MemBytes: tgMem, Image: img, StartPC: prog.MustSymbol("start"),
 		PreMapped: true, SBR: tgSPT, SLR: tgSPTLen, SCBB: 0,
 	})
+}
+
+// tinyVM is a VMM with one pre-mapped guest.
+type tinyVM struct {
+	k    *core.VMM
+	vm   *core.VM
+	prog *asm.Program
+}
+
+func newTinyVM(kcfg core.Config, src string, vectors map[vax.Vector]string,
+	pteOverride map[uint32]vax.PTE) (*tinyVM, error) {
+	img, prog, err := tinyImage(src, vectors, pteOverride)
+	if err != nil {
+		return nil, err
+	}
+	k := newVMM(kcfg)
+	vm, err := createTiny(k, "", img, prog)
 	if err != nil {
 		k.Release()
 		return nil, err
@@ -231,10 +243,45 @@ func (tv *tinyVM) run(maxSteps uint64) error {
 	if !h {
 		return fmt.Errorf("VM did not halt (pc=%#x)", tv.k.CPU.PC())
 	}
-	if msg != "HALT executed in VM kernel mode" {
+	if msg != vmHaltNormal {
 		return fmt.Errorf("VM died: %s", msg)
 	}
 	return nil
+}
+
+// guest is one VM of a campaign machine: a pre-mapped image of src
+// with SCB vectors for the named handlers.
+type guest struct {
+	name    string
+	src     string
+	vectors map[vax.Vector]string
+}
+
+// runGuests builds a machine with kcfg, optionally armed with a fault
+// plan, creates one VM per guest in order and runs it for up to
+// maxSteps (E10 and E11).
+func runGuests(kcfg core.Config, guests []guest, inj *fault.Injector, maxSteps uint64) (*core.VMM, []*core.VM, error) {
+	k := newVMM(kcfg)
+	if inj != nil {
+		k.AttachFaults(inj)
+	}
+	var vms []*core.VM
+	for _, g := range guests {
+		img, prog, err := tinyImage(g.src, g.vectors, nil)
+		var vm *core.VM
+		if err == nil {
+			vm, err = createTiny(k, g.name, img, prog)
+		}
+		if err != nil {
+			k.Release()
+			return nil, nil, fmt.Errorf("%s: %w", g.name, err)
+		}
+		vm.SPs[vax.Kernel] = vax.SystemBase + 0x8000
+		vm.ISP = vax.SystemBase + 0x8800
+		vms = append(vms, vm)
+	}
+	k.Run(maxSteps)
+	return k, vms, nil
 }
 
 // check renders a boolean observation.

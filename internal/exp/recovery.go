@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/vax"
 )
 
 // The recovery campaign (experiment E11): E10's isolation story with
@@ -107,44 +106,22 @@ inner:	sobgtr r11, inner
 	halt
 `
 
-// recoveryMachine builds the three-VM armed machine — watchdog victim,
-// machine-check victim, bystander — optionally with a fault plan, and
-// runs it to completion.
-func recoveryMachine(inj *fault.Injector) (k *core.VMM, vms []*core.VM, err error) {
-	k = newVMM(core.Config{
+// recoveryGuests are E11's three VMs: the watchdog victim, the
+// machine-check victim and the bystander.
+var recoveryGuests = []guest{
+	{"wd-victim", wdVictimSrc, nil},
+	{"mc-victim", mcVictimSrc, nil},
+	{"bystander", recoveryBystanderSrc, nil},
+}
+
+// recoveryMachine builds the three-VM armed machine, optionally with a
+// fault plan, and runs it to completion.
+func recoveryMachine(inj *fault.Injector) (*core.VMM, []*core.VM, error) {
+	return runGuests(core.Config{
 		Watchdog:        8,
 		CheckpointEvery: 3, CheckpointGenerations: 6,
 		Recover: true, RecoverBudget: 24,
-	})
-	if inj != nil {
-		k.AttachFaults(inj)
-	}
-	guests := []struct {
-		name string
-		src  string
-	}{
-		{"wd-victim", wdVictimSrc},
-		{"mc-victim", mcVictimSrc},
-		{"bystander", recoveryBystanderSrc},
-	}
-	for _, g := range guests {
-		img, start, gerr := campaignImage(g.src, nil)
-		if gerr != nil {
-			return nil, nil, fmt.Errorf("%s: %w", g.name, gerr)
-		}
-		vm, verr := k.CreateVM(core.VMConfig{
-			Name: g.name, MemBytes: cgMem, Image: img, StartPC: start,
-			PreMapped: true, SBR: cgSPT, SLR: cgSPTLen, SCBB: 0,
-		})
-		if verr != nil {
-			return nil, nil, fmt.Errorf("%s: %w", g.name, verr)
-		}
-		vm.SPs[vax.Kernel] = vax.SystemBase + 0x8000
-		vm.ISP = vax.SystemBase + 0x8800
-		vms = append(vms, vm)
-	}
-	k.Run(60_000_000)
-	return k, vms, nil
+	}, recoveryGuests, inj, 60_000_000)
 }
 
 // recoverySeedRun runs one seed of the recovery campaign and returns

@@ -269,24 +269,15 @@ clkh:	incl r10
 	mtpr #0xC1, #24
 	rei
 `
-	prog, err := asm.Assemble(src, vax.SystemBase+tgCode)
+	img, prog, err := tinyImage(src, map[vax.Vector]string{vax.VecClock: "clkh"}, nil)
 	if err != nil {
 		return false, "", err
 	}
-	img := make([]byte, tgMem)
-	for i := uint32(0); i < tgSPTLen; i++ {
-		putLong(img, tgSPT+4*i, uint32(vax.NewPTE(true, vax.ProtUW, true, i)))
-	}
-	copy(img[tgCode:], prog.Code)
-	putLong(img, uint32(vax.VecClock), prog.MustSymbol("clkh"))
 	k := newVMM(core.Config{})
 	defer k.Release()
 	var vms []*core.VM
 	for i := 0; i < 2; i++ {
-		vm, err := k.CreateVM(core.VMConfig{
-			MemBytes: tgMem, Image: img, StartPC: prog.MustSymbol("start"),
-			PreMapped: true, SBR: tgSPT, SLR: tgSPTLen, SCBB: 0,
-		})
+		vm, err := createTiny(k, "", img, prog)
 		if err != nil {
 			return false, "", err
 		}
@@ -307,11 +298,4 @@ clkh:	incl r10
 	detail := fmt.Sprintf("real ticks %d; per-VM ticks %d and %d — delivered only while running",
 		total, vms[0].Ticks(), vms[1].Ticks())
 	return ok, detail, nil
-}
-
-func putLong(b []byte, at, v uint32) {
-	b[at] = byte(v)
-	b[at+1] = byte(v >> 8)
-	b[at+2] = byte(v >> 16)
-	b[at+3] = byte(v >> 24)
 }

@@ -1,122 +1,12 @@
 package mem
 
-import "repro/internal/vax"
-
-// Cache is a goroutine-confined front for the global backing-store
-// pool. The parallel experiment harness boots and discards whole
-// fleets of machines from concurrent workers; routing every New and
-// Release through the global pool's mutex would serialize exactly the
-// path the workers hammer. A worker that owns a Cache recycles buffers
-// locally — in steady state (boot, run, release, boot the next VM of
-// the same size) neither New nor Release takes any lock at all. The
-// cache preserves the pool's zeroing invariant: every buffer it holds
-// is fully zero, because buffers only enter it through Release, which
-// zeroes the declared dirty extent, or from the global pool, which
-// maintains the same invariant.
+// Cache holds nothing: every memory comes from New and goes back with
+// Release, through the one backing-store pool.
 //
-// A Cache must only be used from one goroutine at a time. Callers that
-// are done with it should Drain it so the buffers return to the global
-// pool for other workers.
-type Cache struct {
-	bufs map[uint32][][]byte
-}
+// Deprecated: bench/ is its last caller.
+type Cache struct{}
 
-// cacheMaxPerSize bounds how many buffers of one size a single cache
-// retains; extras spill to the global pool on Release.
-const cacheMaxPerSize = 2
-
-// cacheRefillBatch is how many buffers New takes from the global pool
-// on a local miss: one to return, the rest stashed so the next miss of
-// the same size is local.
-const cacheRefillBatch = 2
-
-// NewCache creates an empty cache.
-func NewCache() *Cache {
-	return &Cache{bufs: make(map[uint32][][]byte)}
-}
-
-// New creates a memory of the given size (rounded up to whole pages),
-// serving from the local cache when possible and batch-refilling from
-// the global pool otherwise.
-func (c *Cache) New(size uint32) *Memory {
-	pages := (size + vax.PageSize - 1) / vax.PageSize
-	if pages == 0 {
-		pages = 1
-	}
-	size = pages * vax.PageSize
-	if bufs := c.bufs[size]; len(bufs) > 0 {
-		buf := bufs[len(bufs)-1]
-		c.bufs[size] = bufs[:len(bufs)-1]
-		return &Memory{data: buf}
-	}
-	// Local miss: one trip to the global pool for a batch.
-	var got [][]byte
-	pool.mu.Lock()
-	if bufs := pool.bufs[size]; len(bufs) > 0 {
-		n := cacheRefillBatch
-		if n > len(bufs) {
-			n = len(bufs)
-		}
-		got = append(got, bufs[len(bufs)-n:]...)
-		pool.bufs[size] = bufs[:len(bufs)-n]
-	}
-	pool.mu.Unlock()
-	if len(got) == 0 {
-		return &Memory{data: make([]byte, size)}
-	}
-	buf := got[len(got)-1]
-	if len(got) > 1 {
-		c.bufs[size] = append(c.bufs[size], got[:len(got)-1]...)
-	}
-	return &Memory{data: buf}
-}
-
-// Release returns the memory's backing store to the cache, zeroing the
-// first dirty bytes — the same contract as Memory.Release, including
-// the caller's obligation to declare an honest dirty extent. Buffers
-// beyond the local bound spill to the global pool.
-func (c *Cache) Release(m *Memory, dirty uint32) {
-	buf := m.data
-	if buf == nil {
-		return
-	}
-	m.data = nil
-	if dirty > uint32(len(buf)) {
-		dirty = uint32(len(buf))
-	}
-	clear(buf[:dirty])
-	size := uint32(len(buf))
-	if len(c.bufs[size]) < cacheMaxPerSize {
-		c.bufs[size] = append(c.bufs[size], buf)
-		return
-	}
-	pool.mu.Lock()
-	if len(pool.bufs[size]) < poolMaxPerSize {
-		pool.bufs[size] = append(pool.bufs[size], buf)
-	}
-	pool.mu.Unlock()
-}
-
-// Drain moves every cached buffer to the global pool (respecting its
-// per-size bound) and empties the cache.
-func (c *Cache) Drain() {
-	pool.mu.Lock()
-	for size, bufs := range c.bufs {
-		for _, buf := range bufs {
-			if len(pool.bufs[size]) < poolMaxPerSize {
-				pool.bufs[size] = append(pool.bufs[size], buf)
-			}
-		}
-		delete(c.bufs, size)
-	}
-	pool.mu.Unlock()
-}
-
-// Len reports how many buffers the cache currently holds (test hook).
-func (c *Cache) Len() int {
-	n := 0
-	for _, bufs := range c.bufs {
-		n += len(bufs)
-	}
-	return n
-}
+// NewCache returns an empty Cache.
+//
+// Deprecated: bench/ is its last caller.
+func NewCache() *Cache { return &Cache{} }

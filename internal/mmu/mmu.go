@@ -127,16 +127,6 @@ func (u *MMU) TBIS(va uint32) {
 	}
 }
 
-// TBISRange invalidates n consecutive pages starting at va — the
-// cluster form the VMM's batched shadow fill uses after rewriting a
-// run of adjacent shadow PTEs. Each page gets the full TBIS treatment
-// (including the OnTBIS hook, which the decode cache relies on).
-func (u *MMU) TBISRange(va, n uint32) {
-	for i := uint32(0); i < n; i++ {
-		u.TBIS(va + i*vax.PageSize)
-	}
-}
-
 // TLBSize returns the number of live cached translations (for tests).
 func (u *MMU) TLBSize() int {
 	n := 0

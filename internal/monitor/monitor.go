@@ -595,17 +595,9 @@ func (m *Monitor) stat() string {
 			vs.SharedPages, vs.PrivatePages, vs.COWBreaks)
 	}
 	for _, vm := range m.VMM.VMs() {
-		vs := vm.Stats
-		if vs.FillBatches == 0 && vs.BatchFills == 0 && vs.SlowPathAllocs == 0 {
-			continue
+		if n := vm.Stats.SlowPathAllocs; n > 0 {
+			out += fmt.Sprintf("vm%d %s: slow-allocs %d\n", vm.ID, vm.Name(), n)
 		}
-		width := float64(0)
-		if vs.FillBatches > 0 {
-			// +1 counts the demand fill that anchored each batch.
-			width = float64(vs.BatchFills)/float64(vs.FillBatches) + 1
-		}
-		out += fmt.Sprintf("vm%d %s: fill-batches %d  batched-ptes %d  avg-width %.1f  slow-allocs %d\n",
-			vm.ID, vm.Name(), vs.FillBatches, vs.BatchFills, width, vs.SlowPathAllocs)
 	}
 	if pr := m.VMM.LastParallelRun(); pr.VMs > 0 {
 		out += fmt.Sprintf(

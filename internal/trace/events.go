@@ -27,7 +27,6 @@ const (
 	EvCHM                      // change-mode emulated; arg = CHM code operand
 	EvREI                      // REI emulated; arg = new guest PC
 	EvShadowFill               // demand shadow-PTE fill; arg = faulting VA
-	EvBatchFill                // batched neighbor fills; arg = PTEs filled
 	EvModifyFault              // modify fault serviced; arg = faulting VA
 	EvVirtualIRQ               // virtual interrupt delivered; arg = vector
 	EvKCallStart               // KCALL entered; arg = function code
@@ -55,7 +54,7 @@ const (
 )
 
 var kindNames = [NumKinds]string{
-	"vm-trap", "chm", "rei", "shadow-fill", "batch-fill", "modify-fault",
+	"vm-trap", "chm", "rei", "shadow-fill", "modify-fault",
 	"virtual-irq", "kcall-start", "kcall-done", "kcall-retry",
 	"sched-run", "sched-park", "watchdog-trip", "machine-check",
 	"checkpoint", "recover", "cow-break",
@@ -110,7 +109,7 @@ type Lat uint8
 
 const (
 	LatTrap       Lat = iota // VM-emulation trap service, entry to exit
-	LatShadowFill            // one demand fill, including any batch
+	LatShadowFill            // one demand fill, including any prefetch group
 	LatKCall                 // KCALL entry to completion, retries included
 	LatRecover               // supervisor recovery, death detection to resume-ready
 	LatCowBreak              // one COW break, fault to private page mapped

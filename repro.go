@@ -88,7 +88,8 @@ type (
 	VMM = core.VMM
 	// VM is one virtual VAX processor under a VMM.
 	VM = core.VM
-	// Config tunes the VMM; the zero value is the paper's design.
+	// Config tunes the VMM. The zero value is the paper's design: ring
+	// compression with shadow PTEs filled on demand, one per fault.
 	Config = core.Config
 	// VMConfig describes a virtual machine to create.
 	VMConfig = core.VMConfig
