@@ -239,6 +239,13 @@ echo "== fuzz: checkpoint decoder and both restore paths (10 s each)"
 go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 10s -fuzzminimizetime 100x ./internal/ckpt/
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
 
+echo "== fuzz: decode-cache coherence under self-modifying code (10 s)"
+# Differential: a loop storing around and over its own instructions
+# must leave Run (decode cache on) and one Step at a time with the
+# cache flushed before every step in the same registers, PSL, memory
+# and cycles.
+go test -run '^$' -fuzz '^FuzzSelfModifyingCode$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cpu/
+
 # bench/ is a module of its own, so the root ./... patterns skip it; its
 # smoke test checks the workload catalogue against BENCHMARK.json, the
 # correctness checks and seed repeatability.

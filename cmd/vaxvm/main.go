@@ -15,8 +15,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/vax"
 	"repro/internal/vmos"
 	"repro/internal/workload"
+)
+
+// The machine is 16 MB for the monitor plus 8 MB per VM, and a PTE
+// frame number addresses at most maxMachineMB.
+const (
+	maxMachineMB = int(vax.MaxPhysBytes >> 20)
+	maxVMs       = (maxMachineMB - 16) / 8
 )
 
 func buildProcesses(name string) ([]vmos.Process, error) {
@@ -65,6 +73,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-vms must be at least 1, got %d\n", *nvms)
 		os.Exit(2)
 	}
+	if *nvms > maxVMs {
+		fmt.Fprintf(os.Stderr, "-vms %d exceeds %d: 16 MB plus 8 MB per VM must fit in the %d MB a PTE frame number addresses\n",
+			*nvms, maxVMs, maxMachineMB)
+		os.Exit(2)
+	}
 	cfg := core.Config{
 		Scheme:           scheme,
 		ShadowCacheSlots: *slots,
@@ -91,7 +104,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	k := core.New(uint32(16+8*(*nvms))<<20, cfg)
+	k := core.New(uint32((16+8*uint64(*nvms))<<20), cfg)
 	if *audit > 0 {
 		k.EnableRecorder(*audit)
 	}

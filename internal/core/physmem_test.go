@@ -99,3 +99,48 @@ func TestGuestLongwordTranslatesEachPage(t *testing.T) {
 		t.Errorf("faulting write stored %#x into the first page (halted=%t)", lo>>16, vm.halted)
 	}
 }
+
+// besideCodeSrc keeps two data cells in the 32-byte line of its code:
+// one just before start and one between the BRB and loop.
+const besideCodeSrc = `
+cell0:	.long 0
+start:	movl #200, r1
+	clrl r0
+	brb loop
+cell1:	.long 0
+loop:	addl2 #0x100, r0
+	sobgtr r1, loop
+	movl r0, @#0x80006000
+	halt
+`
+
+// TestWritePhysDropsOnlyOverlappedDecodes: a VMM longword write into
+// a VM's memory beside cached guest code keeps its decodes, and one
+// over an instruction drops that instruction's decode alone, so the
+// guest runs the new bytes.
+func TestWritePhysDropsOnlyOverlappedDecodes(t *testing.T) {
+	k, vm, prog := bootVM(t, Config{}, besideCodeSrc, nil)
+	phys := func(label string) uint32 { return prog.MustSymbol(label) - vax.SystemBase }
+	k.Run(100) // mid-loop: start, the BRB and the loop are cached
+	inv := k.CPU.Stats.DecodeInvalidations
+	for _, cell := range []string{"cell0", "cell1"} {
+		if !vm.writePhys(phys(cell), 0xFFFFFFFF) {
+			t.Fatalf("writePhys(%s) failed", cell)
+		}
+	}
+	if got := k.CPU.Stats.DecodeInvalidations - inv; got != 0 {
+		t.Errorf("writes beside the code dropped %d decodes, want 0", got)
+	}
+	if !vm.writePhys(phys("loop")+2, 0x300) { // ADDL2's immediate
+		t.Fatal("writePhys over the ADDL2 failed")
+	}
+	if got := k.CPU.Stats.DecodeInvalidations - inv; got != 1 {
+		t.Errorf("a write over the ADDL2 dropped %d decodes, want 1", got)
+	}
+	runVM(t, k, vm, 100_000)
+	// Each pass before the write adds 0x100, each after it 0x300.
+	got := guestLong(t, vm, 0x6000)
+	if got <= 200*0x100 || got >= 200*0x300 || (got-200*0x100)%0x200 != 0 {
+		t.Errorf("r0 = %#x: the guest did not run the rewritten immediate", got)
+	}
+}

@@ -335,7 +335,7 @@ func (vm *VM) readPhys(vmPhys uint32) (uint32, bool) {
 
 // writePhys writes a longword of VM-physical memory. The write bypasses
 // the CPU's store path, so, as DMA does, it breaks COW sharing and drops
-// the cached decodes of each page it touches.
+// the cached decodes whose bytes it overwrites.
 func (vm *VM) writePhys(vmPhys, v uint32) bool {
 	if !vm.onePage(vmPhys) {
 		var b [4]byte

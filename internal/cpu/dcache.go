@@ -15,19 +15,36 @@ import (
 // form without the cursor or the generic handler. The run loop
 // (exception.go) tests for such a hit with one compare: btag.
 //
-// Keying by physical address makes invalidation precise: a write to a
-// physical page drops the decodes from that page no matter which
-// virtual mapping performed the write (guest stores, VMM stores into VM
-// memory, DMA). A page-granular bitmap in front of the entry scan keeps
-// the common store (to a page with no cached decodes) at one bit test.
+// Keying by physical address makes invalidation precise: a write to
+// physical memory drops the decodes whose bytes it overwrites no matter
+// which virtual mapping performed the write (guest stores, VMM stores
+// into VM memory, DMA). Each entry records its byte length, and each
+// physical page has a 16-bit line mask: bit i is set while 32-byte line
+// i may hold a cached decode's bytes. A write whose lines have no bit
+// set (the common case: data, stacks) costs one test. Otherwise it
+// probes only the slots of instructions that could reach it,
+// [pa-maxLen+1, pa+n) clipped to the page, where maxLen is the longest
+// installed entry, and drops the entries it overlaps. A write into a
+// page's first maxLen bytes also probes the slots that can hold a
+// straddling entry (opcode in the last maxLen-1 bytes of a page) for
+// ones whose second-page part it overlaps; a TLB invalidate drops the
+// straddles found in the same slots. A write clears the bits of the
+// lines it covers whole; other lines of dropped entries keep theirs: a
+// stale bit costs a probe, never a wrong answer. Masks are 16-bit
+// because 8-byte lines in 64-bit masks hit no more often on the §7.3
+// mix and quadruple the per-page overhead.
 //
 // Coherence rules (see DESIGN.md):
 //
 //   - Guest stores through the CPU's own path invalidate inline
-//     (physStoreByte/physStoreLong).
+//     (physStoreByte/physStoreLong), exactly.
 //   - Writers that bypass the CPU (VMM writes into VM physical memory,
-//     device DMA) call InvalidateDecode; snapshot restore calls
+//     device DMA, image load, clone, destroy, run recycling, SVPCTX's
+//     PCB save) call InvalidateDecode, which takes the same path for
+//     each page the range touches. Snapshot restore calls
 //     FlushDecodeCache.
+//   - An instruction that stores into its own page (or past it while
+//     straddling) is not installed: that rule stays page-granular.
 //   - Entries whose bytes span two pages additionally depend on the
 //     translation of the second page, so TBIA/TBIS flush them (via the
 //     MMU callbacks) and every replay revalidates the second page's
@@ -37,13 +54,13 @@ import (
 //     mapping change redirects or misses exactly like the TLB does.
 //   - btag equals tag exactly while the entry is valid, single-page
 //     and bound, and holds noBTag otherwise: initDecodeCache,
-//     finishRecord, invalidateDecodePA and FlushDecodeCache keep it so.
-//     A straddling entry never carries one, so flushStraddleDecodes
-//     need not touch it.
+//     finishRecord and dropDecode, through which every drop goes, keep
+//     it so.
 
 const (
-	dcSlots    = 1024 // direct-mapped entries, indexed by PA low bits
-	dcItemsMax = 6    // recorded decode items per instruction
+	dcSlots     = 1024 // direct-mapped entries, indexed by PA low bits
+	dcItemsMax  = 6    // recorded decode items per instruction
+	dcLineShift = 5    // 32-byte lines: 16 per page, one uint16 mask
 )
 
 // Decode items: one per operand specifier or raw instruction-stream
@@ -60,7 +77,7 @@ type dcEntry struct {
 	tag      uint32 // physical address of the opcode byte
 	tag2     uint32 // physical address of the second page's first byte (straddle)
 	ie       *instrEntry
-	valid    bool
+	len      uint8   // recorded bytes from the opcode on (cursor.lastOff); 0 = empty slot
 	straddle bool    // recorded bytes span a page boundary
 	opLen    uint8   // opcode length (2 for 0xFD-prefixed)
 	n        uint8   // recorded items
@@ -76,25 +93,38 @@ func noBTag(i uint32) uint32 { return i ^ 1 }
 
 type dcache struct {
 	entries   *[dcSlots]dcEntry
-	pageBits  []uint64 // physical pages holding at least one cached decode
-	pageLim   uint32   // number of physical pages covered by pageBits
+	lines     []uint16 // per physical page: lines that may hold cached decoded bytes
+	maxLen    uint32   // longest entry installed since the last flush, in bytes
 	straddles int      // live straddle entries, guarding flushStraddleDecodes
 }
 
-func (d *dcache) markPage(page uint32) {
-	if page < d.pageLim {
-		d.pageBits[page>>6] |= 1 << (page & 63)
-	}
+// lineBits returns the mask of the lines holding page offsets
+// [off, end), end > off.
+func lineBits(off, end uint32) uint16 {
+	return uint16(2<<((end-1)>>dcLineShift) - 1<<(off>>dcLineShift))
 }
 
-func (d *dcache) pageMarked(page uint32) bool {
-	return page < d.pageLim && d.pageBits[page>>6]&(1<<(page&63)) != 0
+// fullLines returns the mask of the lines that page offsets [off, end)
+// cover whole.
+func fullLines(off, end uint32) uint16 {
+	lo, hi := (off+1<<dcLineShift-1)>>dcLineShift, end>>dcLineShift
+	if hi <= lo {
+		return 0
+	}
+	return uint16(1<<hi - 1<<lo)
 }
 
-func (d *dcache) clearPage(page uint32) {
-	if page < d.pageLim {
-		d.pageBits[page>>6] &^= 1 << (page & 63)
-	}
+// straddleLo is the lowest page offset of a slot that can hold a
+// straddling entry: its opcode lies in the last maxLen-1 bytes of its
+// page, and PageSize divides dcSlots, so a slot's page offset is its
+// opcode's. The slots from straddleLo to the end of each PageSize run
+// of slots are the only ones to search for straddles.
+func (d *dcache) straddleLo() uint32 { return vax.PageSize - d.maxLen + 1 }
+
+// mark records that the n bytes at pa (on one page) hold decoded bytes.
+func (d *dcache) mark(pa, n uint32) {
+	off := pa & vax.PageMask
+	d.lines[pa/vax.PageSize] |= lineBits(off, off+n)
 }
 
 // Cursor modes.
@@ -197,8 +227,7 @@ func (c *CPU) initDecodeCache() {
 	for i := range c.dc.entries {
 		c.dc.entries[i].btag = noBTag(uint32(i))
 	}
-	c.dc.pageBits = make([]uint64, (pages+63)/64)
-	c.dc.pageLim = pages
+	c.dc.lines = make([]uint16, pages)
 }
 
 // execOneAt fetches, decodes and executes the instruction at PC, whose
@@ -207,7 +236,7 @@ func (c *CPU) initDecodeCache() {
 func (c *CPU) execOneAt(pa uint32, paOK bool) error {
 	if paOK {
 		e := &c.dc.entries[pa&(dcSlots-1)]
-		if e.valid && e.tag == pa &&
+		if e.len != 0 && e.tag == pa &&
 			(!e.straddle || c.straddleValid(e)) {
 			c.Stats.DecodeHits++
 			return c.execReplay(e)
@@ -298,10 +327,10 @@ func (c *CPU) execCold(pa uint32, paOK bool) error {
 }
 
 // cacheablePA reports whether an instruction whose opcode lives at pa
-// may be cached: inside physical memory (the bitmap's domain) and not
-// in a device window, whose reads have side effects.
+// may be cached: inside physical memory (the line masks' domain) and
+// not in a device window, whose reads have side effects.
 func (c *CPU) cacheablePA(pa uint32) bool {
-	if pa/vax.PageSize >= c.dc.pageLim {
+	if pa/vax.PageSize >= uint32(len(c.dc.lines)) {
 		return false
 	}
 	for _, h := range c.mmio {
@@ -322,19 +351,20 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	if cu.overflow || cu.aborted {
 		return
 	}
-	straddle := (va&vax.PageMask)+uint32(cu.lastOff) > vax.PageSize
+	off, n := pa&vax.PageMask, uint32(cu.lastOff)
+	straddle := off+n > vax.PageSize
 	var tag2 uint32
 	if straddle {
 		va2 := vax.PageBase(va) + vax.PageSize
 		pa2, ok := c.MMU.TranslateFast(va2, mmu.Read, c.psl.Cur())
-		if !ok || pa2/vax.PageSize >= c.dc.pageLim {
+		if !ok || pa2/vax.PageSize >= uint32(len(c.dc.lines)) {
 			return
 		}
 		tag2 = pa2
-		c.dc.markPage(pa2 / vax.PageSize)
+		c.dc.mark(pa2, off+n-vax.PageSize)
 	}
 	e := &c.dc.entries[pa&(dcSlots-1)]
-	if e.valid && e.straddle {
+	if e.len != 0 && e.straddle {
 		c.dc.straddles--
 	}
 	if straddle {
@@ -352,56 +382,85 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	if !straddle && e.bound.kind != fbNone {
 		e.btag = pa
 	}
-	e.valid = true
-	c.dc.markPage(pa / vax.PageSize)
+	e.len = cu.lastOff
+	c.dc.mark(pa, min(n, vax.PageSize-off))
+	c.dc.maxLen = max(c.dc.maxLen, n)
 }
 
-// invalidateDecodePA drops every cached decode whose bytes may live in
-// the physical page containing pa. Called on each store; the bitmap
-// keeps the no-cached-code case at one bit test.
-func (c *CPU) invalidateDecodePA(pa uint32) {
-	page := pa / vax.PageSize
+// dropDecode empties slot i, which holds an entry.
+func (c *CPU) dropDecode(i uint32) {
+	e := &c.dc.entries[i]
+	e.len = 0
+	e.btag = noBTag(i)
+	if e.straddle {
+		c.dc.straddles--
+	}
+	c.Stats.DecodeInvalidations++
+}
+
+// storeAbortsRecord keeps the instruction being recorded from being
+// installed when it writes into its own page (or past it while
+// straddling): the captured items may already be stale.
+func (c *CPU) storeAbortsRecord(page uint32) {
 	if cu := &c.cur; cu.mode == curRecord {
-		// The executing instruction stored into its own bytes (or past
-		// its page while straddling): the captured items may already be
-		// stale, so do not install them.
 		if page == cu.recPage ||
 			(c.instStartPC&vax.PageMask)+uint32(cu.lastOff) > vax.PageSize {
 			cu.aborted = true
 		}
 	}
-	if !c.dc.pageMarked(page) {
-		return
-	}
-	for i := range c.dc.entries {
-		e := &c.dc.entries[i]
-		if !e.valid {
-			continue
-		}
-		if e.tag/vax.PageSize == page || (e.straddle && e.tag2/vax.PageSize == page) {
-			e.valid = false
-			e.btag = noBTag(uint32(i))
-			if e.straddle {
-				c.dc.straddles--
-			}
-			c.Stats.DecodeInvalidations++
-		}
-	}
-	c.dc.clearPage(page)
 }
 
-// InvalidateDecode drops cached decoded instructions overlapping the
-// physical range [pa, pa+n). It is the hook for writers that bypass the
-// CPU's own store path: the VMM storing into a VM's physical memory and
-// device DMA.
-func (c *CPU) InvalidateDecode(pa, n uint32) {
-	if n == 0 {
+// invalidateStore drops the cached decodes whose recorded bytes
+// overlap the n bytes written at pa, all on one page. Called on each
+// store; the line mask keeps a write to lines with no cached code at
+// one test.
+func (c *CPU) invalidateStore(pa, n uint32) {
+	page := pa / vax.PageSize
+	c.storeAbortsRecord(page)
+	off := pa & vax.PageMask
+	if page >= uint32(len(c.dc.lines)) || c.dc.lines[page]&lineBits(off, off+n) == 0 {
 		return
 	}
-	first := pa / vax.PageSize
-	last := (pa + n - 1) / vax.PageSize
-	for p := first; p <= last; p++ {
-		c.invalidateDecodePA(p * vax.PageSize)
+	// A set bit means an entry was installed since the last flush, so
+	// maxLen >= 1. Only an opcode in [pa-maxLen+1, pa+n) can reach the
+	// write from this page; the window is under dcSlots long, so no
+	// slot is probed twice.
+	end := pa + n
+	for a := pa - min(off, c.dc.maxLen-1); a < end; a++ {
+		i := a & (dcSlots - 1)
+		if e := &c.dc.entries[i]; e.len != 0 && e.tag == a && a+uint32(e.len) > pa {
+			c.dropDecode(i)
+		}
+	}
+	// The lines the write covers whole now hold no decoded bytes.
+	c.dc.lines[page] &^= fullLines(off, off+n)
+	if c.dc.straddles == 0 || off >= c.dc.maxLen {
+		return
+	}
+	// Drop the straddles whose second part on this page the write
+	// overlaps.
+	base := pa - off
+	for s := uint32(0); s < dcSlots; s += vax.PageSize {
+		for i := s + c.dc.straddleLo(); i < s+vax.PageSize; i++ {
+			e := &c.dc.entries[i]
+			if e.len != 0 && e.straddle && e.tag2 == base &&
+				e.tag&vax.PageMask+uint32(e.len)-vax.PageSize > off {
+				c.dropDecode(i)
+			}
+		}
+	}
+}
+
+// InvalidateDecode drops the cached decoded instructions whose bytes
+// overlap the physical range [pa, pa+n). It is the hook for writers
+// that bypass the CPU's own store path: the VMM storing into a VM's
+// physical memory and device DMA. Each page's part of the range drops
+// exactly what a CPU store of those bytes would.
+func (c *CPU) InvalidateDecode(pa, n uint32) {
+	for n > 0 {
+		k := min(n, vax.PageSize-pa&vax.PageMask)
+		c.invalidateStore(pa, k)
+		pa, n = pa+k, n-k
 	}
 }
 
@@ -409,17 +468,12 @@ func (c *CPU) InvalidateDecode(pa, n uint32) {
 // all of memory may have changed underneath the mappings).
 func (c *CPU) FlushDecodeCache() {
 	for i := range c.dc.entries {
-		e := &c.dc.entries[i]
-		if e.valid {
-			e.valid = false
-			e.btag = noBTag(uint32(i))
-			c.Stats.DecodeInvalidations++
+		if c.dc.entries[i].len != 0 {
+			c.dropDecode(uint32(i))
 		}
 	}
-	for i := range c.dc.pageBits {
-		c.dc.pageBits[i] = 0
-	}
-	c.dc.straddles = 0
+	clear(c.dc.lines)
+	c.dc.maxLen = 0
 }
 
 // flushStraddleDecodes drops the entries that depend on two
@@ -431,12 +485,11 @@ func (c *CPU) flushStraddleDecodes() {
 	if c.dc.straddles == 0 {
 		return
 	}
-	for i := range c.dc.entries {
-		e := &c.dc.entries[i]
-		if e.valid && e.straddle {
-			e.valid = false
-			c.Stats.DecodeInvalidations++
+	for s := uint32(0); s < dcSlots; s += vax.PageSize {
+		for i := s + c.dc.straddleLo(); i < s+vax.PageSize; i++ {
+			if e := &c.dc.entries[i]; e.len != 0 && e.straddle {
+				c.dropDecode(i)
+			}
 		}
 	}
-	c.dc.straddles = 0
 }

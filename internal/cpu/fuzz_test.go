@@ -1,7 +1,10 @@
 package cpu
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -107,4 +110,83 @@ func TestRandomCodeInVMNeverEscapes(t *testing.T) {
 			t.Fatalf("trial %d: VM code reached real kernel mode, code %x", trial, code)
 		}
 	}
+}
+
+// selfModSource builds the program FuzzSelfModifyingCode runs: a loop
+// of iters%16+1 passes whose body starts with up to six stores, one
+// per 4 bytes of ops: ops[0]%3 picks a byte, word or longword, ops[1]
+// an offset of -8..+48 from loop (the 8 bytes before loop are the
+// loop's own head), and ops[2:4] the value. pad places the head at
+// 0x5C8 + pad%0x48, so the loop may straddle the page boundary at 0x600.
+func selfModSource(iters, pad uint8, ops []byte) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "start:\tmovl #%d, r11\n\tclrl r0\n\tbrw top\n\t.space %d\n", iters%16+1, 0x1C0+int(pad)%0x48)
+	b.WriteString("top:\tincl r0\n\taddl2 r0, r2\n\tmovzbl #5, r3\nloop:\n")
+	for i := 0; i+4 <= len(ops) && i < 4*6; i += 4 {
+		size := "bwl"[ops[i]%3]
+		v := uint32(ops[i+2]) | uint32(ops[i+3])<<8
+		switch size {
+		case 'b':
+			v &= 0xFF
+		case 'l':
+			v |= (v ^ 0xA5A5) << 16
+		}
+		fmt.Fprintf(&b, "\tmov%c #%d, @#loop%+d\n", size, v, int(ops[i+1]%57)-8)
+	}
+	b.WriteString("\taddl2 #3, r4\n\txorl2 r0, r5\n\tsobgtr r11, top\n\thalt\n\t.space 64\n")
+	return b.String()
+}
+
+// FuzzSelfModifyingCode is a differential oracle for decode-cache
+// coherence. The program selfModSource builds stores around and over
+// its own instructions; one machine runs it under Run, with the decode
+// cache, and a reference machine one Step at a time with the cache
+// flushed before every step. Registers, PSL, memory and cycles must
+// match at HALT or at the step budget.
+func FuzzSelfModifyingCode(f *testing.F) {
+	// Offsets are ops[1]%57-8: 7 is loop-1, 8 loop's first byte. Pad
+	// 0x40 puts the head at 0x600 and the loop at 0x608; pad 0x2F puts
+	// the first store's opcode on page 2's last byte, 0x5FF, and pad
+	// 0x32 the head's MOVZBL across 0x600.
+	f.Add(false, uint8(3), uint8(0x40), []byte{0, 7, 0xEE, 0})            // byte just before the loop
+	f.Add(true, uint8(3), uint8(0x40), []byte{1, 6, 0xEE, 0xEE})          // word just before the loop
+	f.Add(false, uint8(3), uint8(0x40), []byte{2, 4, 0xEE, 0xEE})         // longword just before the loop
+	f.Add(false, uint8(3), uint8(0x40), []byte{0, 9, 0x09, 0})            // the store's own literal
+	f.Add(false, uint8(3), uint8(0x40), []byte{1, 7, 0xEE, 0x90})         // word over the loop's first byte
+	f.Add(true, uint8(3), uint8(0x40), []byte{0, 14, 0x22, 0})            // the store's last byte
+	f.Add(false, uint8(3), uint8(0x40), []byte{0, 15, 0x07, 0})           // just after the store
+	f.Add(true, uint8(5), uint8(0x40), []byte{0, 0, 0xD6, 0, 2, 2, 1, 2}) // the loop head, then a long over it
+	f.Add(false, uint8(3), uint8(0x2F), []byte{0, 14, 0x22, 0})           // the straddling store's last byte
+	f.Add(true, uint8(3), uint8(0x2F), []byte{0, 15, 0x07, 0})            // just after the straddling store
+	f.Add(true, uint8(9), uint8(0x32), []byte{0, 6, 0x30, 0})             // the literal of the head's straddling MOVZBL
+	f.Add(false, uint8(9), uint8(0x30), []byte{2, 56, 1, 2, 1, 23, 4, 5, 0, 30, 0x50, 0})
+	f.Fuzz(func(t *testing.T, mapped bool, iters, pad uint8, ops []byte) {
+		src := selfModSource(iters, pad, ops)
+		run := newRunMachine(t, src, mapped, nil)
+		ref := newRunMachine(t, src, mapped, nil)
+		const budget = 2000
+		steps := run.c.Run(budget)
+		var refSteps uint64
+		for !ref.c.Halted && refSteps < budget {
+			ref.c.FlushDecodeCache()
+			ref.c.Step()
+			refSteps++
+		}
+		a, b := run.c, ref.c
+		if steps != refSteps || a.Halted != b.Halted || a.R != b.R || a.PSL() != b.PSL() || a.Cycles != b.Cycles {
+			t.Fatalf("Run and uncached Step diverge:\n Run  %d steps halted=%t %x %s %d cycles\n Step %d steps halted=%t %x %s %d cycles\n%s",
+				steps, a.Halted, a.R, a.PSL(), a.Cycles, refSteps, b.Halted, b.R, b.PSL(), b.Cycles, src)
+		}
+		ma, err := run.m.Window(0, run.m.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := ref.m.Window(0, ref.m.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ma, mb) {
+			t.Fatalf("Run and uncached Step leave different memory\n%s", src)
+		}
+	})
 }

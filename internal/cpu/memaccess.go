@@ -38,7 +38,7 @@ func (c *CPU) physStoreByte(pa uint32, v byte) error {
 			return h.StoreReg(c, pa-base, uint32(v))
 		}
 	}
-	c.invalidateDecodePA(pa)
+	c.invalidateStore(pa, 1)
 	return c.Mem.StoreByte(pa, v)
 }
 
@@ -62,8 +62,8 @@ func (c *CPU) physStoreLong(pa uint32, v uint32) error {
 		}
 	}
 	// A longword store stays within one page (callers split straddling
-	// accesses), so one page invalidation covers it.
-	c.invalidateDecodePA(pa)
+	// accesses), as invalidateStore requires.
+	c.invalidateStore(pa, 4)
 	return c.Mem.StoreLong(pa, v)
 }
 

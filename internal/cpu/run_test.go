@@ -16,7 +16,7 @@ import (
 // mmu.Stats field, the instruction count at each interrupt delivery and
 // the state of an attached device. The scenarios are the decode-cache
 // coherence cases the run loop must preserve: self-modifying code,
-// TBIS/TBIA remaps under a straddling instruction, DMA, the wholesale
+// stores beside cached code, TBIS/TBIA remaps under a straddling instruction, DMA, the wholesale
 // flush a snapshot restore performs, and interrupts posted mid-loop.
 
 // periodDevice posts an interrupt at the end of every period (none
@@ -266,6 +266,49 @@ patch:	movl r3, r1
 done:	halt
 `
 
+// storesBesideCode stores into data cells that share 32-byte lines
+// with the loop's own instructions: a byte ending just before its
+// first instruction and a longword starting just after its last. At
+// r1 = 150 it patches the literal of the later ADDL2 at patch, 3 -> 7.
+// Only that patch may drop a decode.
+const storesBesideCode = `
+start:	clrl r0
+	clrl r2
+	movl #300, r1
+	brw loop
+	.align 32
+	.space 10
+before:	.long 0
+loop:	movb r1, @#before+3
+	addl2 #3, r0
+	movl r0, @#after
+patch:	addl2 #3, r2
+	cmpl r1, #150
+	bneq next
+	movb #7, @#patch+1
+next:	decl r1
+	beql done
+	brb loop
+after:	.long 0
+done:	halt
+`
+
+// checkStoresBesideCode checks the result of storesBesideCode and that
+// its layout puts each cell in a line with the code it adjoins.
+func checkStoresBesideCode(t *testing.T, rm *runMachine) {
+	t.Helper()
+	line := func(va uint32) uint32 { return phys(va) >> 5 }
+	if loop, after := rm.sym("loop"), rm.sym("after"); line(loop-1) != line(loop) ||
+		line(after) != line(after-1) || after&3 != 0 {
+		t.Fatalf("layout: loop %#x and after %#x do not share lines with their cells", loop, after)
+	}
+	wantR(0, 900)(t, rm)
+	wantR(2, 151*3+149*7)(t, rm)
+	if n := rm.c.Stats.DecodeInvalidations; n != 1 {
+		t.Errorf("%d decodes dropped, want 1 (the patched ADDL2)", n)
+	}
+}
+
 // interruptLoop is hotLoop, longer, with an ISR counting deliveries
 // and a memory store every eighth iteration, so runs end both at device
 // deadlines and at non-bound instructions.
@@ -335,6 +378,8 @@ var runScenarios = []runScenario{
 		check: wantR(0, 200*3+200*9)},
 	{name: "bound compute loop", build: loopMachine(boundComputeLoop), phases: 1},
 	{name: "self-modifying code", build: loopMachine(selfModifying), phases: 1, check: wantR(1, 9)},
+	{name: "stores beside code", build: loopMachine(storesBesideCode), phases: 1,
+		check: checkStoresBesideCode},
 	{name: "straddle TBIS", mappedOnly: true, build: straddleLoopMachine, phases: 2,
 		between: remapStraddle(func(c *CPU) { c.MMU.TBIS(uint32(vax.SystemBase) + 3*vax.PageSize) }),
 		check:   wantR(0, straddleSum)},

@@ -617,7 +617,12 @@ func (c *CPU) execSVPCTX() error {
 	if err != nil {
 		return err
 	}
-	wr := func(off uint32, v uint32) error { return c.Mem.StoreLong(c.PCBB+off, v) }
+	// The PCB is written past the CPU's store path, so the writes drop
+	// the cached decodes they overwrite themselves.
+	wr := func(off uint32, v uint32) error {
+		c.InvalidateDecode(c.PCBB+off, 4)
+		return c.Mem.StoreLong(c.PCBB+off, v)
+	}
 	for i, off := range []uint32{PCBKSP, PCBESP, PCBSSP, PCBUSP} {
 		if err := wr(off, c.StackFor(vax.Mode(i))); err != nil {
 			return err

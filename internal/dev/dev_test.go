@@ -170,6 +170,35 @@ func TestDiskMMIOTransfer(t *testing.T) {
 	}
 }
 
+// TestDiskReadDropsStaleDecodes reads a block over code the CPU has
+// cached: the next execution must run the bytes the DMA wrote.
+func TestDiskReadDropsStaleDecodes(t *testing.T) {
+	c := newCPU(t)
+	d := NewDisk(0x20000000, 2)
+	c.AddDevice(d)
+	if err := c.Mem.StoreBytes(0x4000, []byte{0xD0, 0x05, 0x51, 0x00}); err != nil { // MOVL #5, R1; HALT
+		t.Fatal(err)
+	}
+	copy(d.Image()[vax.PageSize:], []byte{0xD0, 0x09, 0x51, 0x00}) // MOVL #9, R1; HALT
+	run := func() {
+		c.ClearHalt()
+		c.SetPC(0x4000)
+		c.Run(10)
+	}
+	run()
+	run()
+	for _, r := range [][2]uint32{{DiskRegBlock, 1}, {DiskRegAddr, 0x4000}, {DiskRegCount, 4}, {DiskRegCSR, DiskCSRGo | DiskFuncRead}} {
+		if err := d.StoreReg(c, r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Tick(c, DiskLatency)
+	run()
+	if c.R[1] != 9 {
+		t.Errorf("r1 = %d after the DMA, want 9 (stale decode executed)", c.R[1])
+	}
+}
+
 func TestDiskMMIOWriteAndErrors(t *testing.T) {
 	c := newCPU(t)
 	d := NewDisk(0x20000000, 2)

@@ -154,6 +154,9 @@ func (d *Disk) transfer(c *cpu.CPU) uint32 {
 	switch d.pendingFunc {
 	case DiskFuncRead:
 		d.Reads++
+		// DMA bypasses the CPU's store path, so it must drop the
+		// decodes it overwrites itself.
+		c.InvalidateDecode(d.addr, uint32(n))
 		if err := c.Mem.StoreBytes(d.addr, d.image[off:off+n]); err != nil {
 			return DiskStatErr
 		}

@@ -23,6 +23,10 @@ const (
 	ptePFNMask   uint32 = 0x001FFFFF
 )
 
+// MaxPhysBytes is the most physical memory a PTE's 21-bit page frame
+// number addresses: 1 GB.
+const MaxPhysBytes = (ptePFNMask + 1) * PageSize
+
 // NewPTE assembles a page table entry.
 func NewPTE(valid bool, prot Protection, modified bool, pfn uint32) PTE {
 	v := uint32(prot)<<pteProtShift | pfn&ptePFNMask
