@@ -292,9 +292,11 @@ echo "$pairs" | awk '{
 }'
 
 echo "== run-loop gate (bound instructions run back to back between device deadlines)"
-# Deterministic: on the throughput loop, Run must tick a device with a
-# 5000-cycle period at most once per 100 instructions, and the device
-# must see the same summed cycles as one Step at a time gives it.
+# Deterministic: on the throughput loop and on the §7.3 mix's
+# memory-move loops (MOVB R3, (R2)+ fill, MOVL (R6)+, (R7)+ copy), Run
+# must tick a device with a 5000-cycle period at most once per 100
+# instructions, and the device must see the same summed cycles as one
+# Step at a time gives it.
 go test -count=1 -run '^TestRunLoopBatchesDeviceTicks$' .
 
 echo "== experiments output identical to EXPERIMENTS.md"

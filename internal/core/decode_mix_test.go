@@ -16,7 +16,10 @@ import (
 // page's decodes on every store read a hit ratio of 0.86 and an
 // invalidation for every 9 instructions. Stores that drop only the
 // decodes they overwrite keep the ratio above 0.95 and invalidations
-// under 1% of instructions.
+// under 1% of instructions. The bound form (register/literal operands
+// and the MOV family's memory moves) must run at least 85% of the
+// instructions: a bound path that always fell back would pass every
+// correctness test and fail only here.
 func TestMixDecodeCounts(t *testing.T) {
 	im, err := vmos.Build(vmos.Config{Target: vmos.TargetVM, Processes: workload.Mix(500, 250, 16), Preempt: true})
 	if err != nil {
@@ -35,11 +38,16 @@ func TestMixDecodeCounts(t *testing.T) {
 	s := k.CPU.Stats
 	ratio := float64(s.DecodeHits) / float64(s.DecodeHits+s.DecodeMisses)
 	inv := float64(s.DecodeInvalidations) / float64(s.Instructions)
-	t.Logf("%d instructions: hit ratio %.4f, %d invalidations (%.3f%%)", s.Instructions, ratio, s.DecodeInvalidations, 100*inv)
+	bound := float64(s.BoundHits) / float64(s.Instructions)
+	t.Logf("%d instructions: hit ratio %.4f, %d invalidations (%.3f%%), bound %.4f",
+		s.Instructions, ratio, s.DecodeInvalidations, 100*inv, bound)
 	if ratio < 0.95 {
 		t.Errorf("decode hit ratio %.4f, want at least 0.95", ratio)
 	}
 	if inv >= 0.01 {
 		t.Errorf("%d invalidations in %d instructions, want under 1%%", s.DecodeInvalidations, s.Instructions)
+	}
+	if bound < 0.85 {
+		t.Errorf("%d bound hits in %d instructions, want at least 85%%", s.BoundHits, s.Instructions)
 	}
 }

@@ -1,6 +1,11 @@
 package cpu
 
-import "repro/internal/vax"
+import (
+	"encoding/binary"
+
+	"repro/internal/mmu"
+	"repro/internal/vax"
+)
 
 // The pre-bound form of a decoded instruction. An entry whose operands
 // are all registers and literals is compiled once, when the decode
@@ -9,6 +14,19 @@ import "repro/internal/vax"
 // instruction cannot fault, touch memory, halt, wait, or change the
 // PSL's privileged fields, which is also what lets the run loop
 // (exception.go) execute consecutive bound instructions back to back.
+//
+// The MOV family (MOVx, MOVZxL, CLRx) also binds with memory operands
+// in register-deferred, autoincrement and absolute modes; execMem runs
+// those. A bound memory move touches only plain physical memory,
+// through translations the TLB already grants: it computes its
+// addresses, probes each one without counting (a destination with write
+// intent), and then either commits the whole instruction or changes
+// nothing. It changes nothing on a TLB miss or anything else Lookup
+// refuses (a fault, PTE<M> clear), a page straddle, a device window or
+// nonexistent memory, and the instruction then runs its generic handler
+// from the same state, which takes the fault, the M-bit update or the
+// device access. So a committed bound memory move, too, cannot fault,
+// touch a device, or change the TLB, the mode or pending interrupts.
 
 // Bound kinds: one per operation, whatever the operand count. Each
 // mirrors its interpreter handler (exec.go, convert.go, dispatch.go)
@@ -17,7 +35,8 @@ import "repro/internal/vax"
 // two-operand ALU form binds as its three-operand kind with b = d, and
 // the one-operand forms read and write the same register (CLRx moves
 // an implicit #0 into it; INCL and DECL add or subtract an implicit
-// #1). DIVL and every memory or index shape stay fbNone and replay
+// #1). DIVL, every index, displacement, autodecrement or deferred
+// shape, and every memory operand outside fbMov stay fbNone and replay
 // through the handler.
 //
 // The order matters to sbBind: the kinds up to fbAobleq write d, and
@@ -97,12 +116,23 @@ func condHolds(p uint32, cond uint8) bool {
 	}
 }
 
-// sbOpnd is one bound operand: a literal or a register, accessed at
-// size bytes. Reading it is R[reg]&mask | imm with no branch: a literal
-// has a zero mask (imm holds the value), a register a zero imm.
+// Bound operand modes: a value (register or literal) or one of the
+// memory modes fbMov binds.
+const (
+	sbVal     uint8 = iota // R[reg]&mask | imm
+	sbRegDef               // memory at R[reg]
+	sbAutoInc              // memory at R[reg], then R[reg] += size
+	sbAbs                  // memory at imm
+)
+
+// sbOpnd is one bound operand, accessed at size bytes. Reading a value
+// operand is R[reg]&mask | imm with no branch: a literal has a zero
+// mask (imm holds the value), a register a zero imm. A memory operand
+// carries its size's mask too, so a zero mask always means a literal.
 type sbOpnd struct {
 	reg  uint8
 	size uint8
+	mode uint8
 	mask uint32
 	imm  uint32
 }
@@ -115,14 +145,15 @@ func (c *CPU) get(o *sbOpnd) uint32 { return c.R[o.reg]&o.mask | o.imm }
 func (c *CPU) put(o *sbOpnd, r uint32) { c.R[o.reg] = c.R[o.reg]&^o.mask | r&o.mask }
 
 // sbBound is a fully pre-bound instruction in three-address form:
-// sources a and b, destination register d, and the successor PCs as
-// offsets from the opcode (one physical page may be mapped at several
-// VAs). cost is the instruction's up-front cycle charge (register
-// shapes never pay CostMemOperand).
+// sources a and b, destination d, and the successor PCs as offsets from
+// the opcode (one physical page may be mapped at several VAs). cost is
+// the instruction's whole cycle charge: the row's cost plus
+// CostMemOperand per memory operand (mems).
 type sbBound struct {
 	kind  uint8
 	cond  uint8 // fbBcond predicate
 	next  uint8 // fallthrough offset (the instruction's length)
+	mems  uint8 // memory operands (fbMov only); 0 runs in execBound
 	cost  uint16
 	a, b  sbOpnd
 	d     sbOpnd
@@ -142,8 +173,10 @@ func sizeMask(size uint8) uint32 {
 
 // sbBind compiles one decoded entry into its three-address form, or
 // fbNone when the row is never bound or any operand is outside the
-// register/literal subset. The entry's recorded items must cover the
-// whole instruction (partial entries replay generically).
+// bound subset: registers and literals, plus register-deferred (not on
+// PC), autoincrement and absolute memory operands in fbMov rows. The
+// entry's recorded items must cover the whole instruction (partial
+// entries replay generically).
 func sbBind(e *dcEntry) sbBound {
 	kind := e.ie.bind
 	if kind == fbNone {
@@ -164,14 +197,28 @@ func sbBind(e *dcEntry) sbBound {
 		if t.xreg != noIndex {
 			return sbBound{}
 		}
+		o := sbOpnd{reg: t.reg, size: t.size, mask: sizeMask(t.size)}
 		switch t.kind {
 		case evLiteral:
-			ops[i] = sbOpnd{size: t.size, imm: t.imm}
+			o = sbOpnd{size: t.size, imm: t.imm}
 		case evRegister:
-			ops[i] = sbOpnd{reg: t.reg, size: t.size, mask: sizeMask(t.size)}
+		case evRegDef:
+			o.mode = sbRegDef
+		case evAutoInc:
+			o.mode = sbAutoInc
+		case evAbsolute:
+			o.mode, o.imm = sbAbs, t.imm
 		default:
 			return sbBound{}
 		}
+		if o.mode != sbVal {
+			if kind != fbMov || o.mode == sbRegDef && o.reg == RegPC {
+				return sbBound{}
+			}
+			fb.mems++
+			fb.cost += CostMemOperand
+		}
+		ops[i] = o
 	}
 	fb.next = e.items[items-1].endOff
 	if items > n {
@@ -211,11 +258,11 @@ func sbBind(e *dcEntry) sbBound {
 	return fb
 }
 
-// execBound runs one pre-bound instruction whose opcode is at base and
-// returns the new PC, which it also stores (the run loop goes on from
-// the returned copy without reloading it). Condition-code updates
-// replicate setNZ/setNZVC and the handlers bit for bit; cycle charges
-// match the interpreter (no memory operands, so never CostMemOperand).
+// execBound runs one pre-bound register/literal instruction (fb.mems
+// == 0) whose opcode is at base and returns the new PC, which it also
+// stores (the run loop goes on from the returned copy without reloading
+// it). Condition-code updates replicate setNZ/setNZVC and the handlers
+// bit for bit; cycle charges match the interpreter.
 // Only the rows of fbMov, fbCvt and fbMcom have byte or word
 // destinations, so only they write through put; the other kinds store
 // d whole. No operand is ever PC: register mode on PC is a reserved
@@ -304,4 +351,108 @@ func (c *CPU) execBound(fb *sbBound, base uint32) uint32 {
 	}
 	c.R[RegPC] = pc
 	return pc
+}
+
+// execMem runs a pre-bound memory move (fb.mems > 0) whose opcode is at
+// base and returns the new PC, which it also stores, and true; or it
+// changes nothing and returns false, and the instruction must run its
+// generic handler. Addresses are computed in operand order: a's
+// pending autoincrement moves d when both use one register, so
+// "movl (r1)+, (r1)+" reads at r1 and writes at r1+4. Each memory
+// operand is probed without counting, d with write intent. To commit,
+// it credits the probes as translations, applies the autoincrements,
+// reads the source (a register source after the increments, as the
+// generic handler reads it), and stores through invalidateStore.
+func (c *CPU) execMem(fb *sbBound, base uint32) (uint32, bool) {
+	a, d := &fb.a, &fb.d
+	mode := c.psl.Cur()
+	var src, dst []byte
+	var dpa uint32
+	var ok bool
+	if a.mode != sbVal {
+		if _, src, ok = c.memOperand(c.boundAddr(a), a.size, mmu.Read, mode); !ok {
+			return 0, false
+		}
+	}
+	if d.mode != sbVal {
+		va := c.boundAddr(d)
+		if a.mode == sbAutoInc && d.mode != sbAbs && a.reg == d.reg {
+			va += uint32(a.size)
+		}
+		if dpa, dst, ok = c.memOperand(va, d.size, mmu.Write, mode); !ok {
+			return 0, false
+		}
+	}
+	c.MMU.CountFastHits(uint64(fb.mems))
+	c.Cycles += uint64(fb.cost)
+	if a.mode == sbAutoInc {
+		c.R[a.reg] += uint32(a.size)
+	}
+	if d.mode == sbAutoInc {
+		c.R[d.reg] += uint32(d.size)
+	}
+	var v uint32
+	if src != nil {
+		v = loadLE(src)
+	} else {
+		v = c.get(a)
+	}
+	if dst != nil {
+		c.invalidateStore(dpa, uint32(d.size))
+		storeLE(dst, v)
+	} else {
+		c.put(d, v)
+	}
+	c.setNZ(v, int(d.size))
+	pc := base + uint32(fb.next)
+	c.R[RegPC] = pc
+	return pc, true
+}
+
+// boundAddr is a bound memory operand's address before any pending
+// autoincrement.
+func (c *CPU) boundAddr(o *sbOpnd) uint32 {
+	if o.mode == sbAbs {
+		return o.imm
+	}
+	return c.R[o.reg]
+}
+
+// memOperand probes the size bytes at va for a bound access: it returns
+// their physical address and backing bytes when they lie on one page
+// that the TLB grants for acc, without counting the translation, and
+// are plain memory.
+func (c *CPU) memOperand(va uint32, size uint8, acc mmu.Access, mode vax.Mode) (uint32, []byte, bool) {
+	if va&vax.PageMask+uint32(size) > vax.PageSize {
+		return 0, nil, false
+	}
+	pa, ok := c.MMU.Lookup(va, acc, mode)
+	if !ok || !c.plain(pa, uint32(size)) {
+		return 0, nil, false
+	}
+	b, _ := c.Mem.Window(pa, uint32(size))
+	return pa, b, true
+}
+
+// loadLE reads the little-endian value of b, 1, 2 or 4 bytes long.
+func loadLE(b []byte) uint32 {
+	switch len(b) {
+	case 1:
+		return uint32(b[0])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(b))
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+// storeLE writes v's low len(b) bytes to b, little-endian.
+func storeLE(b []byte, v uint32) {
+	switch len(b) {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		binary.LittleEndian.PutUint32(b, v)
+	}
 }

@@ -207,20 +207,34 @@ func TestBoundMatchesGenericReplay(t *testing.T) {
 	}
 }
 
+// boundMemShapes are the memory shapes that bind (as fbMov, run by
+// execMem): MOVx, MOVZxL and CLRx with register-deferred (not on PC),
+// autoincrement and absolute operands.
+var boundMemShapes = []string{
+	"movb r1, (r3)", "movw (r1), r2", "movl (r1)+, (r3)+", "movl r1, (r1)+",
+	"movb #5, (r3)+", "movw @#0x3000, r2", "movl r2, @#0x3100", "movl @#0x3000, (r3)",
+	"movzbl (r1)+, r2", "movzbl @#0x3000, r4", "movzwl (r1), (r3)+",
+	"clrb (r1)", "clrw (r1)+", "clrl (r1)", "clrl @#0x3100", "movl (sp)+, r2",
+}
+
 // TestBindRows pins which dispatch rows bind and in which shapes: the
-// register/literal shapes of boundCases bind to their kinds, while DIVL
-// (a zero divisor traps), literal destinations (a reserved-operand
-// fault) and every memory or index operand replay through the handler.
-// The rows whose dispatch entries carry a bound kind must be exactly
-// those boundCases exercise.
+// register/literal shapes of boundCases bind to their kinds, and the
+// MOV family's boundMemShapes bind as memory moves, while DIVL (a zero
+// divisor traps), literal destinations (a reserved-operand fault) and
+// every index, displacement, autodecrement, deferred, PC-based or
+// non-MOV memory operand replay through the handler. The rows whose
+// dispatch entries carry a bound kind must be exactly those boundCases
+// exercise.
 func TestBindRows(t *testing.T) {
-	cases := append([]struct {
+	type bindCase = struct {
 		src  string
 		kind uint8
-	}{
+	}
+	cases := append([]bindCase{
 		{"divl2 r1, r2", fbNone},
 		{"divl3 #2, r1, r2", fbNone},
 		{".byte 0xC0, 0x51, 0x02 ; addl2 r1, #2: literal destination", fbNone},
+		{".byte 0xD4, 0x02 ; clrl #2: literal destination", fbNone},
 		{"addl2 (r1), r2", fbNone},
 		{"addl3 r1, r2, (r3)", fbNone},
 		{"mull3 4(r1), r2, r3", fbNone},
@@ -231,12 +245,25 @@ func TestBindRows(t *testing.T) {
 		{"cvtbl (r1), r2", fbNone},
 		{"sobgtr (r1), fwd", fbNone},
 		{"blbs (r1), fwd", fbNone},
-		{"clrl (r1)", fbNone},
+		{"incl (r1)+", fbNone},
+		{"tstl (r1)", fbNone},
+		{"mcomb (r1), r2", fbNone},
 		{"pushl r1", fbNone},
 		{"movab (r1), r2", fbNone},
+		{"movl 4(r1), r2", fbNone},
+		{"movl r2, -(r1)", fbNone},
+		{".byte 0xD0, 0x91, 0x52 ; movl @(r1)+, r2", fbNone},
+		{"movl @4(r1), r2", fbNone},
+		{".byte 0x90, 0xAF, 0x02, 0x52 ; movb 2(pc), r2", fbNone},
+		{"movl (pc), r2", fbNone},
+		{"clrl 8(r1)", fbNone},
 	}, boundCases...)
+	mems := len(cases)
+	for _, src := range boundMemShapes {
+		cases = append(cases, bindCase{src, fbMov})
+	}
 	boundOps := map[uint16]bool{}
-	for _, tc := range cases {
+	for i, tc := range cases {
 		ma := newMachine(t, StandardVAX, "back:\thalt\nstart:\t"+tc.src+"\n\thalt\nfwd:\thalt\n")
 		c := ma.c
 		start := ma.prog.MustSymbol("start")
@@ -249,6 +276,9 @@ func TestBindRows(t *testing.T) {
 		}
 		if e.bound.kind != tc.kind {
 			t.Errorf("%s: bound kind = %d, want %d", tc.src, e.bound.kind, tc.kind)
+		}
+		if memShape := i >= mems; tc.kind != fbNone && (e.bound.mems > 0) != memShape {
+			t.Errorf("%s: %d memory operands bound, want a memory move %t", tc.src, e.bound.mems, memShape)
 		}
 		if tc.kind != fbNone {
 			boundOps[e.ie.op] = true

@@ -98,10 +98,12 @@ type Stats struct {
 	MOVPSLs      uint64
 	Probes       uint64
 
-	// Decoded-instruction cache counters (see dcache.go).
+	// Decoded-instruction cache counters (see dcache.go). BoundHits
+	// are the decode hits run by their pre-bound form (bound.go).
 	DecodeHits          uint64
 	DecodeMisses        uint64
 	DecodeInvalidations uint64
+	BoundHits           uint64
 
 	// Deprecated: the superblock tier is gone and these always read
 	// 0. bench/ is their last reader.
@@ -225,6 +227,8 @@ func New(m *mem.Memory, variant Variant) *CPU {
 	// translation on every execution and need no hook).
 	c.MMU.OnTBIA = c.flushStraddleDecodes
 	c.MMU.OnTBIS = func(uint32) { c.flushStraddleDecodes() }
+	// The MMU's own PTE<M> write-back bypasses the CPU's store path.
+	c.MMU.OnWrite = c
 	c.psl = vax.PSL(0).WithCur(vax.Kernel).WithIPL(31)
 	c.onISP = true
 	c.psl = vax.PSL(uint32(c.psl) | vax.PSLIS)

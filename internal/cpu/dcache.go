@@ -13,7 +13,9 @@ import (
 // templates. Entries whose operands are all registers and literals are
 // also bound when recorded (sbBind), and a hit on one runs the bound
 // form without the cursor or the generic handler. The run loop
-// (exception.go) tests for such a hit with one compare: btag.
+// (exception.go) tests for such a hit with one compare: btag. Bound
+// memory moves (bound.go) have their own tag, mtag, tested only when
+// btag misses.
 //
 // Keying by physical address makes invalidation precise: a write to
 // physical memory drops the decodes whose bytes it overwrites no matter
@@ -53,9 +55,10 @@ import (
 //     against a fresh translation of the PC on every execution, so a
 //     mapping change redirects or misses exactly like the TLB does.
 //   - btag equals tag exactly while the entry is valid, single-page
-//     and bound, and holds noBTag otherwise: initDecodeCache,
-//     finishRecord and dropDecode, through which every drop goes, keep
-//     it so.
+//     and bound with no memory operand, and mtag while it is valid,
+//     single-page and bound with one; each holds noBTag otherwise:
+//     initDecodeCache, finishRecord and dropDecode, through which every
+//     drop goes, keep them so.
 
 const (
 	dcSlots     = 1024 // direct-mapped entries, indexed by PA low bits
@@ -81,7 +84,8 @@ type dcEntry struct {
 	straddle bool    // recorded bytes span a page boundary
 	opLen    uint8   // opcode length (2 for 0xFD-prefixed)
 	n        uint8   // recorded items
-	btag     uint32  // tag if valid, single-page and bound; else noBTag
+	btag     uint32  // tag if valid, single-page and bound, no memory operand; else noBTag
+	mtag     uint32  // tag if valid, single-page and a bound memory move; else noBTag
 	bound    sbBound // pre-bound form (fbNone: replay through the handler)
 	items    [dcItemsMax]dspec
 }
@@ -226,6 +230,7 @@ func (c *CPU) initDecodeCache() {
 	c.dc.entries = new([dcSlots]dcEntry)
 	for i := range c.dc.entries {
 		c.dc.entries[i].btag = noBTag(uint32(i))
+		c.dc.entries[i].mtag = noBTag(uint32(i))
 	}
 	c.dc.lines = make([]uint16, pages)
 }
@@ -254,12 +259,14 @@ func (c *CPU) straddleValid(e *dcEntry) bool {
 }
 
 // execReplay runs a cached decoded instruction whose opcode is at
-// instStartPC. A pre-bound entry runs its bound form; any other replays
-// through its handler: PC skips the opcode byte(s), the precharged cost
-// matches the cold path, and the handler consumes the recorded items
-// through the cursor.
+// instStartPC. A pre-bound register/literal entry runs its bound form;
+// any other, a bound memory move included, replays through its
+// handler: PC skips the opcode byte(s), the precharged cost matches the
+// cold path, and the handler consumes the recorded items through the
+// cursor.
 func (c *CPU) execReplay(e *dcEntry) error {
-	if e.bound.kind != fbNone {
+	if e.bound.kind != fbNone && e.bound.mems == 0 {
+		c.Stats.BoundHits++
 		c.execBound(&e.bound, c.instStartPC)
 		return nil
 	}
@@ -378,9 +385,13 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	e.n = cu.n
 	e.items = cu.items
 	e.bound = sbBind(e)
-	e.btag = noBTag(pa)
-	if !straddle && e.bound.kind != fbNone {
+	e.btag, e.mtag = noBTag(pa), noBTag(pa)
+	switch {
+	case straddle || e.bound.kind == fbNone:
+	case e.bound.mems == 0:
 		e.btag = pa
+	default:
+		e.mtag = pa
 	}
 	e.len = cu.lastOff
 	c.dc.mark(pa, min(n, vax.PageSize-off))
@@ -391,7 +402,7 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 func (c *CPU) dropDecode(i uint32) {
 	e := &c.dc.entries[i]
 	e.len = 0
-	e.btag = noBTag(i)
+	e.btag, e.mtag = noBTag(i), noBTag(i)
 	if e.straddle {
 		c.dc.straddles--
 	}

@@ -466,3 +466,36 @@ func TestSVPCTXDropsOverwrittenDecodes(t *testing.T) {
 		t.Errorf("after SVPCTX rewrote it, MOVL set r1 = %d, want 9", c.R[1])
 	}
 }
+
+// TestMBitWriteBackDropsDecodes caches an instruction whose immediate
+// is P0 page 0's PTE (P0BR points at it), then makes the first write to
+// that page. The standard VAX sets PTE<M> in hardware, rewriting the
+// immediate, so the next execution must load the PTE with M set, under
+// Run and one Step at a time.
+func TestMBitWriteBackDropsDecodes(t *testing.T) {
+	pte := vax.NewPTE(true, vax.ProtUW, false, 0x70)
+	src := fmt.Sprintf(`
+	.align 4
+	.space 2
+start:	movl #%d, r1	; the immediate is 4-aligned: P0 page 0's PTE
+	tstl r2
+	bneq done
+	incl r2
+	movl #1, @#0	; first write to P0 page 0
+	brb start
+done:	halt
+`, uint32(pte))
+	for name, budget := range map[string]uint64{"Run": 0, "Step": stepOnly} {
+		rm := newRunMachine(t, src, true, nil)
+		rm.c.MMU.P0BR = rm.start + 2
+		rm.c.MMU.P0LR = 1
+		rm.drive(t, budget)
+		if want := uint32(pte.WithModify(true)); rm.c.R[1] != want {
+			t.Errorf("%s: r1 = %#x, want %#x (stale decode of the PTE ran)", name, rm.c.R[1], want)
+		}
+		if rm.c.MMU.Stats.MSets != 1 || rm.c.Stats.DecodeInvalidations == 0 {
+			t.Errorf("%s: %d M-bit write-backs, %d decodes dropped; want 1 and at least 1",
+				name, rm.c.MMU.Stats.MSets, rm.c.Stats.DecodeInvalidations)
+		}
+	}
+}

@@ -143,8 +143,10 @@ func (c *CPU) Run(maxSteps uint64) uint64 {
 // step takes at most budget (at least 1) steps and returns how many it
 // took. The prologue — interrupt poll, WAIT, register snapshot and the
 // trap-all test — runs once, and a bound decode-cache hit then starts a
-// run of bound instructions executed back to back (runBound). Each step
-// leaves every simulated count exactly as a Step of its own would.
+// run of bound instructions executed back to back (runBound). A bound
+// memory move counts as a hit only once it commits; when it falls back
+// it runs as a non-bound step. Each step leaves every simulated count
+// exactly as a Step of its own would.
 func (c *CPU) step(budget uint64) uint64 {
 	if c.Halted {
 		return 0
@@ -176,14 +178,22 @@ func (c *CPU) step(budget uint64) uint64 {
 	}
 	c.trapAllSkipOnce = false
 	pa, ok := c.MMU.TranslateFast(pc, mmu.Read, c.psl.Cur())
-	if !ok || c.dc.entries[pa&(dcSlots-1)].btag != pa {
+	e := &c.dc.entries[pa&(dcSlots-1)]
+	var next uint32
+	hit := ok && e.btag == pa
+	if hit {
+		next = c.execBound(&e.bound, pc)
+	} else if ok && e.mtag == pa {
+		next, hit = c.execMem(&e.bound, pc)
+	}
+	if !hit {
 		c.execStep(pa, ok)
 		c.tick(c.Cycles - before)
 		return 1
 	}
 	c.Stats.DecodeHits++
+	c.Stats.BoundHits++
 	c.Stats.Instructions++
-	next := c.execBound(&c.dc.entries[pa&(dcSlots-1)].bound, pc)
 	if budget == 1 || trapAll {
 		// Under trap-all the next VM-kernel instruction traps again.
 		c.tick(c.Cycles - before)
@@ -205,16 +215,20 @@ func (c *CPU) execStep(pa uint32, ok bool) {
 // runBound continues at pc a run whose first step, begun at cycle
 // before, executed a bound instruction on the virtual page page, whose
 // physical address is its virtual address plus delta. Bound
-// instructions cannot fault, touch memory or devices, halt, wait, or
-// change the mode, the IPL, pending interrupts, the TLB or the page
-// tables, so nothing the prologue checks can change between them: the
-// run needs no interrupt poll, snapshot or device tick per instruction.
-// It ends at the step budget, at the nearest device deadline (the
-// instruction that reaches it still runs, and the tick follows, which
-// is exactly when per-step ticking would post the device's interrupt),
-// or at the first instruction that is not a bound hit. That one runs
-// as the run's last step, once the counters and devices have caught up,
-// with its own snapshot and the translation the loop already made.
+// instructions cannot fault, touch devices, halt, wait, or change the
+// mode, the IPL, pending interrupts or the TLB; a bound memory move
+// touches only plain memory through translations the TLB already
+// grants, and changes nothing when it cannot. So nothing the prologue
+// checks can change between them: the run needs no interrupt poll,
+// snapshot or device tick per instruction. It ends at the step budget,
+// at the nearest device deadline (the instruction that reaches it still
+// runs, and the tick follows, which is exactly when per-step ticking
+// would post the device's interrupt), or at the first instruction that
+// is not a bound hit or is a bound memory move that falls back. That
+// one runs as the run's last step, once the counters and devices have
+// caught up, with its own snapshot and the translation the loop already
+// made. A store that drops a decoded instruction clears its tags, so
+// the loop stops at overwritten code.
 //
 // While PC stays on the run's virtual page its translation is pc +
 // delta; each such reuse is credited to the MMU as the TranslateFast
@@ -238,17 +252,25 @@ func (c *CPU) runBound(pc, page, delta uint32, budget, before uint64) uint64 {
 			page, delta = pc&^vax.PageMask, pa-pc
 		}
 		e := &entries[pa&(dcSlots-1)]
-		if !ok || e.btag != pa {
-			c.settleRun(bound, reused, before)
-			before = c.Cycles
-			c.regSnapshot = c.R
-			c.instStartPC = pc
-			c.execStep(pa, ok)
-			c.tick(c.Cycles - before)
-			return budget - left
+		if ok && e.btag == pa {
+			bound++
+			pc = c.execBound(&e.bound, pc)
+			continue
 		}
-		bound++
-		pc = c.execBound(&e.bound, pc)
+		if ok && e.mtag == pa {
+			if next, hit := c.execMem(&e.bound, pc); hit {
+				bound++
+				pc = next
+				continue
+			}
+		}
+		c.settleRun(bound, reused, before)
+		before = c.Cycles
+		c.regSnapshot = c.R
+		c.instStartPC = pc
+		c.execStep(pa, ok)
+		c.tick(c.Cycles - before)
+		return budget - left
 	}
 	c.settleRun(bound, reused, before)
 	return budget - left
@@ -260,6 +282,7 @@ func (c *CPU) runBound(pc, page, delta uint32, budget, before uint64) uint64 {
 // with every cycle since before.
 func (c *CPU) settleRun(bound, reused, before uint64) {
 	c.Stats.DecodeHits += bound
+	c.Stats.BoundHits += bound
 	c.Stats.Instructions += bound
 	c.MMU.CountFastHits(reused)
 	c.tick(c.Cycles - before)

@@ -114,26 +114,58 @@ func TestRandomCodeInVMNeverEscapes(t *testing.T) {
 
 // selfModSource builds the program FuzzSelfModifyingCode runs: a loop
 // of iters%16+1 passes whose body starts with up to six stores, one
-// per 4 bytes of ops: ops[0]%3 picks a byte, word or longword, ops[1]
-// an offset of -8..+48 from loop (the 8 bytes before loop are the
-// loop's own head), and ops[2:4] the value. pad places the head at
-// 0x5C8 + pad%0x48, so the loop may straddle the page boundary at 0x600.
+// per 4 bytes of ops[:24]: ops[0]%4 picks a byte, word or longword
+// store (3: none), ops[1] an offset of -8..+48 from loop (the 8 bytes
+// before loop are the loop's own head), and ops[2:4] the value. pad
+// places the head at 0x5C8 + pad%0x48, so the loop may straddle the
+// page boundary at 0x600.
+//
+// Those stores write their own page, so the recording abort keeps
+// them uncached. With at least 27 bytes of ops, the loop also calls a
+// block of stores on a page of its own, which are cached and run bound:
+// r1 starts at loop + ops[24]%57 - 8 and moves by the signed word
+// ops[25:27] after each call, and up to four stores follow from
+// ops[27:], four bytes each as above except that ops[i+1]%3 picks
+// @#loop+off, (r1) or (r1)+ and ops[i+1]/3 the offset.
 func selfModSource(iters, pad uint8, ops []byte) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "start:\tmovl #%d, r11\n\tclrl r0\n\tbrw top\n\t.space %d\n", iters%16+1, 0x1C0+int(pad)%0x48)
-	b.WriteString("top:\tincl r0\n\taddl2 r0, r2\n\tmovzbl #5, r3\nloop:\n")
-	for i := 0; i+4 <= len(ops) && i < 4*6; i += 4 {
-		size := "bwl"[ops[i]%3]
-		v := uint32(ops[i+2]) | uint32(ops[i+3])<<8
+	store := func(b *strings.Builder, op []byte, dst string) {
+		size := "bwl-"[op[0]%4]
+		v := uint32(op[2]) | uint32(op[3])<<8
 		switch size {
+		case '-':
+			return
 		case 'b':
 			v &= 0xFF
 		case 'l':
 			v |= (v ^ 0xA5A5) << 16
 		}
-		fmt.Fprintf(&b, "\tmov%c #%d, @#loop%+d\n", size, v, int(ops[i+1]%57)-8)
+		fmt.Fprintf(b, "\tmov%c #%d, %s\n", size, v, dst)
+	}
+	block := len(ops) >= 27
+	var b strings.Builder
+	fmt.Fprintf(&b, "start:\tmovl #%d, r11\n\tclrl r0\n", iters%16+1)
+	space := 0x1C0 + int(pad)%0x48
+	if block {
+		fmt.Fprintf(&b, "\tmovl #loop%+d, r1\n", int(ops[24]%57)-8)
+		space -= 7 // that MOVL's length: the head stays where pad puts it
+	}
+	fmt.Fprintf(&b, "\tbrw top\n\t.space %d\n", space)
+	b.WriteString("top:\tincl r0\n\taddl2 r0, r2\n\tmovzbl #5, r3\nloop:\n")
+	for i := 0; i+4 <= len(ops) && i < 4*6; i += 4 {
+		store(&b, ops[i:i+4], fmt.Sprintf("@#loop%+d", int(ops[i+1]%57)-8))
+	}
+	if block {
+		fmt.Fprintf(&b, "\tjsb @#blk\n\taddl2 #%d, r1\n", uint32(int32(int16(uint16(ops[25])|uint16(ops[26])<<8))))
 	}
 	b.WriteString("\taddl2 #3, r4\n\txorl2 r0, r5\n\tsobgtr r11, top\n\thalt\n\t.space 64\n")
+	if block {
+		b.WriteString("\t.align 512\nblk:\n")
+		for i := 27; i+4 <= len(ops) && i < 27+4*4; i += 4 {
+			dst := [3]string{fmt.Sprintf("@#loop%+d", int(ops[i+1]/3%57)-8), "(r1)", "(r1)+"}[ops[i+1]%3]
+			store(&b, ops[i:i+4], dst)
+		}
+		b.WriteString("\tincl r6\n\trsb\n")
+	}
 	return b.String()
 }
 
@@ -160,6 +192,17 @@ func FuzzSelfModifyingCode(f *testing.F) {
 	f.Add(true, uint8(3), uint8(0x2F), []byte{0, 15, 0x07, 0})            // just after the straddling store
 	f.Add(true, uint8(9), uint8(0x32), []byte{0, 6, 0x30, 0})             // the literal of the head's straddling MOVZBL
 	f.Add(false, uint8(9), uint8(0x30), []byte{2, 56, 1, 2, 1, 23, 4, 5, 0, 30, 0x50, 0})
+	// Bound stores from the block at 0x800. With pad 0x40 the block's
+	// MOVB #0xD7, (R1) is followed by INCL R6 at 0x804: r1 starts at
+	// loop+48 (0x640, past the halt) and the stride 0x1C4 moves the
+	// second call's store onto that INCL, making it DECL. With pad 0x32
+	// the block's MOVB #9, @#loop-2 rewrites the literal of the head's
+	// MOVZBL, the second-page part of a straddle.
+	none := []byte{3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0}
+	f.Add(true, uint8(3), uint8(0x40), append(none[:24:24], 56, 0xC4, 0x01, 0, 1, 0xD7, 0))
+	f.Add(false, uint8(3), uint8(0x40), append(none[:24:24], 56, 0xC4, 0x01, 0, 1, 0xD7, 0))
+	f.Add(true, uint8(3), uint8(0x32), append(none[:24:24], 56, 0, 0, 0, 18, 9, 0))
+	f.Add(false, uint8(3), uint8(0x32), append(none[:24:24], 56, 0, 0, 0, 18, 9, 0))
 	f.Fuzz(func(t *testing.T, mapped bool, iters, pad uint8, ops []byte) {
 		src := selfModSource(iters, pad, ops)
 		run := newRunMachine(t, src, mapped, nil)

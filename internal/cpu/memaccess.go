@@ -20,23 +20,38 @@ func mmuAccess(write bool) mmu.Access {
 // accesses that straddle a page boundary translate each page separately,
 // as the hardware does.
 
-func (c *CPU) physLoadByte(pa uint32) (byte, error) {
+// device returns the device whose register window overlaps the n
+// physical bytes at pa, and the window's base; nil when none does.
+func (c *CPU) device(pa, n uint32) (MMIOHandler, uint32) {
 	for _, h := range c.mmio {
 		base, size := h.Window()
-		if pa >= base && pa < base+size {
-			v, err := h.LoadReg(c, pa-base)
-			return byte(v), err
+		if pa < base+size && pa+n > base {
+			return h, base
 		}
+	}
+	return nil, 0
+}
+
+// plain reports whether the n physical bytes at pa are ordinary memory:
+// inside physical memory and clear of every device window. Any other
+// access belongs to the physLoad/physStore path, which reaches the
+// device or takes the bus error.
+func (c *CPU) plain(pa, n uint32) bool {
+	h, _ := c.device(pa, n)
+	return h == nil && c.Mem.Contains(pa, n)
+}
+
+func (c *CPU) physLoadByte(pa uint32) (byte, error) {
+	if h, base := c.device(pa, 1); h != nil {
+		v, err := h.LoadReg(c, pa-base)
+		return byte(v), err
 	}
 	return c.Mem.LoadByte(pa)
 }
 
 func (c *CPU) physStoreByte(pa uint32, v byte) error {
-	for _, h := range c.mmio {
-		base, size := h.Window()
-		if pa >= base && pa < base+size {
-			return h.StoreReg(c, pa-base, uint32(v))
-		}
+	if h, base := c.device(pa, 1); h != nil {
+		return h.StoreReg(c, pa-base, uint32(v))
 	}
 	c.invalidateStore(pa, 1)
 	return c.Mem.StoreByte(pa, v)
@@ -45,21 +60,15 @@ func (c *CPU) physStoreByte(pa uint32, v byte) error {
 // physLoadLong reads a longword, routing device windows through the
 // device handler as a single register access.
 func (c *CPU) physLoadLong(pa uint32) (uint32, error) {
-	for _, h := range c.mmio {
-		base, size := h.Window()
-		if pa >= base && pa < base+size {
-			return h.LoadReg(c, pa-base)
-		}
+	if h, base := c.device(pa, 1); h != nil {
+		return h.LoadReg(c, pa-base)
 	}
 	return c.Mem.LoadLong(pa)
 }
 
 func (c *CPU) physStoreLong(pa uint32, v uint32) error {
-	for _, h := range c.mmio {
-		base, size := h.Window()
-		if pa >= base && pa < base+size {
-			return h.StoreReg(c, pa-base, v)
-		}
+	if h, base := c.device(pa, 1); h != nil {
+		return h.StoreReg(c, pa-base, v)
 	}
 	// A longword store stays within one page (callers split straddling
 	// accesses), as invalidateStore requires.
@@ -140,11 +149,18 @@ func (c *CPU) StoreVirt(va uint32, size int, v uint32, mode vax.Mode) error {
 		}
 		return nil
 	}
+	// Page-straddling: every byte is translated before any is stored,
+	// so a fault on the second page leaves memory as it was and the
+	// restarted instruction cannot read its own half-written result.
+	var pas [4]uint32
 	for i := 0; i < size; i++ {
 		pa, err := c.MMU.Translate(va+uint32(i), mmu.Write, mode)
 		if err != nil {
 			return err
 		}
+		pas[i] = pa
+	}
+	for i, pa := range pas[:size] {
 		if err := c.physStoreByte(pa, byte(v>>(8*i))); err != nil {
 			return err
 		}

@@ -16,8 +16,9 @@ import (
 // mmu.Stats field, the instruction count at each interrupt delivery and
 // the state of an attached device. The scenarios are the decode-cache
 // coherence cases the run loop must preserve: self-modifying code,
-// stores beside cached code, TBIS/TBIA remaps under a straddling instruction, DMA, the wholesale
-// flush a snapshot restore performs, and interrupts posted mid-loop.
+// stores beside cached code, TBIS/TBIA remaps under a straddling
+// instruction, DMA, the wholesale flush a snapshot restore performs,
+// interrupts posted mid-loop, and runs of bound memory moves.
 
 // periodDevice posts an interrupt at the end of every period (none
 // when vec is 0), taking its periods in turn from a fixed list. Its
@@ -329,6 +330,39 @@ isr:	incl r5
 cell:	.long 0
 `
 
+// memoryLoop is the §7.3 mix's fill and copy loops (MOVB R3, (R2)+ and
+// MOVL (R6)+, (R7)+ under SOBGTR) and a MOVZBL from an absolute address,
+// with buffers off the code's page, so runs of bound memory moves span
+// device deadlines. buf starts two bytes past a longword boundary and
+// crosses a page boundary: the copy's load of the longword across it
+// falls back to the handler.
+const memoryLoop = `
+start:	clrl r5
+	clrl r9
+	movl #4, r10
+outer:	movl #buf, r2
+	movl #150, r3
+fill:	movb r3, (r2)+
+	sobgtr r3, fill
+	movl #buf, r6
+	movl #buf2, r7
+	movl #38, r8
+copy:	movl (r6)+, (r7)+
+	sobgtr r8, copy
+	movzbl @#buf2+7, r4
+	addl2 r4, r9
+	clrl @#buf2
+	sobgtr r10, outer
+	halt
+	.align 4
+isr:	incl r5
+	rei
+	.align 512
+	.space 0x182
+buf:	.space 160
+buf2:	.space 160
+`
+
 // loopMachine builds a scenario machine for src with no device.
 func loopMachine(src string) func(t *testing.T, mapped bool) *runMachine {
 	return func(t *testing.T, mapped bool) *runMachine {
@@ -407,6 +441,25 @@ var runScenarios = []runScenario{
 			t.Errorf("r5 = %d, %d deliveries, %d posts", rm.c.R[5], n, rm.dev.posts)
 		}
 	}},
+	{name: "memory loop", build: func(t *testing.T, mapped bool) *runMachine {
+		rm := newRunMachine(t, memoryLoop, mapped, map[vax.Vector]string{0xC4: "isr"})
+		rm.dev = newPeriodDevice(20, 0xC4, 700, 13, 350, 2, 1100, 41)
+		rm.c.AddDevice(rm.dev)
+		return rm
+	}, phases: 1, check: checkMemoryLoop},
+}
+
+// checkMemoryLoop checks memoryLoop's result, that every interrupt was
+// taken, and that the bound form ran most of its instructions.
+func checkMemoryLoop(t *testing.T, rm *runMachine) {
+	t.Helper()
+	wantR(9, 4*(150-7))(t, rm)
+	if n := uint64(len(rm.sink.at)); n == 0 || rm.c.R[5] != uint32(n) {
+		t.Errorf("r5 = %d, %d deliveries", rm.c.R[5], n)
+	}
+	if s := rm.c.Stats; 2*s.BoundHits < s.Instructions {
+		t.Errorf("%d bound hits in %d instructions, want at least half", s.BoundHits, s.Instructions)
+	}
 }
 
 // TestRunMatchesStep runs every scenario with mapping off and on and

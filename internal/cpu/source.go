@@ -23,4 +23,5 @@ func (c *CPU) Counters(emit func(name string, v uint64)) {
 	emit("decode_hits", s.DecodeHits)
 	emit("decode_misses", s.DecodeMisses)
 	emit("decode_invalidations", s.DecodeInvalidations)
+	emit("bound_hits", s.BoundHits)
 }

@@ -45,15 +45,54 @@ type Stats struct {
 // is a generation number: an entry is live only when its gen matches
 // the MMU's current gen, which makes TBIA an O(1) counter bump instead
 // of an O(sets) sweep or a map reallocation.
+//
+// Each entry also holds its fast-path grants, computed once when
+// Translate fills it: bit m is set when mode m may read the page, bit
+// 4+m when mode m may write it and PTE<M> is already set, and none is
+// set for a reserved protection or an invalid PTE. A hit that needs no
+// walk, fault or M-bit update is then a key/gen compare and one mask
+// test (Lookup); every other access takes Translate, the one place the
+// protection rules are applied.
 const (
 	tlbSets = 512
 	tlbMask = tlbSets - 1
 )
 
 type tlbEntry struct {
-	key uint32 // va >> PageShift (tag, region bits included)
-	gen uint32 // live iff == MMU.gen
-	pte vax.PTE
+	key   uint32 // va >> PageShift (tag, region bits included)
+	gen   uint32 // live iff == MMU.gen
+	pte   vax.PTE
+	grant uint32 // fast-path grants (see above)
+}
+
+// protGrants holds, per protection code, the read grants in the low
+// nibble and the write grants in the high one, derived from
+// Protection.CanRead and CanWrite.
+var protGrants = func() (g [16]uint32) {
+	for p := range g {
+		for m := vax.Mode(0); m < vax.NumModes; m++ {
+			if vax.Protection(p).CanRead(m) {
+				g[p] |= 1 << m
+			}
+			if vax.Protection(p).CanWrite(m) {
+				g[p] |= 1 << (4 + m)
+			}
+		}
+	}
+	return g
+}()
+
+// grants returns the fast-path grants of a PTE that Translate caches.
+// A reserved protection grants nothing in protGrants.
+func grants(pte vax.PTE) uint32 {
+	if !pte.Valid() {
+		return 0
+	}
+	g := protGrants[pte.Prot()&0xF]
+	if !pte.Modified() {
+		g &= 0xF
+	}
+	return g
 }
 
 // tlbIndex folds the region bits (key bits 21-22, from va bits 30-31)
@@ -86,6 +125,13 @@ type MMU struct {
 	// revalidated from a single TLB lookup).
 	OnTBIA func()
 	OnTBIS func(va uint32)
+
+	// OnWrite, when non-nil, is told after the MMU itself writes n
+	// bytes of physical memory at pa: the PTE<M> write-back. The CPU
+	// uses it to drop the decoded instructions those bytes overwrite.
+	// It is an interface rather than a func so that wiring it to the
+	// CPU allocates nothing.
+	OnWrite interface{ InvalidateDecode(pa, n uint32) }
 
 	Stats Stats
 
@@ -243,10 +289,17 @@ func (u *MMU) fetchPTE(va uint32, a Access) (vax.PTE, uint32, bool, error) {
 	return vax.PTE(praw), pteAddr, false, nil
 }
 
-// storePTE writes back a PTE fetched by fetchPTE (used by hardware M-bit
-// setting on the standard VAX).
+// storePTE writes back a PTE fetched by fetchPTE (hardware M-bit
+// setting on the standard VAX, and SetPTEModify), then reports the
+// write through OnWrite.
 func (u *MMU) storePTE(pteAddr uint32, pte vax.PTE) error {
-	return u.Mem.StoreLong(pteAddr, uint32(pte))
+	if err := u.Mem.StoreLong(pteAddr, uint32(pte)); err != nil {
+		return err
+	}
+	if u.OnWrite != nil {
+		u.OnWrite.InvalidateDecode(pteAddr, 4)
+	}
+	return nil
 }
 
 // Translate maps a virtual address to a physical address for an access
@@ -326,48 +379,44 @@ func (u *MMU) Translate(va uint32, a Access, mode vax.Mode) (uint32, error) {
 		}
 	}
 
-	*slot = tlbEntry{key: key, gen: u.gen, pte: pte}
+	*slot = tlbEntry{key: key, gen: u.gen, pte: pte, grant: grants(pte)}
 	return pte.PFN()*vax.PageSize + (va & vax.PageMask), nil
 }
 
-// TranslateFast is the inlined TLB-hit fast path: it maps va to a
-// physical address only when it can do so without walking page tables,
-// without faulting, and without side effects — mapping disabled, or a
-// TLB hit whose protection admits the access and (for writes) whose
-// PTE<M> is already set. Any other case returns ok == false without
-// touching the statistics, and the caller falls back to Translate,
-// which performs the walk, counts the event, and boxes the fault. On
-// success no error value exists at all, so the hot path allocates
-// nothing.
-func (u *MMU) TranslateFast(va uint32, a Access, mode vax.Mode) (uint32, bool) {
+// Lookup maps va to a physical address only when it can do so without
+// walking page tables, without faulting, and without side effects:
+// mapping disabled, or a TLB hit that grants the access to mode (for a
+// write, with PTE<M> already set). It counts nothing. Callers that act
+// on a successful Lookup credit it with CountFastHits; TranslateFast
+// does both.
+func (u *MMU) Lookup(va uint32, a Access, mode vax.Mode) (uint32, bool) {
 	if !u.Enabled {
 		return va, true
 	}
 	key := va >> vax.PageShift
 	e := &u.tlb[tlbIndex(key)]
-	if e.gen != u.gen || e.key != key {
+	if e.gen != u.gen || e.key != key || e.grant>>(4*uint32(a)+uint32(mode))&1 == 0 {
 		return 0, false
 	}
-	pte := e.pte
-	prot := pte.Prot()
-	if prot.Reserved() || !pte.Valid() {
-		return 0, false
-	}
-	if a == Write {
-		if !prot.CanWrite(mode) || !pte.Modified() {
-			return 0, false
-		}
-	} else if !prot.CanRead(mode) {
-		return 0, false
-	}
-	u.Stats.Translations++
-	u.Stats.TLBHits++
-	u.Stats.FastTranslations++
-	return pte.PFN()*vax.PageSize + (va & vax.PageMask), true
+	return e.pte.PFN()*vax.PageSize + (va & vax.PageMask), true
 }
 
-// CountFastHits credits n translations that the caller resolved by
-// reusing a successful TranslateFast of the same page, with the mode
+// TranslateFast is the TLB-hit fast path: Lookup, counted as a
+// translation. Any case Lookup refuses returns ok == false without
+// touching the statistics, and the caller falls back to Translate,
+// which performs the walk, counts the event, and boxes the fault. On
+// success no error value exists at all, so the hot path allocates
+// nothing.
+func (u *MMU) TranslateFast(va uint32, a Access, mode vax.Mode) (uint32, bool) {
+	pa, ok := u.Lookup(va, a, mode)
+	if ok {
+		u.CountFastHits(1)
+	}
+	return pa, ok
+}
+
+// CountFastHits credits n translations that the caller resolved by a
+// successful Lookup, or by reusing one of the same page with the mode
 // and the TLB unchanged since: the statistics read as if each had been
 // its own TranslateFast. With mapping off TranslateFast counts
 // nothing, and neither does this.

@@ -194,3 +194,57 @@ func TestTBIAGenerationWraparound(t *testing.T) {
 		t.Error("lookup after wraparound TBIA did not re-walk")
 	}
 }
+
+// TestLookupGrantsMatchProtection checks the TLB's cached grants
+// against the protection rules over every PTE protection, valid and
+// modify bit, mode and access: a grant bit is set exactly when the
+// access needs no walk, fault or M-bit update. Through the MMU, an
+// entry filled by a read walk must answer Lookup the same way, Lookup
+// must count nothing, and TranslateFast must count each hit once.
+func TestLookupGrantsMatchProtection(t *testing.T) {
+	fast := func(pte vax.PTE, a Access, mode vax.Mode) bool {
+		prot := pte.Prot()
+		if prot.Reserved() || !pte.Valid() {
+			return false
+		}
+		if a == Write {
+			return prot.CanWrite(mode) && pte.Modified()
+		}
+		return prot.CanRead(mode)
+	}
+	va := uint32(vax.SystemBase + 0x10)
+	for prot := vax.Protection(0); prot < 16; prot++ {
+		for _, valid := range []bool{false, true} {
+			for _, mod := range []bool{false, true} {
+				pte := vax.NewPTE(valid, prot, mod, 20)
+				u, m := buildSystem(t, 1, vax.ProtUW)
+				if err := m.StoreLong(0x1000, uint32(pte)); err != nil {
+					t.Fatal(err)
+				}
+				_, err := u.Translate(va, Read, vax.Kernel)
+				filled := err == nil
+				for mode := vax.Mode(0); mode < vax.NumModes; mode++ {
+					for _, a := range []Access{Read, Write} {
+						want := fast(pte, a, mode)
+						if got := grants(pte)>>(4*uint32(a)+uint32(mode))&1 == 1; got != want {
+							t.Errorf("%s %s by %s: grant %t, want %t", pte, a, mode, got, want)
+						}
+						stats := u.Stats
+						pa, ok := u.Lookup(va, a, mode)
+						if ok != (filled && want) || ok && pa != 20*vax.PageSize+0x10 {
+							t.Errorf("%s %s by %s: Lookup = %#x, %t; want %t", pte, a, mode, pa, ok, filled && want)
+						}
+						if u.Stats != stats {
+							t.Errorf("%s: Lookup counted %+v", pte, u.Stats)
+						}
+						if _, ok := u.TranslateFast(va, a, mode); ok != (filled && want) ||
+							ok && (u.Stats.FastTranslations != stats.FastTranslations+1 ||
+								u.Stats.Translations != stats.Translations+1 || u.Stats.TLBHits != stats.TLBHits+1) {
+							t.Errorf("%s %s by %s: TranslateFast %t, stats %+v", pte, a, mode, ok, u.Stats)
+						}
+					}
+				}
+			}
+		}
+	}
+}
