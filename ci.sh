@@ -5,8 +5,14 @@
 # root.
 #
 #   ./ci.sh                    # the gate
-#   ./ci.sh bench              # benchmarks -> BENCH_<date>.json, diffed
-#                              # against the most recent committed
+#   ./ci.sh bench              # benchmarks -> BENCH_<date>_<rev>.json
+#                              # (rev: git describe --always --dirty of
+#                              # the measured tree; a record taken
+#                              # before its change is committed is
+#                              # named <base>-dirty, after the commit
+#                              # the tree sits on, not the one that
+#                              # adds the record), diffed against the
+#                              # most recently committed
 #                              # BENCH_*.json: >10% regression in
 #                              # ns/op or allocs/op on the E-series
 #                              # benchmarks fails the run
@@ -37,10 +43,15 @@ fi
 if [ "${1:-}" = "bench" ]; then
     warn_only=0
     [ "${2:-}" = "--warn-only" ] && warn_only=1
-    out="BENCH_$(date +%Y-%m-%d).json"
+    out="BENCH_$(date +%Y-%m-%d)_$(git describe --always --dirty 2>/dev/null || echo norev).json"
+    # The rev names the measured tree; "<base>-dirty" is the commit it
+    # sits on, so it keeps two records of one day apart but does not
+    # order them. The previous record is the one a commit added or
+    # changed last: git log lists the commits touching BENCH_*.json
+    # newest first.
     prev=""
-    for f in $(ls -r BENCH_*.json 2>/dev/null); do
-        if [ "$f" != "$out" ]; then prev="$f"; break; fi
+    for f in $(git log --format= --name-only --diff-filter=AM -- 'BENCH_*.json' 2>/dev/null); do
+        if [ "$f" != "$out" ] && [ -f "$f" ]; then prev="$f"; break; fi
     done
     echo "== go test -bench -> $out"
     go test -run '^$' -bench . -benchmem -count=1 . |
@@ -246,6 +257,14 @@ echo "== fuzz: decode-cache coherence under self-modifying code (10 s)"
 # and cycles.
 go test -run '^$' -fuzz '^FuzzSelfModifyingCode$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cpu/
 
+echo "== fuzz: one-instruction loops in closed form (10 s)"
+# Differential: a SOBGTR or SOBGEQ branching to itself (any counter,
+# mapped or not, optionally a wait its ISR ends) under a device whose
+# period ends its steps must leave Run, which applies the iterations of
+# a step at once, and one Step at a time in the same registers, PSL,
+# cycles, counters, device state and interrupt delivery points.
+go test -run '^$' -fuzz '^FuzzOneInstructionLoop$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cpu/
+
 # bench/ is a module of its own, so the root ./... patterns skip it; its
 # smoke test checks the workload catalogue against BENCHMARK.json, the
 # correctness checks and seed repeatability.
@@ -291,13 +310,15 @@ echo "$pairs" | awk '{
     if (delta > 5) { print "  REGRESSION: recorder-on E3 more than 5% slower"; exit 1 }
 }'
 
-echo "== run-loop gate (bound instructions run back to back between device deadlines)"
+echo "== run-loop gate (bound instructions run back to back between device deadlines; delay loops in closed form)"
 # Deterministic: on the throughput loop and on the §7.3 mix's
 # memory-move loops (MOVB R3, (R2)+ fill, MOVL (R6)+, (R7)+ copy), Run
 # must tick a device with a 5000-cycle period at most once per 100
 # instructions, and the device must see the same summed cycles as one
-# Step at a time gives it.
-go test -count=1 -run '^TestRunLoopBatchesDeviceTicks$' .
+# Step at a time gives it. A SOBGTR to itself from 0x80000000 (2^31
+# iterations) must finish with the exact counts within one second: one
+# iteration per step takes tens of seconds.
+go test -count=1 -run '^(TestRunLoopBatchesDeviceTicks|TestRunDelayLoopClosedForm)$' .
 
 echo "== experiments output identical to EXPERIMENTS.md"
 tmpmd=$(mktemp) tmpwant=$(mktemp) tmpgot=$(mktemp)

@@ -27,6 +27,13 @@ import (
 // from the same state, which takes the fault, the M-bit update or the
 // device access. So a committed bound memory move, too, cannot fault,
 // touch a device, or change the TLB, the mode or pending interrupts.
+//
+// A bound SOBGTR or SOBGEQ whose taken target is its own opcode is a
+// one-instruction loop, the "SOBGTR Rn, ." delay idiom. Every iteration
+// after the first has the same PC, translation and cost, and its
+// outcome depends only on the counter it moves, so execLoop applies the
+// n iterations a step may take at once: the loop runs in one step to
+// its exit or to the next device deadline.
 
 // Bound kinds: one per operation, whatever the operand count. Each
 // mirrors its interpreter handler (exec.go, convert.go, dispatch.go)
@@ -148,13 +155,15 @@ func (c *CPU) put(o *sbOpnd, r uint32) { c.R[o.reg] = c.R[o.reg]&^o.mask | r&o.m
 // sources a and b, destination d, and the successor PCs as offsets from
 // the opcode (one physical page may be mapped at several VAs). cost is
 // the instruction's whole cycle charge: the row's cost plus
-// CostMemOperand per memory operand (mems).
+// CostMemOperand per memory operand (mems). finishRecord sets loop on
+// a one-instruction loop recorded on one page (see loops).
 type sbBound struct {
 	kind  uint8
 	cond  uint8 // fbBcond predicate
 	next  uint8 // fallthrough offset (the instruction's length)
 	mems  uint8 // memory operands (fbMov only); 0 runs in execBound
 	cost  uint16
+	loop  bool // in the padding before a: sbBound stays 48 bytes
 	a, b  sbOpnd
 	d     sbOpnd
 	taken uint32 // branch target offset (branch kinds; wraps backwards)
@@ -351,6 +360,53 @@ func (c *CPU) execBound(fb *sbBound, base uint32) uint32 {
 	}
 	c.R[RegPC] = pc
 	return pc
+}
+
+// loops reports whether fb is a one-instruction loop: a SOBGTR or
+// SOBGEQ taken to its own opcode. Other branches to themselves run one
+// iteration per step.
+func (fb *sbBound) loops() bool {
+	return (fb.kind == fbSobgtr || fb.kind == fbSobgeq) && fb.taken == 0
+}
+
+// execLoop runs the one-instruction loop fb, whose opcode is at base,
+// in closed form as the first step of a run with the given budget. Its
+// n iterations are those the budget allows, that start below the
+// nearest device deadline, and that come no later than the one that
+// falls through. It applies them at once: n times the cost, and the
+// counter, N and Z (V clear, C kept) and PC the last iteration leaves.
+// It returns n, or changes nothing and returns 0 when n is below 2, and
+// that iteration runs as a step of its own. The caller credits the
+// decode hits, bound hits, instructions and reused translations and
+// ticks the devices (settleRun).
+func (c *CPU) execLoop(fb *sbBound, base uint32, budget uint64) uint64 {
+	// The iteration that falls through, in execBound's int32 arithmetic
+	// with wrapping: SOBGTR from 0x80000000 runs 2^31 iterations, and
+	// SOBGEQ exits one iteration past zero. n <= 2^31+1 and cost <
+	// 2^16, so n*cost cannot overflow, and Cycles wraps as it would one
+	// iteration at a time.
+	exit := uint64(1)
+	if r := int32(c.R[fb.d.reg] - 1); r > 0 || r == 0 && fb.kind == fbSobgeq {
+		exit += uint64(r)
+		if fb.kind == fbSobgeq {
+			exit++
+		}
+	}
+	cost := uint64(fb.cost)
+	d := c.deadline() // ⌈d/cost⌉ iterations start below it
+	n := min(budget, exit, d/cost+min(d%cost, 1))
+	if n < 2 {
+		return 0
+	}
+	c.Cycles += n * cost
+	c.R[fb.d.reg] -= uint32(n)
+	c.setNZ(c.R[fb.d.reg], 4)
+	pc := base // the taken target
+	if n == exit {
+		pc += uint32(fb.next)
+	}
+	c.R[RegPC] = pc
+	return n
 }
 
 // execMem runs a pre-bound memory move (fb.mems > 0) whose opcode is at

@@ -58,7 +58,9 @@ import (
 //     and bound with no memory operand, and mtag while it is valid,
 //     single-page and bound with one; each holds noBTag otherwise:
 //     initDecodeCache, finishRecord and dropDecode, through which every
-//     drop goes, keep them so.
+//     drop goes, keep them so. A one-instruction loop (bound.loop) is
+//     the exception: it carries neither tag, so a run ends at it, and
+//     step tests loop, with tag and len, only after both tags miss.
 
 const (
 	dcSlots     = 1024 // direct-mapped entries, indexed by PA low bits
@@ -388,6 +390,8 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	e.btag, e.mtag = noBTag(pa), noBTag(pa)
 	switch {
 	case straddle || e.bound.kind == fbNone:
+	case e.bound.loops():
+		e.bound.loop = true
 	case e.bound.mems == 0:
 		e.btag = pa
 	default:

@@ -145,8 +145,13 @@ func (c *CPU) Run(maxSteps uint64) uint64 {
 // trap-all test — runs once, and a bound decode-cache hit then starts a
 // run of bound instructions executed back to back (runBound). A bound
 // memory move counts as a hit only once it commits; when it falls back
-// it runs as a non-bound step. Each step leaves every simulated count
-// exactly as a Step of its own would.
+// it runs as a non-bound step. A one-instruction loop carries no bound
+// tag, so it is tested only once both tags miss: then, unless trap-all
+// is armed, execLoop takes its iterations up to its exit, the budget or
+// the first one at the device deadline in one step, settled like a
+// run's (with a budget of 1 it declines, and the iteration runs as a
+// step of its own). Each step leaves every simulated count exactly as a
+// Step of its own would.
 func (c *CPU) step(budget uint64) uint64 {
 	if c.Halted {
 		return 0
@@ -187,6 +192,12 @@ func (c *CPU) step(budget uint64) uint64 {
 		next, hit = c.execMem(&e.bound, pc)
 	}
 	if !hit {
+		if ok && e.bound.loop && e.tag == pa && e.len != 0 && !trapAll {
+			if n := c.execLoop(&e.bound, pc, budget); n > 0 {
+				c.settleRun(n, n-1, before)
+				return n
+			}
+		}
 		c.execStep(pa, ok)
 		c.tick(c.Cycles - before)
 		return 1
@@ -228,7 +239,9 @@ func (c *CPU) execStep(pa uint32, ok bool) {
 // one runs as the run's last step, once the counters and devices have
 // caught up, with its own snapshot and the translation the loop already
 // made. A store that drops a decoded instruction clears its tags, so
-// the loop stops at overwritten code.
+// the loop stops at overwritten code. A one-instruction loop has no
+// tag either: the run ends at it, its first iteration replays through
+// execReplay, and the next step takes the rest in closed form.
 //
 // While PC stays on the run's virtual page its translation is pc +
 // delta; each such reuse is credited to the MMU as the TranslateFast

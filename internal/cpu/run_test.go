@@ -363,6 +363,86 @@ buf:	.space 160
 buf2:	.space 160
 `
 
+// delayLoops runs SOBGTR and SOBGEQ loops, each branching to its own
+// opcode, with counts from 0 to 300 iterations, so the test device's
+// deadlines fall both inside them and beyond their exits, SOBGEQ from
+// -5 among them; then a SOBGTR wait from 0x80000000 that only the ISR
+// ends, by clearing its counter. The ISR counts deliveries in r5. r10
+// sums the counters the loops exit with, since later code overwrites
+// them.
+const delayLoops = `
+start:	clrl r5
+	clrl r10
+	movl #300, r1
+d1:	sobgtr r1, d1
+	addl2 r1, r10
+	movl #1, r1
+d2:	sobgtr r1, d2
+	addl2 r1, r10
+	clrl r1
+d3:	sobgtr r1, d3
+	addl2 r1, r10
+	movl #40, r2
+d4:	sobgeq r2, d4
+	addl2 r2, r10
+	movl #-5, r2
+d5:	sobgeq r2, d5
+	addl2 r2, r10
+	movl #0x80000000, r8
+w1:	sobgtr r8, w1
+	addl2 r8, r10
+	halt
+	.align 4
+isr:	incl r5
+	clrl r8
+	rei
+`
+
+// checkDelayLoops checks delayLoops' counters and that each interrupt
+// was taken.
+func checkDelayLoops(t *testing.T, rm *runMachine) {
+	t.Helper()
+	// Exit counters: 0, 0, -1, -1, -6 and -1.
+	wantR(10, 0xFFFFFFF7)(t, rm)
+	if n := uint64(len(rm.sink.at)); n < 1 || rm.c.R[5] != uint32(n) {
+		t.Errorf("r5 = %d, %d deliveries; want one per delivery and at least one", rm.c.R[5], n)
+	}
+}
+
+// patchedDelayLoop is a delay loop whose counter specifier the between
+// step rewrites from r1 to r2: the dropped decode must not run in
+// closed form again.
+const patchedDelayLoop = `
+start:	movl #200, r1
+	movl #50, r2
+loop:	sobgtr r1, loop
+	halt
+`
+
+// aliasedLoopSlot puts a delay loop at a and a different instruction at
+// b, 1024 bytes on, in the same decode-cache slot. The JMP ends its
+// step, so the next step starts at b while the slot still holds a's
+// loop: it must run b, not a's loop in closed form.
+const aliasedLoopSlot = `
+start:	movl #5, r1
+a:	sobgtr r1, a
+	movl #7, r1
+	jmp @#b
+	.space 1012
+b:	incl r3
+	halt
+`
+
+// checkAliasedLoopSlot checks aliasedLoopSlot's layout and result.
+func checkAliasedLoopSlot(t *testing.T, rm *runMachine) {
+	t.Helper()
+	if d := rm.sym("b") - rm.sym("a"); d != dcSlots {
+		t.Fatalf("layout: b is %d bytes after a, want %d", d, dcSlots)
+	}
+	wantR(1, 7)(t, rm)
+	wantR(3, 1)(t, rm)
+}
+
 // loopMachine builds a scenario machine for src with no device.
 func loopMachine(src string) func(t *testing.T, mapped bool) *runMachine {
 	return func(t *testing.T, mapped bool) *runMachine {
@@ -379,9 +459,10 @@ func wantR(reg int, want uint32) func(t *testing.T, rm *runMachine) {
 	}
 }
 
-// patchLiteral returns a between step that stores lit into the ADDL2
-// short literal at label loop directly in physical memory, the way DMA
-// or a snapshot restore would, then runs notify.
+// patchLiteral returns a between step that stores lit into the byte
+// after the opcode at label loop (hotLoop's ADDL2 short literal)
+// directly in physical memory, the way DMA or a snapshot restore
+// would, then runs notify.
 func patchLiteral(lit byte, notify func(c *CPU, pa uint32)) func(t *testing.T, rm *runMachine) {
 	return func(t *testing.T, rm *runMachine) {
 		t.Helper()
@@ -447,6 +528,22 @@ var runScenarios = []runScenario{
 		rm.c.AddDevice(rm.dev)
 		return rm
 	}, phases: 1, check: checkMemoryLoop},
+	{name: "patched delay loop", build: loopMachine(patchedDelayLoop), phases: 2,
+		between: patchLiteral(0x52, func(c *CPU, pa uint32) { c.InvalidateDecode(pa, 1) }),
+		check: func(t *testing.T, rm *runMachine) {
+			t.Helper()
+			wantR(1, 200)(t, rm)
+			wantR(2, 0)(t, rm)
+		}},
+	{name: "aliased loop slot", build: loopMachine(aliasedLoopSlot), phases: 1, check: checkAliasedLoopSlot},
+	{name: "delay loops", build: func(t *testing.T, mapped bool) *runMachine {
+		rm := newRunMachine(t, delayLoops, mapped, map[vax.Vector]string{0xC4: "isr"})
+		// The first period is long enough for the first loop to reach
+		// its exit inside it.
+		rm.dev = newPeriodDevice(20, 0xC4, append([]uint64{900}, irqPeriods...)...)
+		rm.c.AddDevice(rm.dev)
+		return rm
+	}, phases: 1, check: checkDelayLoops},
 }
 
 // checkMemoryLoop checks memoryLoop's result, that every interrupt was
@@ -513,54 +610,66 @@ func TestRunSelfModifying(t *testing.T) {
 	}
 }
 
+// trapAllDelayLoop leaves r0 = 1500, as hotLoop does, after a delay
+// loop branching to itself.
+const trapAllDelayLoop = `
+start:	movl #1500, r0
+	movl #500, r1
+loop:	sobgtr r1, loop
+	halt
+`
+
 // TestStepAndTrapAllNeverBatch checks the two cases that must take one
 // tick per step: a Step-driven machine, and Run under TrapAllInVM in VM
-// kernel mode, where every instruction traps before it executes. The
-// trap-all Run must also match a Step-driven trap-all machine.
+// kernel mode, where every instruction traps before it executes, a
+// delay loop's iterations too. The trap-all Run must also match a
+// Step-driven trap-all machine.
 func TestStepAndTrapAllNeverBatch(t *testing.T) {
-	rm := newRunMachine(t, hotLoop, true, nil)
-	rm.dev = newPeriodDevice(0, 0, 97)
-	rm.c.AddDevice(rm.dev)
-	if steps := rm.drive(t, stepOnly); rm.dev.ticks != steps {
-		t.Errorf("Step ticked %d times in %d steps", rm.dev.ticks, steps)
-	}
+	for _, src := range []string{hotLoop, trapAllDelayLoop} {
+		rm := newRunMachine(t, src, true, nil)
+		rm.dev = newPeriodDevice(0, 0, 97)
+		rm.c.AddDevice(rm.dev)
+		if steps := rm.drive(t, stepOnly); rm.dev.ticks != steps {
+			t.Errorf("Step ticked %d times in %d steps", rm.dev.ticks, steps)
+		}
 
-	build := func() (*vmMachine, *periodDevice) {
-		vm := newVMMachine(t, hotLoop)
-		vm.c.TrapAllInVM = true
-		vm.sink.onTrap = func(c *CPU, e *vax.Exception) bool {
-			if e.VMInfo != nil && e.VMInfo.Opcode == 0xFFFF {
-				// The stand-in VMM lets the trapped instruction run
-				// directly, back in the VM.
-				c.SetPSL(c.PSL().WithVM(true))
-				c.StepVMInstruction()
+		build := func() (*vmMachine, *periodDevice) {
+			vm := newVMMachine(t, src)
+			vm.c.TrapAllInVM = true
+			vm.sink.onTrap = func(c *CPU, e *vax.Exception) bool {
+				if e.VMInfo != nil && e.VMInfo.Opcode == 0xFFFF {
+					// The stand-in VMM lets the trapped instruction run
+					// directly, back in the VM.
+					c.SetPSL(c.PSL().WithVM(true))
+					c.StepVMInstruction()
+					return true
+				}
+				c.Halt(HaltInstruction)
 				return true
 			}
-			c.Halt(HaltInstruction)
-			return true
+			d := newPeriodDevice(0, 0, 1000)
+			vm.c.AddDevice(d)
+			return vm, d
 		}
-		d := newPeriodDevice(0, 0, 1000)
-		vm.c.AddDevice(d)
-		return vm, d
-	}
-	run, devRun := build()
-	step, devStep := build()
-	runSteps := run.c.Run(100_000)
-	var stepSteps uint64
-	for !step.c.Halted {
-		step.c.Step()
-		stepSteps++
-	}
-	if !run.c.Halted || run.c.R[0] != 1500 || step.c.R[0] != 1500 {
-		t.Fatalf("halted %t, r0 = %d (Run) and %d (Step), want 1500", run.c.Halted, run.c.R[0], step.c.R[0])
-	}
-	if runSteps != stepSteps || run.c.Cycles != step.c.Cycles || run.c.Stats != step.c.Stats ||
-		run.c.MMU.Stats != step.c.MMU.Stats {
-		t.Errorf("Run and Step diverge: steps %d/%d, cycles %d/%d\n %+v\n %+v",
-			runSteps, stepSteps, run.c.Cycles, step.c.Cycles, run.c.Stats, step.c.Stats)
-	}
-	if devRun.ticks != runSteps || devStep.ticks != stepSteps {
-		t.Errorf("ticks %d (Run) and %d (Step) for %d steps: trap-all batched", devRun.ticks, devStep.ticks, runSteps)
+		run, devRun := build()
+		step, devStep := build()
+		runSteps := run.c.Run(100_000)
+		var stepSteps uint64
+		for !step.c.Halted {
+			step.c.Step()
+			stepSteps++
+		}
+		if !run.c.Halted || run.c.R[0] != 1500 || step.c.R[0] != 1500 {
+			t.Fatalf("halted %t, r0 = %d (Run) and %d (Step), want 1500", run.c.Halted, run.c.R[0], step.c.R[0])
+		}
+		if runSteps != stepSteps || run.c.Cycles != step.c.Cycles || run.c.Stats != step.c.Stats ||
+			run.c.MMU.Stats != step.c.MMU.Stats {
+			t.Errorf("Run and Step diverge: steps %d/%d, cycles %d/%d\n %+v\n %+v",
+				runSteps, stepSteps, run.c.Cycles, step.c.Cycles, run.c.Stats, step.c.Stats)
+		}
+		if devRun.ticks != runSteps || devStep.ticks != stepSteps {
+			t.Errorf("ticks %d (Run) and %d (Step) for %d steps: trap-all batched", devRun.ticks, devStep.ticks, runSteps)
+		}
 	}
 }
 

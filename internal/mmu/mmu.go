@@ -290,8 +290,8 @@ func (u *MMU) fetchPTE(va uint32, a Access) (vax.PTE, uint32, bool, error) {
 }
 
 // storePTE writes back a PTE fetched by fetchPTE (hardware M-bit
-// setting on the standard VAX, and SetPTEModify), then reports the
-// write through OnWrite.
+// setting on the standard VAX), then reports the write through
+// OnWrite.
 func (u *MMU) storePTE(pteAddr uint32, pte vax.PTE) error {
 	if err := u.Mem.StoreLong(pteAddr, uint32(pte)); err != nil {
 		return err
@@ -470,19 +470,4 @@ func (u *MMU) Probe(va uint32, a Access, mode vax.Mode) (bool, error) {
 		return prot.CanWrite(mode), nil
 	}
 	return prot.CanRead(mode), nil
-}
-
-// SetPTEModify sets PTE<M> for the page containing va directly in the
-// page table (used by modify-fault handlers) and drops any stale TLB
-// entry.
-func (u *MMU) SetPTEModify(va uint32) error {
-	pte, pteAddr, _, err := u.fetchPTE(va, Read)
-	if err != nil {
-		return err
-	}
-	if err := u.storePTE(pteAddr, pte.WithModify(true)); err != nil {
-		return err
-	}
-	u.TBIS(va)
-	return nil
 }

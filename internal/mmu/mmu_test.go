@@ -153,12 +153,14 @@ func TestModifyFaultMode(t *testing.T) {
 	if vax.PTE(raw).Modified() {
 		t.Error("modify fault must not set M itself")
 	}
-	// Software sets M explicitly, then the retried write succeeds.
-	if err := u.SetPTEModify(va); err != nil {
+	// The handler sets M the way software does: it stores the PTE with
+	// M set and invalidates the translation. The retried write succeeds.
+	if err := m.StoreLong(u.SBR, uint32(vax.PTE(raw).WithModify(true))); err != nil {
 		t.Fatal(err)
 	}
+	u.TBIS(va)
 	if _, err := u.Translate(va, Write, vax.User); err != nil {
-		t.Errorf("retry after SetPTEModify failed: %v", err)
+		t.Errorf("retry after setting PTE<M> failed: %v", err)
 	}
 	if u.Stats.ModifyFaults != 1 {
 		t.Errorf("ModifyFaults = %d", u.Stats.ModifyFaults)

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
@@ -134,4 +135,46 @@ func TestRunLoopBatchesDeviceTicks(t *testing.T) {
 			t.Logf("%d instructions, %d ticks under Run, %d under Step", instrs, dRun.ticks, dStep.ticks)
 		})
 	}
+}
+
+// TestRunDelayLoopClosedForm pins the closed form of one-instruction
+// loops: SOBGTR R1 branching to itself from R1 = 0x80000000 runs 2^31
+// iterations, since R1 - 1 wraps positive, on a machine with no device,
+// driven by Run(1<<24) calls. One iteration per step would take tens
+// of seconds (about 11 ns each on a 2-vCPU host); the closed form
+// takes one step per call, so the test fails once a second has passed.
+// The counts must be exactly those of one Step at a time.
+func TestRunDelayLoopClosedForm(t *testing.T) {
+	prog, err := asm.Assemble("l:\tsobgtr r1, l\n\thalt\n", 0x400)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	m := mem.New(64 * 1024)
+	if err := m.StoreBytes(prog.Origin, prog.Code); err != nil {
+		t.Fatal(err)
+	}
+	c := cpu.New(m, cpu.StandardVAX)
+	c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
+	c.SetPC(prog.MustSymbol("l"))
+	c.R[1] = 0x80000000
+	begin := time.Now()
+	for !c.Halted {
+		c.Run(1 << 24)
+		if d := time.Since(begin); d > time.Second {
+			t.Fatalf("after %v, %d instructions run, r1 = %#x: the delay loop runs one iteration per step",
+				d, c.Stats.Instructions, c.R[1])
+		}
+	}
+	// 2^31 SOBGTRs and the HALT, CostBase cycles each.
+	const iters = 1 << 31
+	if want := uint64(iters + 1); c.Stats.Instructions != want {
+		t.Errorf("%d instructions, want %d", c.Stats.Instructions, want)
+	}
+	if want := uint64(cpu.CostBase * (iters + 1)); c.Cycles != want {
+		t.Errorf("%d cycles, want %d", c.Cycles, want)
+	}
+	if c.R[1] != 0 || uint32(c.PSL())&vax.PSLZ == 0 {
+		t.Errorf("r1 = %#x, PSL %s; want 0 with Z set", c.R[1], c.PSL())
+	}
+	t.Logf("%d instructions in %v", c.Stats.Instructions, time.Since(begin))
 }
