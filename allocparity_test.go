@@ -47,16 +47,18 @@ func TestExperimentAllocParity(t *testing.T) {
 	// exactly one per VM created when the per-VM wake channel became two
 	// padded atomics (M:N scheduler), then to 240/275/538 when VM
 	// creation stopped formatting an audit detail with auditing off,
-	// then to these when the shadow tables' slot and run slices were
-	// sized once at creation (which more than pays for the frame map
-	// every VM now carries).
+	// then to 217/270/493 when the shadow tables' slot and run slices
+	// were sized once at creation (which more than pays for the frame
+	// map every VM now carries), then to these by two per CPU when the
+	// decode cache stopped hooking TBIA and TBIS (each hook was a
+	// closure).
 	for _, tc := range []struct {
 		id   string
 		want float64
 	}{
-		{"E2", 217},
-		{"E3", 270},
-		{"E9", 493},
+		{"E2", 209},
+		{"E3", 260},
+		{"E9", 471},
 	} {
 		spec, ok := exp.ByID(tc.id)
 		if !ok {

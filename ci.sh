@@ -21,7 +21,31 @@
 #                              # VM lifecycles, zero leaked VMs/pages,
 #                              # p99 latency per phase reported
 #   ./ci.sh soak-smoke --warn-only
+#   ./ci.sh loc [rev]          # non-test Go lines outside bench/ (tracked
+#                              # files and untracked ones not ignored);
+#                              # with a rev, also the lines added,
+#                              # deleted and net from rev to the working
+#                              # tree
 set -eu
+
+if [ "${1:-}" = "loc" ]; then
+    # gofiles lists the counted files: Go, not tests, not under bench/.
+    gofiles() { git ls-files "$@" -- '*.go' ':!*_test.go' ':!bench/'; }
+    lines() { while read -r f; do [ -f "$f" ] && cat "$f"; done | wc -l; }
+    total=$(gofiles --cached --others --exclude-standard | lines)
+    echo "non-test Go lines outside bench/: $total"
+    if [ -n "${2:-}" ]; then
+        new=$(gofiles --others --exclude-standard | lines)
+        git diff --numstat "$2" -- '*.go' ':!*_test.go' ':!bench/' |
+            awk -v rev="$2" -v new="$new" '
+                { add += $1; del += $2 }
+                END {
+                    add += new
+                    printf "against %s: +%d -%d, net %+d\n", rev, add, del, add - del
+                }'
+    fi
+    exit 0
+fi
 
 if [ "${1:-}" = "soak-smoke" ]; then
     warn_only=0

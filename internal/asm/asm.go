@@ -219,8 +219,8 @@ type fixup struct {
 	expr   string // expression to evaluate
 	branch bool   // patch a branch displacement relative to nextPC
 	nextPC uint32 // PC after the displacement field (branch fixups)
-	addend uint32
 	line   int
+	dot    uint32 // "." in expr: the statement's first byte
 }
 
 type assembler struct {
@@ -229,6 +229,7 @@ type assembler struct {
 	symbols map[string]uint32
 	fixups  []fixup
 	line    int
+	dot     uint32 // address of the current statement's first byte
 }
 
 // Assemble translates source into a Program loaded at origin.
@@ -251,6 +252,12 @@ func (a *assembler) errf(format string, args ...interface{}) error {
 }
 
 func (a *assembler) pc() uint32 { return a.origin + uint32(len(a.code)) }
+
+// addFixup records f against the current line and statement.
+func (a *assembler) addFixup(f fixup) {
+	f.line, f.dot = a.line, a.dot
+	a.fixups = append(a.fixups, f)
+}
 
 func (a *assembler) emit(bs ...byte) { a.code = append(a.code, bs...) }
 
@@ -287,6 +294,7 @@ func (a *assembler) statement(raw string) error {
 	if line == "" {
 		return nil
 	}
+	a.dot = a.pc()
 	// Symbol definition: name = expr.
 	if eq := strings.Index(line, "="); eq > 0 {
 		name := strings.TrimSpace(line[:eq])
@@ -333,7 +341,7 @@ func (a *assembler) directive(name, rest string) error {
 			if v, err := a.evalNow(arg); err == nil {
 				a.emitLong(v)
 			} else {
-				a.fixups = append(a.fixups, fixup{offset: uint32(len(a.code)), size: 4, expr: arg, line: a.line})
+				a.addFixup(fixup{offset: uint32(len(a.code)), size: 4, expr: arg})
 				a.emitLong(0)
 			}
 		}
@@ -417,12 +425,11 @@ func (a *assembler) instruction(ins insn, operands []string) error {
 // resolve patches every fixup now that all symbols are defined.
 func (a *assembler) resolve() error {
 	for _, f := range a.fixups {
-		a.line = f.line
+		a.line, a.dot = f.line, f.dot
 		v, err := a.evalNow(f.expr)
 		if err != nil {
 			return err
 		}
-		v += f.addend
 		if f.branch {
 			disp := int64(v) - int64(f.nextPC)
 			switch f.size {

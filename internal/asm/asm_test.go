@@ -55,6 +55,30 @@ func TestSimpleEncodings(t *testing.T) {
 	}
 }
 
+// TestDotIsStatementStart: "." is the address of its statement's first
+// byte in every operand, branch displacements resolved after the last
+// line included.
+func TestDotIsStatementStart(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want []byte
+	}{
+		{"sobgtr r1, .", []byte{0xF5, 0x51, 0xFD}},
+		{"brw .", []byte{0x31, 0xFD, 0xFF}},
+		{"brb .", []byte{0x11, 0xFE}},
+		{"nop\nbrb .\nhalt", []byte{0x01, 0x11, 0xFE, 0x00}},
+		{"nop\nbrb .+3\nhalt", []byte{0x01, 0x11, 0x01, 0x00}},
+		{"nop\nmovl #., r0", []byte{0x01, 0xD0, 0x8F, 0x01, 0x10, 0x00, 0x00, 0x50}},
+		{".long .", []byte{0x00, 0x10, 0x00, 0x00}},
+		{"nop\n.long .", []byte{0x01, 0x01, 0x10, 0x00, 0x00}},
+	} {
+		p := mustAssemble(t, c.src, 0x1000)
+		if string(p.Code) != string(c.want) {
+			t.Errorf("%q: code % x, want % x", c.src, p.Code, c.want)
+		}
+	}
+}
+
 func TestBranchBackwardForward(t *testing.T) {
 	p := mustAssemble(t, `
 start:	nop

@@ -26,10 +26,7 @@ func (a *assembler) operand(text string, d opdesc) error {
 		} else {
 			a.emitWord(0)
 		}
-		a.fixups = append(a.fixups, fixup{
-			offset: off, size: size, expr: text,
-			branch: true, nextPC: a.pc(), line: a.line,
-		})
+		a.addFixup(fixup{offset: off, size: size, expr: text, branch: true, nextPC: a.pc()})
 		return nil
 	}
 
@@ -50,10 +47,7 @@ func (a *assembler) operand(text string, d opdesc) error {
 		a.emit(0xFF) // longword displacement deferred off PC
 		off := uint32(len(a.code))
 		a.emitLong(0)
-		a.fixups = append(a.fixups, fixup{
-			offset: off, size: 4, expr: text[1:],
-			branch: true, nextPC: a.pc(), line: a.line,
-		})
+		a.addFixup(fixup{offset: off, size: 4, expr: text[1:], branch: true, nextPC: a.pc()})
 		return nil
 
 	case strings.HasPrefix(text, "-(") && strings.HasSuffix(text, ")"):
@@ -154,9 +148,7 @@ func (a *assembler) dispOperand(dispExpr string, reg int, deferred bool) error {
 	if err != nil {
 		// Forward reference: long displacement with fixup.
 		a.emit(0xE0|deferBit|byte(reg), 0, 0, 0, 0)
-		a.fixups = append(a.fixups, fixup{
-			offset: uint32(len(a.code) - 4), size: 4, expr: dispExpr, line: a.line,
-		})
+		a.addFixup(fixup{offset: uint32(len(a.code) - 4), size: 4, expr: dispExpr})
 		return nil
 	}
 	s := int32(v)
@@ -179,7 +171,7 @@ func (a *assembler) emitExprLong(expr string) error {
 		a.emitLong(v)
 		return nil
 	}
-	a.fixups = append(a.fixups, fixup{offset: uint32(len(a.code)), size: 4, expr: expr, line: a.line})
+	a.addFixup(fixup{offset: uint32(len(a.code)), size: 4, expr: expr})
 	a.emitLong(0)
 	return nil
 }
@@ -187,7 +179,8 @@ func (a *assembler) emitExprLong(expr string) error {
 // --- expression evaluation ---
 
 // evalNow evaluates an expression using only symbols defined so far.
-// "." names the current location counter.
+// "." names the address of the current statement's first byte, in
+// every operand of an instruction or directive.
 func (a *assembler) evalNow(expr string) (uint32, error) {
 	expr = strings.TrimSpace(expr)
 	if expr == "" {
@@ -241,7 +234,7 @@ func (a *assembler) term(s string) (uint32, string, error) {
 		return 0, "", a.errf("empty term")
 	}
 	if tok == "." {
-		return a.pc(), rest, nil
+		return a.dot, rest, nil
 	}
 	if v, err := strconv.ParseUint(tok, 0, 64); err == nil {
 		return uint32(v), rest, nil

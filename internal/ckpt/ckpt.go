@@ -15,14 +15,12 @@
 //
 // The CRC is IEEE CRC-32 over the 16 leading header bytes followed by
 // the stored payload, so a flip anywhere in a section — header or
-// body — is detected. flags bit 0 marks a DEFLATE-compressed payload
-// (rawLen stored bytes inflate to exactly origLen). After the end
-// section the stream must be at EOF; trailing bytes are an error.
+// body — is detected. Payloads are stored raw: flags must be 0 and
+// rawLen must equal origLen. After the end section the stream must be
+// at EOF; trailing bytes are an error.
 package ckpt
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,12 +37,8 @@ const (
 	// other value.
 	Version uint32 = 1
 
-	// flagDeflate marks a section payload stored DEFLATE-compressed.
-	flagDeflate uint32 = 1 << 0
-
-	// maxSectionBytes caps both the stored and the decompressed size
-	// of a single section, so a corrupted length field cannot drive
-	// an unbounded allocation.
+	// maxSectionBytes caps the size of a single section, so a
+	// corrupted length field cannot drive an unbounded allocation.
 	maxSectionBytes = 64 << 20
 
 	// maxSections caps the section count so a corrupted stream cannot
@@ -107,23 +101,20 @@ type manifestEntry struct {
 // Encoder writes a checkpoint stream section by section.
 type Encoder struct {
 	w        io.Writer
-	compress bool
 	manifest []manifestEntry
 	closed   bool
 	scratch  [sectionLen]byte
 }
 
-// NewEncoder writes the file header and returns an encoder. When
-// compress is set, section payloads that shrink under DEFLATE are
-// stored compressed.
-func NewEncoder(w io.Writer, compress bool) (*Encoder, error) {
+// NewEncoder writes the file header and returns an encoder.
+func NewEncoder(w io.Writer) (*Encoder, error) {
 	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], Magic)
 	binary.LittleEndian.PutUint32(hdr[4:], Version)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &Encoder{w: w, compress: compress}, nil
+	return &Encoder{w: w}, nil
 }
 
 // Section writes one CRC-protected section.
@@ -140,26 +131,7 @@ func (e *Encoder) Section(kind SectionKind, payload []byte) error {
 	if len(e.manifest) >= maxSections {
 		return fmt.Errorf("%w: too many sections", ErrFormat)
 	}
-	stored := payload
-	flags := uint32(0)
-	if e.compress && len(payload) > 64 {
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-		if err != nil {
-			return err
-		}
-		if _, err := zw.Write(payload); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		if buf.Len() < len(payload) {
-			stored = buf.Bytes()
-			flags = flagDeflate
-		}
-	}
-	crc, err := e.emit(kind, flags, uint32(len(payload)), stored)
+	crc, err := e.emit(kind, payload)
 	if err != nil {
 		return err
 	}
@@ -167,21 +139,22 @@ func (e *Encoder) Section(kind SectionKind, payload []byte) error {
 	return nil
 }
 
-// emit writes one raw section record and returns its CRC.
-func (e *Encoder) emit(kind SectionKind, flags, origLen uint32, stored []byte) (uint32, error) {
+// emit writes one section record, flags 0 and the payload raw, and
+// returns its CRC.
+func (e *Encoder) emit(kind SectionKind, payload []byte) (uint32, error) {
 	h := e.scratch[:]
 	binary.LittleEndian.PutUint32(h[0:], uint32(kind))
-	binary.LittleEndian.PutUint32(h[4:], flags)
-	binary.LittleEndian.PutUint32(h[8:], origLen)
-	binary.LittleEndian.PutUint32(h[12:], uint32(len(stored)))
+	binary.LittleEndian.PutUint32(h[4:], 0)
+	binary.LittleEndian.PutUint32(h[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[12:], uint32(len(payload)))
 	crc := crc32.ChecksumIEEE(h[:16])
-	crc = crc32.Update(crc, crc32.IEEETable, stored)
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	binary.LittleEndian.PutUint32(h[16:], crc)
 	if _, err := e.w.Write(h); err != nil {
 		return 0, err
 	}
-	if len(stored) > 0 {
-		if _, err := e.w.Write(stored); err != nil {
+	if len(payload) > 0 {
+		if _, err := e.w.Write(payload); err != nil {
 			return 0, err
 		}
 	}
@@ -202,7 +175,7 @@ func (e *Encoder) Close() error {
 		binary.LittleEndian.PutUint32(m[4+8*i:], uint32(ent.kind))
 		binary.LittleEndian.PutUint32(m[8+8*i:], ent.crc)
 	}
-	_, err := e.emit(SecEnd, 0, uint32(len(m)), m)
+	_, err := e.emit(SecEnd, m)
 	return err
 }
 
@@ -258,37 +231,29 @@ func (d *Decoder) Next() (*Section, error) {
 	if origLen > maxSectionBytes || rawLen > maxSectionBytes {
 		return nil, fmt.Errorf("%w: section %v claims %d/%d bytes", ErrFormat, kind, rawLen, origLen)
 	}
-	if flags&^flagDeflate != 0 {
+	if flags != 0 {
 		return nil, fmt.Errorf("%w: section %v has unknown flags %#x", ErrFormat, kind, flags)
 	}
-	if flags&flagDeflate == 0 && rawLen != origLen {
-		return nil, fmt.Errorf("%w: section %v uncompressed length mismatch", ErrFormat, kind)
+	if rawLen != origLen {
+		return nil, fmt.Errorf("%w: section %v length mismatch", ErrFormat, kind)
 	}
-	stored := make([]byte, rawLen)
-	if _, err := io.ReadFull(d.r, stored); err != nil {
+	payload := make([]byte, rawLen)
+	if _, err := io.ReadFull(d.r, payload); err != nil {
 		return nil, fmt.Errorf("%w: section %v payload: %v", ErrTruncated, kind, err)
 	}
 	crc := crc32.ChecksumIEEE(h[:16])
-	crc = crc32.Update(crc, crc32.IEEETable, stored)
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	if crc != wantCRC {
 		return nil, fmt.Errorf("%w: section %v", ErrChecksum, kind)
 	}
 	if kind == SecEnd {
-		if err := d.finish(stored); err != nil {
+		if err := d.finish(payload); err != nil {
 			return nil, err
 		}
 		d.done = true
 		return nil, io.EOF
 	}
 	d.seen = append(d.seen, manifestEntry{kind, wantCRC})
-	payload := stored
-	if flags&flagDeflate != 0 {
-		inflated, err := inflate(stored, origLen)
-		if err != nil {
-			return nil, fmt.Errorf("%w: section %v: %v", ErrFormat, kind, err)
-		}
-		payload = inflated
-	}
 	return &Section{Kind: kind, Payload: payload}, nil
 }
 
@@ -324,23 +289,6 @@ func (d *Decoder) finish(manifest []byte) error {
 	return nil
 }
 
-// inflate decompresses a DEFLATE payload that must expand to exactly
-// want bytes.
-func inflate(stored []byte, want uint32) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(stored))
-	defer zr.Close()
-	out := make([]byte, want)
-	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("inflate: %v", err)
-	}
-	// The compressed payload must not keep going past origLen.
-	var one [1]byte
-	if n, _ := zr.Read(one[:]); n != 0 {
-		return nil, errors.New("inflate: payload longer than declared")
-	}
-	return out, nil
-}
-
 // Sections reads an entire stream into a kind-keyed map — the common
 // consumption pattern for state restore. Duplicate kinds are an
 // error.
@@ -370,10 +318,10 @@ func Sections(r io.Reader) (map[SectionKind][]byte, error) {
 // pages cost one pointer per page.
 type Page [vax.PageSize]byte
 
-// StreamLen returns the length of an uncompressed stream whose sections
-// carry payloads of the given lengths, the length the Encoder would
-// write, without encoding. It rejects what Section would reject: a
-// payload over the section size cap, or too many sections.
+// StreamLen returns the length of a stream whose sections carry
+// payloads of the given lengths, the length the Encoder would write,
+// without encoding. It rejects what Section would reject: a payload
+// over the section size cap, or too many sections.
 func StreamLen(payloadLens ...int) (int, error) {
 	if len(payloadLens) > maxSections {
 		return 0, fmt.Errorf("%w: too many sections", ErrFormat)

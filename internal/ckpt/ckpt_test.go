@@ -2,23 +2,24 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 )
 
 // buildStream encodes a small representative checkpoint image.
-func buildStream(t testing.TB, compress bool) []byte {
+func buildStream(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	e, err := NewEncoder(&buf, compress)
+	e, err := NewEncoder(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Section(SecCPU, []byte("cpu-registers")); err != nil {
 		t.Fatal(err)
 	}
-	// A payload long and repetitive enough that DEFLATE shrinks it.
 	pages := bytes.Repeat([]byte("page-data "), 400)
 	if err := e.Section(SecPages, pages); err != nil {
 		t.Fatal(err)
@@ -33,41 +34,69 @@ func buildStream(t testing.TB, compress bool) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		img := buildStream(t, compress)
-		secs, err := Sections(bytes.NewReader(img))
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if got := string(secs[SecCPU]); got != "cpu-registers" {
-			t.Errorf("compress=%v: SecCPU = %q", compress, got)
-		}
-		want := bytes.Repeat([]byte("page-data "), 400)
-		if !bytes.Equal(secs[SecPages], want) {
-			t.Errorf("compress=%v: SecPages mismatch (%d bytes)", compress, len(secs[SecPages]))
-		}
-		if sec, ok := secs[SecCycles]; !ok || len(sec) != 0 {
-			t.Errorf("compress=%v: SecCycles = %v, %v", compress, sec, ok)
-		}
-		if !compress {
-			n, err := StreamLen(len("cpu-registers"), len(want), 0)
-			if err != nil || n != len(img) {
-				t.Errorf("StreamLen = %d, %v; the encoder wrote %d bytes", n, err, len(img))
-			}
-		}
+	img := buildStream(t)
+	secs, err := Sections(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(secs[SecCPU]); got != "cpu-registers" {
+		t.Errorf("SecCPU = %q", got)
+	}
+	want := bytes.Repeat([]byte("page-data "), 400)
+	if !bytes.Equal(secs[SecPages], want) {
+		t.Errorf("SecPages mismatch (%d bytes)", len(secs[SecPages]))
+	}
+	if sec, ok := secs[SecCycles]; !ok || len(sec) != 0 {
+		t.Errorf("SecCycles = %v, %v", sec, ok)
+	}
+	n, err := StreamLen(len("cpu-registers"), len(want), 0)
+	if err != nil || n != len(img) {
+		t.Errorf("StreamLen = %d, %v; the encoder wrote %d bytes", n, err, len(img))
 	}
 }
 
-func TestCompressionShrinksStream(t *testing.T) {
-	raw := buildStream(t, false)
-	packed := buildStream(t, true)
-	if len(packed) >= len(raw) {
-		t.Errorf("compressed stream %d bytes, raw %d", len(packed), len(raw))
+// reheader rewrites the first section's flags and origLen words of a
+// stream and recomputes its CRC, so the header words are the only
+// malformation.
+func reheader(img []byte, flags, origLen uint32) []byte {
+	bad := append([]byte(nil), img...)
+	h := bad[headerLen:]
+	binary.LittleEndian.PutUint32(h[4:], flags)
+	binary.LittleEndian.PutUint32(h[8:], origLen)
+	rawLen := binary.LittleEndian.Uint32(h[12:])
+	crc := crc32.ChecksumIEEE(h[:16])
+	crc = crc32.Update(crc, crc32.IEEETable, h[sectionLen:sectionLen+rawLen])
+	binary.LittleEndian.PutUint32(h[16:], crc)
+	return bad
+}
+
+// TestFlagsAndLengthMismatchRejected: payloads are stored raw, so a
+// section with any flag set, DEFLATE's bit 0 included, or with origLen
+// other than rawLen is malformed, even under a valid CRC.
+func TestFlagsAndLengthMismatchRejected(t *testing.T) {
+	img := buildStream(t)
+	n := uint32(len("cpu-registers"))
+	if _, err := Sections(bytes.NewReader(reheader(img, 0, n))); err != nil {
+		t.Fatalf("rewriting the header unchanged: %v", err)
+	}
+	for _, tc := range []struct {
+		name           string
+		flags, origLen uint32
+	}{
+		{"flags bit 0", 1, n},
+		{"flags bit 0, origLen above rawLen", 1, 4 * n},
+		{"flags bit 1", 2, n},
+		{"origLen above rawLen", 0, n + 1},
+		{"origLen below rawLen", 0, n - 1},
+	} {
+		if _, err := Sections(bytes.NewReader(reheader(img, tc.flags, tc.origLen))); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", tc.name, err)
+		}
 	}
 }
 
 func TestBadMagicAndVersion(t *testing.T) {
-	img := buildStream(t, false)
+	img := buildStream(t)
 	bad := append([]byte(nil), img...)
 	bad[0] ^= 0xFF
 	if _, err := Sections(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
@@ -81,7 +110,7 @@ func TestBadMagicAndVersion(t *testing.T) {
 }
 
 func TestTruncationAtEveryPrefix(t *testing.T) {
-	img := buildStream(t, true)
+	img := buildStream(t)
 	for n := 0; n < len(img); n++ {
 		_, err := Sections(bytes.NewReader(img[:n]))
 		if err == nil {
@@ -91,7 +120,7 @@ func TestTruncationAtEveryPrefix(t *testing.T) {
 }
 
 func TestTrailingDataRejected(t *testing.T) {
-	img := append(buildStream(t, false), 0x00)
+	img := append(buildStream(t), 0x00)
 	if _, err := Sections(bytes.NewReader(img)); !errors.Is(err, ErrFormat) {
 		t.Errorf("trailing byte: err = %v, want ErrFormat", err)
 	}
@@ -99,7 +128,7 @@ func TestTrailingDataRejected(t *testing.T) {
 
 func TestUnknownSectionKindTolerated(t *testing.T) {
 	var buf bytes.Buffer
-	e, err := NewEncoder(&buf, false)
+	e, err := NewEncoder(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +149,7 @@ func TestUnknownSectionKindTolerated(t *testing.T) {
 
 func TestMissingEndSectionIsTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	e, err := NewEncoder(&buf, false)
+	e, err := NewEncoder(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +163,7 @@ func TestMissingEndSectionIsTruncation(t *testing.T) {
 }
 
 func TestOversizeSectionRejected(t *testing.T) {
-	img := buildStream(t, false)
+	img := buildStream(t)
 	// Force the first section's rawLen (offset 8+12) to an absurd value.
 	bad := append([]byte(nil), img...)
 	bad[headerLen+12] = 0xFF
@@ -198,7 +227,7 @@ func TestUnpackPagesRejectsBadRuns(t *testing.T) {
 }
 
 func TestDecoderStopsAfterEOF(t *testing.T) {
-	d, err := NewDecoder(bytes.NewReader(buildStream(t, false)))
+	d, err := NewDecoder(bytes.NewReader(buildStream(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func fullImageStream(t *testing.T, k *VMM, vm *VM) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	e, err := ckpt.NewEncoder(&buf, false)
+	e, err := ckpt.NewEncoder(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

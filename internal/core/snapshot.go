@@ -327,7 +327,7 @@ func (g *generation) encode() ([]byte, error) {
 		return nil, err
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, n))
-	e, err := ckpt.NewEncoder(buf, false)
+	e, err := ckpt.NewEncoder(buf)
 	if err != nil {
 		return nil, err
 	}

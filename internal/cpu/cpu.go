@@ -222,11 +222,6 @@ func New(m *mem.Memory, variant Variant) *CPU {
 		return (c.Variant == ModifiedVAX && c.psl.VM()) || c.modifyFaultOptIn
 	}
 	c.initDecodeCache()
-	// Straddling decode entries cache a second translation, so TLB
-	// invalidates must drop them (single-page entries revalidate their
-	// translation on every execution and need no hook).
-	c.MMU.OnTBIA = c.flushStraddleDecodes
-	c.MMU.OnTBIS = func(uint32) { c.flushStraddleDecodes() }
 	// The MMU's own PTE<M> write-back bypasses the CPU's store path.
 	c.MMU.OnWrite = c
 	c.psl = vax.PSL(0).WithCur(vax.Kernel).WithIPL(31)

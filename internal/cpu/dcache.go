@@ -26,18 +26,17 @@ import (
 // set (the common case: data, stacks) costs one test. Otherwise it
 // probes only the slots of instructions that could reach it,
 // [pa-maxLen+1, pa+n) clipped to the page, where maxLen is the longest
-// installed entry, and drops the entries it overlaps. A write into a
-// page's first maxLen bytes also probes the slots that can hold a
-// straddling entry (opcode in the last maxLen-1 bytes of a page) for
-// ones whose second-page part it overlaps; a TLB invalidate drops the
-// straddles found in the same slots. A write clears the bits of the
-// lines it covers whole; other lines of dropped entries keep theirs: a
-// stale bit costs a probe, never a wrong answer. Masks are 16-bit
-// because 8-byte lines in 64-bit masks hit no more often on the §7.3
-// mix and quadruple the per-page overhead.
+// installed entry, and drops the entries it overlaps. A write clears
+// the bits of the lines it covers whole; other lines of dropped entries
+// keep theirs: a stale bit costs a probe, never a wrong answer. Masks
+// are 16-bit because 8-byte lines in 64-bit masks hit no more often on
+// the §7.3 mix and quadruple the per-page overhead.
 //
 // Coherence rules (see DESIGN.md):
 //
+//   - Every entry lies on one page: an instruction whose recorded bytes
+//     cross a page boundary is never installed, and runs through the
+//     cold path on every execution.
 //   - Guest stores through the CPU's own path invalidate inline
 //     (physStoreByte/physStoreLong), exactly.
 //   - Writers that bypass the CPU (VMM writes into VM physical memory,
@@ -45,22 +44,19 @@ import (
 //     PCB save) call InvalidateDecode, which takes the same path for
 //     each page the range touches. Snapshot restore calls
 //     FlushDecodeCache.
-//   - An instruction that stores into its own page (or past it while
-//     straddling) is not installed: that rule stays page-granular.
-//   - Entries whose bytes span two pages additionally depend on the
-//     translation of the second page, so TBIA/TBIS flush them (via the
-//     MMU callbacks) and every replay revalidates the second page's
-//     translation.
-//   - A plain entry needs no TLB-coherence work: its tag is verified
-//     against a fresh translation of the PC on every execution, so a
-//     mapping change redirects or misses exactly like the TLB does.
-//   - btag equals tag exactly while the entry is valid, single-page
-//     and bound with no memory operand, and mtag while it is valid,
-//     single-page and bound with one; each holds noBTag otherwise:
-//     initDecodeCache, finishRecord and dropDecode, through which every
-//     drop goes, keep them so. A one-instruction loop (bound.loop) is
-//     the exception: it carries neither tag, so a run ends at it, and
-//     step tests loop, with tag and len, only after both tags miss.
+//   - An instruction that stores into its own page is not installed:
+//     that rule stays page-granular.
+//   - No entry needs TLB-coherence work: its tag is verified against a
+//     fresh translation of the PC on every execution, so a mapping
+//     change redirects or misses exactly like the TLB does, and TBIA
+//     and TBIS never reach the cache.
+//   - btag equals tag exactly while the entry is valid and bound with
+//     no memory operand, and mtag while it is valid and bound with one;
+//     each holds noBTag otherwise: initDecodeCache, finishRecord and
+//     dropDecode, through which every drop goes, keep them so. A
+//     one-instruction loop (bound.loop) is the exception: it carries
+//     neither tag, so a run ends at it, and step tests loop, with tag
+//     and len, only after both tags miss.
 
 const (
 	dcSlots     = 1024 // direct-mapped entries, indexed by PA low bits
@@ -79,17 +75,15 @@ const (
 
 // dcEntry is one cached decoded instruction.
 type dcEntry struct {
-	tag      uint32 // physical address of the opcode byte
-	tag2     uint32 // physical address of the second page's first byte (straddle)
-	ie       *instrEntry
-	len      uint8   // recorded bytes from the opcode on (cursor.lastOff); 0 = empty slot
-	straddle bool    // recorded bytes span a page boundary
-	opLen    uint8   // opcode length (2 for 0xFD-prefixed)
-	n        uint8   // recorded items
-	btag     uint32  // tag if valid, single-page and bound, no memory operand; else noBTag
-	mtag     uint32  // tag if valid, single-page and a bound memory move; else noBTag
-	bound    sbBound // pre-bound form (fbNone: replay through the handler)
-	items    [dcItemsMax]dspec
+	tag   uint32 // physical address of the opcode byte
+	ie    *instrEntry
+	len   uint8   // recorded bytes from the opcode on (cursor.lastOff); 0 = empty slot
+	opLen uint8   // opcode length (2 for 0xFD-prefixed)
+	n     uint8   // recorded items
+	btag  uint32  // tag if valid and bound, no memory operand; else noBTag
+	mtag  uint32  // tag if valid and a bound memory move; else noBTag
+	bound sbBound // pre-bound form (fbNone: replay through the handler)
+	items [dcItemsMax]dspec
 }
 
 // noBTag is the btag of slot i's entries when they are not a bound
@@ -98,10 +92,9 @@ type dcEntry struct {
 func noBTag(i uint32) uint32 { return i ^ 1 }
 
 type dcache struct {
-	entries   *[dcSlots]dcEntry
-	lines     []uint16 // per physical page: lines that may hold cached decoded bytes
-	maxLen    uint32   // longest entry installed since the last flush, in bytes
-	straddles int      // live straddle entries, guarding flushStraddleDecodes
+	entries *[dcSlots]dcEntry
+	lines   []uint16 // per physical page: lines that may hold cached decoded bytes
+	maxLen  uint32   // longest entry installed since the last flush, in bytes
 }
 
 // lineBits returns the mask of the lines holding page offsets
@@ -119,13 +112,6 @@ func fullLines(off, end uint32) uint16 {
 	}
 	return uint16(1<<hi - 1<<lo)
 }
-
-// straddleLo is the lowest page offset of a slot that can hold a
-// straddling entry: its opcode lies in the last maxLen-1 bytes of its
-// page, and PageSize divides dcSlots, so a slot's page offset is its
-// opcode's. The slots from straddleLo to the end of each PageSize run
-// of slots are the only ones to search for straddles.
-func (d *dcache) straddleLo() uint32 { return vax.PageSize - d.maxLen + 1 }
 
 // mark records that the n bytes at pa (on one page) hold decoded bytes.
 func (d *dcache) mark(pa, n uint32) {
@@ -243,21 +229,12 @@ func (c *CPU) initDecodeCache() {
 func (c *CPU) execOneAt(pa uint32, paOK bool) error {
 	if paOK {
 		e := &c.dc.entries[pa&(dcSlots-1)]
-		if e.len != 0 && e.tag == pa &&
-			(!e.straddle || c.straddleValid(e)) {
+		if e.len != 0 && e.tag == pa {
 			c.Stats.DecodeHits++
 			return c.execReplay(e)
 		}
 	}
 	return c.execCold(pa, paOK)
-}
-
-// straddleValid re-translates the second page of a page-straddling
-// entry and checks it still maps to the recorded physical page.
-func (c *CPU) straddleValid(e *dcEntry) bool {
-	va2 := vax.PageBase(c.R[RegPC]) + vax.PageSize
-	pa2, ok := c.MMU.TranslateFast(va2, mmu.Read, c.psl.Cur())
-	return ok && pa2 == e.tag2
 }
 
 // execReplay runs a cached decoded instruction whose opcode is at
@@ -330,7 +307,7 @@ func (c *CPU) execCold(pa uint32, paOK bool) error {
 	err = ie.fn(c, ie)
 	if cu.mode == curRecord {
 		cu.mode = curOff
-		c.finishRecord(pa, va, opLen, ie)
+		c.finishRecord(pa, opLen, ie)
 	}
 	return err
 }
@@ -354,42 +331,25 @@ func (c *CPU) cacheablePA(pa uint32) bool {
 // finishRecord installs the just-recorded decode into its slot. Entries
 // are installed even when the instruction faulted mid-decode: replay
 // falls back to the live stream once the recorded items run out, so a
-// partial entry is merely less effective, never wrong.
-func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
+// partial entry is merely less effective, never wrong. An instruction
+// whose recorded bytes cross a page boundary is not installed: every
+// entry lies on the page its tag translates.
+func (c *CPU) finishRecord(pa uint32, opLen uint8, ie *instrEntry) {
 	cu := &c.cur
-	if cu.overflow || cu.aborted {
+	off, n := pa&vax.PageMask, uint32(cu.lastOff)
+	if cu.overflow || cu.aborted || off+n > vax.PageSize {
 		return
 	}
-	off, n := pa&vax.PageMask, uint32(cu.lastOff)
-	straddle := off+n > vax.PageSize
-	var tag2 uint32
-	if straddle {
-		va2 := vax.PageBase(va) + vax.PageSize
-		pa2, ok := c.MMU.TranslateFast(va2, mmu.Read, c.psl.Cur())
-		if !ok || pa2/vax.PageSize >= uint32(len(c.dc.lines)) {
-			return
-		}
-		tag2 = pa2
-		c.dc.mark(pa2, off+n-vax.PageSize)
-	}
 	e := &c.dc.entries[pa&(dcSlots-1)]
-	if e.len != 0 && e.straddle {
-		c.dc.straddles--
-	}
-	if straddle {
-		c.dc.straddles++
-	}
 	e.tag = pa
-	e.tag2 = tag2
 	e.ie = ie
-	e.straddle = straddle
 	e.opLen = opLen
 	e.n = cu.n
 	e.items = cu.items
 	e.bound = sbBind(e)
 	e.btag, e.mtag = noBTag(pa), noBTag(pa)
 	switch {
-	case straddle || e.bound.kind == fbNone:
+	case e.bound.kind == fbNone:
 	case e.bound.loops():
 		e.bound.loop = true
 	case e.bound.mems == 0:
@@ -398,7 +358,7 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 		e.mtag = pa
 	}
 	e.len = cu.lastOff
-	c.dc.mark(pa, min(n, vax.PageSize-off))
+	c.dc.mark(pa, n)
 	c.dc.maxLen = max(c.dc.maxLen, n)
 }
 
@@ -407,21 +367,15 @@ func (c *CPU) dropDecode(i uint32) {
 	e := &c.dc.entries[i]
 	e.len = 0
 	e.btag, e.mtag = noBTag(i), noBTag(i)
-	if e.straddle {
-		c.dc.straddles--
-	}
 	c.Stats.DecodeInvalidations++
 }
 
 // storeAbortsRecord keeps the instruction being recorded from being
-// installed when it writes into its own page (or past it while
-// straddling): the captured items may already be stale.
+// installed when it writes into its own page: the captured items may
+// already be stale.
 func (c *CPU) storeAbortsRecord(page uint32) {
-	if cu := &c.cur; cu.mode == curRecord {
-		if page == cu.recPage ||
-			(c.instStartPC&vax.PageMask)+uint32(cu.lastOff) > vax.PageSize {
-			cu.aborted = true
-		}
+	if cu := &c.cur; cu.mode == curRecord && page == cu.recPage {
+		cu.aborted = true
 	}
 }
 
@@ -449,21 +403,6 @@ func (c *CPU) invalidateStore(pa, n uint32) {
 	}
 	// The lines the write covers whole now hold no decoded bytes.
 	c.dc.lines[page] &^= fullLines(off, off+n)
-	if c.dc.straddles == 0 || off >= c.dc.maxLen {
-		return
-	}
-	// Drop the straddles whose second part on this page the write
-	// overlaps.
-	base := pa - off
-	for s := uint32(0); s < dcSlots; s += vax.PageSize {
-		for i := s + c.dc.straddleLo(); i < s+vax.PageSize; i++ {
-			e := &c.dc.entries[i]
-			if e.len != 0 && e.straddle && e.tag2 == base &&
-				e.tag&vax.PageMask+uint32(e.len)-vax.PageSize > off {
-				c.dropDecode(i)
-			}
-		}
-	}
 }
 
 // InvalidateDecode drops the cached decoded instructions whose bytes
@@ -489,22 +428,4 @@ func (c *CPU) FlushDecodeCache() {
 	}
 	clear(c.dc.lines)
 	c.dc.maxLen = 0
-}
-
-// flushStraddleDecodes drops the entries that depend on two
-// translations. Wired to the MMU's TBIA/TBIS callbacks: a single-page
-// entry revalidates its translation on every execution, but a
-// straddling entry's second page was translated at record time, so a
-// TLB invalidate must drop it.
-func (c *CPU) flushStraddleDecodes() {
-	if c.dc.straddles == 0 {
-		return
-	}
-	for s := uint32(0); s < dcSlots; s += vax.PageSize {
-		for i := s + c.dc.straddleLo(); i < s+vax.PageSize; i++ {
-			if e := &c.dc.entries[i]; e.len != 0 && e.straddle {
-				c.dropDecode(i)
-			}
-		}
-	}
 }

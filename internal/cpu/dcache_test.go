@@ -121,15 +121,12 @@ func runStraddle(t *testing.T, c *CPU, instVA, want uint32) {
 }
 
 // TestStraddleRemapTBIS remaps the second page of a page-straddling
-// cached instruction: after TBIS the replay must not use the stale
-// operand bytes.
+// instruction: after TBIS the next execution must run the new operand
+// bytes.
 func TestStraddleRemapTBIS(t *testing.T) {
 	c, m, instVA := newStraddleMachine(t)
 	runStraddle(t, c, instVA, strImm1)
-	runStraddle(t, c, instVA, strImm1) // warm: replays the straddle entry
-	if c.Stats.DecodeHits == 0 {
-		t.Fatal("straddling instruction never hit the cache")
-	}
+	runStraddle(t, c, instVA, strImm1)
 
 	pte := vax.NewPTE(true, vax.ProtUW, true, strFrameB2)
 	if err := m.StoreLong(strSPT+4*3, uint32(pte)); err != nil {
@@ -137,9 +134,6 @@ func TestStraddleRemapTBIS(t *testing.T) {
 	}
 	c.MMU.TBIS(uint32(vax.SystemBase) + 3*vax.PageSize)
 	runStraddle(t, c, instVA, strImm2)
-	if c.Stats.DecodeInvalidations == 0 {
-		t.Error("TBIS flushed no straddling decode entries")
-	}
 }
 
 // TestStraddleRemapTBIA is the same scenario through a full TLB
@@ -153,6 +147,43 @@ func TestStraddleRemapTBIA(t *testing.T) {
 	}
 	c.MMU.TBIA()
 	runStraddle(t, c, instVA, strImm2)
+}
+
+// TestStraddleNeverCached: an instruction whose bytes cross a page
+// boundary is never installed, so every execution decodes it afresh,
+// and TLB invalidates never reach the decode cache: the HALT after it,
+// on one page, stays cached across TBIA and TBIS.
+func TestStraddleNeverCached(t *testing.T) {
+	c, _, instVA := newStraddleMachine(t)
+	for i := 0; i < 3; i++ {
+		runStraddle(t, c, instVA, strImm1)
+	}
+	// The MOVL misses on every run; the HALT misses once, then hits.
+	if s := c.Stats; s.DecodeMisses != 3+1 || s.DecodeHits != 2 {
+		t.Fatalf("%d misses and %d hits in 3 runs, want 4 and 2", s.DecodeMisses, s.DecodeHits)
+	}
+	pa := uint32(strFrameA*vax.PageSize + vax.PageSize - 1)
+	if e := &c.dc.entries[pa&(dcSlots-1)]; e.len != 0 && e.tag == pa {
+		t.Fatal("the straddling MOVL was installed")
+	}
+	for _, tc := range []struct {
+		name  string
+		inval func()
+	}{
+		{"TBIA", c.MMU.TBIA},
+		{"TBIS of the opcode's page", func() { c.MMU.TBIS(instVA) }},
+		{"TBIS of the operands' page", func() { c.MMU.TBIS(instVA + 1) }},
+	} {
+		s := c.Stats
+		tc.inval()
+		runStraddle(t, c, instVA, strImm1)
+		if c.Stats.DecodeInvalidations != s.DecodeInvalidations {
+			t.Errorf("%s dropped %d decodes, want none", tc.name, c.Stats.DecodeInvalidations-s.DecodeInvalidations)
+		}
+		if hits, misses := c.Stats.DecodeHits-s.DecodeHits, c.Stats.DecodeMisses-s.DecodeMisses; hits != 1 || misses != 1 {
+			t.Errorf("after %s: %d hits and %d misses, want the HALT's hit and the MOVL's miss", tc.name, hits, misses)
+		}
+	}
 }
 
 // The store-path tests cache one instruction, ADDL3 #0x01020304, R1,
@@ -262,18 +293,21 @@ var storeWriters = []struct {
 // case, and executes the target again: a write beside it keeps the
 // decode (no invalidation, the next execution hits), and a write over
 // any of its bytes drops it (one invalidation, the next execution
-// misses). Either way the execution must match a machine that held the
-// written bytes from the start.
+// misses). A target that straddles a page boundary is never cached:
+// every execution misses and no write drops anything. Either way the
+// execution must match a machine that held the written bytes from the
+// start.
 func TestStoreDropsOnlyOverlappedDecodes(t *testing.T) {
 	for _, tc := range []struct {
-		at    uint32
-		cases []storeCase
+		at     uint32
+		cached bool // the target lies on one page
+		cases  []storeCase
 	}{
-		{storeMid, midStoreCases},
-		{storeStraddle, straddleStoreCases},
-		{storeStraddle1, straddle1StoreCases},
+		{storeMid, true, midStoreCases},
+		{storeStraddle, false, straddleStoreCases},
+		{storeStraddle1, false, straddle1StoreCases},
 	} {
-		at, cases := tc.at, tc.cases
+		at, cached, cases := tc.at, tc.cached, tc.cases
 		base := newStoreMachine(t, at)
 		stepAt(base, at)
 		for _, w := range storeWriters {
@@ -290,12 +324,13 @@ func TestStoreDropsOnlyOverlappedDecodes(t *testing.T) {
 					c := newStoreMachine(t, at)
 					stepAt(c, at)
 					stepAt(c, at)
-					if c.Stats.DecodeHits != 1 || c.Stats.DecodeInvalidations != 0 {
-						t.Fatalf("target not cached: %+v", c.Stats)
+					if hit := c.Stats.DecodeHits == 1; hit != cached || c.Stats.DecodeInvalidations != 0 {
+						t.Fatalf("second execution hit = %t, want %t: %+v", hit, cached, c.Stats)
 					}
 					w.write(t, c, pa, sc.size, sc.val)
+					drop := cached && sc.drop
 					wantInv := uint64(0)
-					if sc.drop {
+					if drop {
 						wantInv = 1
 					}
 					if got := c.Stats.DecodeInvalidations; got != wantInv {
@@ -303,8 +338,8 @@ func TestStoreDropsOnlyOverlappedDecodes(t *testing.T) {
 					}
 					hits := c.Stats.DecodeHits
 					stepAt(c, at)
-					if hit := c.Stats.DecodeHits > hits; hit == sc.drop {
-						t.Errorf("next execution hit = %t, want %t", hit, !sc.drop)
+					if hit, want := c.Stats.DecodeHits > hits, cached && !drop; hit != want {
+						t.Errorf("next execution hit = %t, want %t", hit, want)
 					}
 					if c.R != ref.R || c.PSL() != ref.PSL() {
 						t.Errorf("executed %x %s, want %x %s", c.R, c.PSL(), ref.R, ref.PSL())
@@ -317,13 +352,16 @@ func TestStoreDropsOnlyOverlappedDecodes(t *testing.T) {
 
 // TestRangeInvalidate: InvalidateDecode over a range of any length,
 // across page boundaries, drops exactly the entries it overlaps (a
-// whole page drops every entry on it, including a straddle ending on
-// it, and empties its mask) and nothing on other pages, and keeps the
+// whole page drops every entry on it, including one ending on its last
+// byte, and empties its mask) and nothing on other pages, and keeps the
 // mask bits of the lines that still hold cached bytes, so a later
 // one-byte write over each entry still drops it.
 func TestRangeInvalidate(t *testing.T) {
-	const other = 0x850 // page 4, in a slot of its own
-	ats := []uint32{storeMid, storeMid + 0x20, storeStraddle, other}
+	const (
+		end   = 0x5F8 // page 2's last 8 bytes
+		other = 0x850 // page 4, in a slot of its own
+	)
+	ats := []uint32{storeMid, storeMid + 0x20, end, other}
 	for _, tc := range []struct {
 		name    string
 		pa, n   uint32
@@ -332,12 +370,11 @@ func TestRangeInvalidate(t *testing.T) {
 		{"64 bytes before", storeMid - 64, 64, nil},
 		{"from page 1 to just before", 0x300, storeMid - 0x300, nil},
 		{"from page 1 over the first byte", 0x300, storeMid + 1 - 0x300, []uint32{storeMid}},
-		{"between", storeMid + 0x28, storeStraddle - storeMid - 0x28, nil},
-		{"over two first bytes", storeMid + 0x20, storeStraddle + 1 - storeMid - 0x20, []uint32{storeMid + 0x20, storeStraddle}},
-		{"page 3 from the straddle's last byte", storeStraddle + 7, 0x800 - storeStraddle - 7, []uint32{storeStraddle}},
-		{"page 3 past the straddle", storeStraddle + 8, 0x800 - storeStraddle - 8, nil},
-		{"page 2", 2 * vax.PageSize, vax.PageSize, []uint32{storeMid, storeMid + 0x20, storeStraddle}},
-		{"page 3", 3 * vax.PageSize, vax.PageSize, []uint32{storeStraddle}}, // the straddle's second page
+		{"between", storeMid + 0x28, end - storeMid - 0x28, nil},
+		{"over two first bytes", storeMid + 0x20, end + 1 - storeMid - 0x20, []uint32{storeMid + 0x20, end}},
+		{"from page 2's last byte into page 4", end + 7, 0x801 - end - 7, []uint32{end}},
+		{"page 2", 2 * vax.PageSize, vax.PageSize, []uint32{storeMid, storeMid + 0x20, end}},
+		{"page 3", 3 * vax.PageSize, vax.PageSize, nil},
 	} {
 		c := newStoreMachine(t, ats...)
 		for _, at := range ats {
@@ -367,34 +404,6 @@ func TestRangeInvalidate(t *testing.T) {
 		}
 		if got := c.Stats.DecodeInvalidations - inv; got != uint64(len(ats)) {
 			t.Errorf("%s: a later write over each entry's last byte dropped %d, want %d", tc.name, got, len(ats))
-		}
-	}
-}
-
-// TestTLBInvalidateDropsStraddles: TBIA and TBIS drop every
-// straddling entry, including one with a single byte on its second
-// page, and keep the single-page ones.
-func TestTLBInvalidateDropsStraddles(t *testing.T) {
-	const straddle2 = 0x9FC // page 4's last 4 bytes, in a slot of its own
-	ats := []uint32{storeMid, storeStraddle1, straddle2}
-	for _, inval := range []func(c *CPU){
-		func(c *CPU) { c.MMU.TBIA() },
-		func(c *CPU) { c.MMU.TBIS(0x600) },
-	} {
-		c := newStoreMachine(t, ats...)
-		for _, at := range ats {
-			stepAt(c, at)
-		}
-		inval(c)
-		if got := c.Stats.DecodeInvalidations; got != 2 {
-			t.Errorf("%d decodes dropped, want the 2 straddles", got)
-		}
-		for _, at := range ats {
-			hits := c.Stats.DecodeHits
-			stepAt(c, at)
-			if hit := c.Stats.DecodeHits > hits; hit != (at == storeMid) {
-				t.Errorf("entry at %#x hit = %t after the invalidate", at, hit)
-			}
 		}
 	}
 }

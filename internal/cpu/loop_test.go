@@ -40,8 +40,9 @@ func loopEntry(t *testing.T, src string) (*machine, uint32, *dcEntry) {
 
 // TestLoopShapes pins which shapes are one-instruction loops: every
 // loopShapes entry is, and carries neither bound tag, while a branch
-// elsewhere, a branch of another kind to itself, a loop straddling a
-// page boundary, a memory operand and a non-branch are not.
+// elsewhere, a branch of another kind to itself, a memory operand and
+// a non-branch are not. A loop straddling a page boundary is not even
+// recorded.
 func TestLoopShapes(t *testing.T) {
 	for _, sh := range loopShapes {
 		_, l, e := loopEntry(t, "back:\thalt\nl:\t"+sh.src+"\n\thalt\n")
@@ -58,7 +59,6 @@ func TestLoopShapes(t *testing.T) {
 		{"a BLBS to itself", "back:\thalt\nl:\tblbs r1, l\n\thalt\n"},
 		{"a BRB to itself", "back:\thalt\nl:\tbrb l\n\thalt\n"},
 		{"a BNEQ to itself", "back:\thalt\nl:\tbneq l\n\thalt\n"},
-		{"a straddle", "start:\tbrw l\n\t.space 0x1FB\nl:\tsobgtr r1, l\n\thalt\n"},
 		{"a memory operand", "back:\thalt\nl:\tsobgtr (r3), l\n\thalt\n"},
 		{"a non-branch", "back:\thalt\nl:\tincl r1\n\thalt\n"},
 	} {
@@ -66,12 +66,20 @@ func TestLoopShapes(t *testing.T) {
 		if e.bound.loop {
 			t.Errorf("%s is marked a loop", tc.why)
 		}
-		if tc.why == "a straddle" && (!e.straddle || l&vax.PageMask != vax.PageSize-2) {
-			t.Fatalf("layout: l at %#x, straddle %t", l, e.straddle)
-		}
-		if bound := e.bound.kind != fbNone && !e.straddle; (e.btag == l) != bound {
+		if bound := e.bound.kind != fbNone; (e.btag == l) != bound {
 			t.Errorf("%s: btag set %t, want %t", tc.why, e.btag == l, bound)
 		}
+	}
+	ma := newMachine(t, StandardVAX, "start:\tbrw l\n\t.space 0x1FB\nl:\tsobgtr r1, l\n\thalt\n")
+	l := ma.prog.MustSymbol("l")
+	if l&vax.PageMask != vax.PageSize-2 {
+		t.Fatalf("layout: l at %#x, want the last 2 bytes of a page", l)
+	}
+	ma.c.R[1] = 3
+	ma.c.SetPC(l)
+	ma.c.Step()
+	if e := &ma.c.dc.entries[l&(dcSlots-1)]; e.len != 0 && e.tag == l {
+		t.Error("a loop straddling a page boundary was recorded")
 	}
 }
 

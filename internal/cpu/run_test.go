@@ -495,10 +495,10 @@ var runScenarios = []runScenario{
 	{name: "self-modifying code", build: loopMachine(selfModifying), phases: 1, check: wantR(1, 9)},
 	{name: "stores beside code", build: loopMachine(storesBesideCode), phases: 1,
 		check: checkStoresBesideCode},
-	{name: "straddle TBIS", mappedOnly: true, build: straddleLoopMachine, phases: 2,
+	{name: "straddle TBIS", mappedOnly: true, build: crossPageLoopMachine, phases: 2,
 		between: remapStraddle(func(c *CPU) { c.MMU.TBIS(uint32(vax.SystemBase) + 3*vax.PageSize) }),
 		check:   wantR(0, straddleSum)},
-	{name: "straddle TBIA", mappedOnly: true, build: straddleLoopMachine, phases: 2,
+	{name: "straddle TBIA", mappedOnly: true, build: crossPageLoopMachine, phases: 2,
 		between: remapStraddle(func(c *CPU) { c.MMU.TBIA() }),
 		check:   wantR(0, straddleSum)},
 	{name: "DMA invalidate", build: loopMachine(hotLoop), phases: 2,
@@ -705,14 +705,14 @@ const (
 // straddleSum is R0 after the remapped pass, wrapped to 32 bits.
 var straddleSum = func() uint32 { imm := uint32(slImm2); return imm * slLaps }()
 
-// straddleLoopMachine maps S pages 0-3 to frames 16, 17, strFrameA,
+// crossPageLoopMachine maps S pages 0-3 to frames 16, 17, strFrameA,
 // strFrameB and lays out:
 //
 //	S+0x400: CLRL R0; MOVL #laps, R1; BRW loop
 //	S+0x5FD: loop: ADDL2 #imm32, R0   (immediate crosses S+0x600)
 //	S+0x604: SOBGTR R1, loop
 //	S+0x607: HALT
-func straddleLoopMachine(t *testing.T, _ bool) *runMachine {
+func crossPageLoopMachine(t *testing.T, _ bool) *runMachine {
 	t.Helper()
 	m := mem.New(256 * 1024)
 	wr := func(pa uint32, bs ...byte) {

@@ -1,10 +1,7 @@
 package dev
 
 import (
-	"fmt"
-
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/vax"
 )
 
@@ -35,10 +32,10 @@ const (
 	DiskLatency = 200
 )
 
-// Disk is a block-storage controller with an in-memory image. It is
-// reachable two ways: through its memory-mapped CSR window (bare
-// machine and the MMIO-emulation baseline), and through the direct
-// ReadBlock/WriteBlock methods used by the VMM's KCALL service.
+// Disk is a block-storage controller with an in-memory image, reachable
+// through its memory-mapped CSR window: the bare machine's disk. A VM's
+// disk is the VMM's virtual disk, served by KCALL or by emulating this
+// CSR layout.
 type Disk struct {
 	base  uint32
 	image []byte
@@ -52,10 +49,6 @@ type Disk struct {
 	// RegAccesses counts CSR window references, the quantity the E5
 	// experiment compares across I/O virtualization strategies.
 	RegAccesses uint64
-
-	// Faults, when set, lets a fault plan fail transfers on the MMIO
-	// path (the bare machine consults it as VM -1).
-	Faults *fault.Injector
 }
 
 // NewDisk creates a disk with the given number of 512-byte blocks whose
@@ -63,9 +56,6 @@ type Disk struct {
 func NewDisk(base uint32, blocks int) *Disk {
 	return &Disk{base: base, image: make([]byte, blocks*vax.PageSize), csr: DiskCSRReady}
 }
-
-// Blocks returns the disk size in blocks.
-func (d *Disk) Blocks() int { return len(d.image) / vax.PageSize }
 
 // Image returns the backing image (for test setup).
 func (d *Disk) Image() []byte { return d.image }
@@ -148,9 +138,6 @@ func (d *Disk) transfer(c *cpu.CPU) uint32 {
 	if off < 0 || off+n > len(d.image) {
 		return DiskStatErr
 	}
-	if d.Faults != nil && d.Faults.DiskAttempt(-1, 0, d.pendingFunc == DiskFuncWrite) != fault.DiskOK {
-		return DiskStatErr
-	}
 	switch d.pendingFunc {
 	case DiskFuncRead:
 		d.Reads++
@@ -171,29 +158,6 @@ func (d *Disk) transfer(c *cpu.CPU) uint32 {
 		return DiskStatErr
 	}
 	return DiskStatOK
-}
-
-// ReadBlock copies one block from the disk image into buf; the direct
-// path used by the VMM's KCALL start-I/O service.
-func (d *Disk) ReadBlock(block uint32, buf []byte) error {
-	off := int(block) * vax.PageSize
-	if off < 0 || off+len(buf) > len(d.image) {
-		return fmt.Errorf("disk: read of block %d out of range", block)
-	}
-	d.Reads++
-	copy(buf, d.image[off:])
-	return nil
-}
-
-// WriteBlock copies buf into the disk image at the given block.
-func (d *Disk) WriteBlock(block uint32, buf []byte) error {
-	off := int(block) * vax.PageSize
-	if off < 0 || off+len(buf) > len(d.image) {
-		return fmt.Errorf("disk: write of block %d out of range", block)
-	}
-	d.Writes++
-	copy(d.image[off:], buf)
-	return nil
 }
 
 var _ cpu.Device = (*Disk)(nil)

@@ -41,8 +41,7 @@ func (o DiskOutcome) String() string {
 // Config describes a fault plan. Zero values disable each fault class.
 type Config struct {
 	// TargetVM selects the VM the plan injects into; a negative value
-	// targets every caller (including the bare machine, which consults
-	// the injector with VM -1).
+	// targets every VM.
 	TargetVM int
 
 	// TargetVMs, when non-empty, overrides TargetVM with an explicit

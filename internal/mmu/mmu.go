@@ -118,14 +118,6 @@ type MMU struct {
 	// "modified VAX variant and PSL<VM> set".
 	ModifyFaultEnabled func() bool
 
-	// OnTBIA and OnTBIS, when non-nil, are invoked after the translation
-	// buffer is invalidated. The CPU uses them to keep its decoded-
-	// instruction cache coherent with mapping changes (entries that span
-	// a page boundary depend on two translations and cannot be
-	// revalidated from a single TLB lookup).
-	OnTBIA func()
-	OnTBIS func(va uint32)
-
 	// OnWrite, when non-nil, is told after the MMU itself writes n
 	// bytes of physical memory at pa: the PTE<M> write-back. The CPU
 	// uses it to drop the decoded instructions those bytes overwrite.
@@ -157,9 +149,6 @@ func (u *MMU) TBIA() {
 		u.tlb = [tlbSets]tlbEntry{}
 		u.gen = 1
 	}
-	if u.OnTBIA != nil {
-		u.OnTBIA()
-	}
 }
 
 // TBIS invalidates the translation for the page containing va.
@@ -167,9 +156,6 @@ func (u *MMU) TBIS(va uint32) {
 	key := va >> vax.PageShift
 	if e := &u.tlb[tlbIndex(key)]; e.gen == u.gen && e.key == key {
 		e.gen = 0
-	}
-	if u.OnTBIS != nil {
-		u.OnTBIS(va)
 	}
 }
 
