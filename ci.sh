@@ -281,13 +281,15 @@ echo "== fuzz: decode-cache coherence under self-modifying code (10 s)"
 # and cycles.
 go test -run '^$' -fuzz '^FuzzSelfModifyingCode$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cpu/
 
-echo "== fuzz: one-instruction loops in closed form (10 s)"
-# Differential: a SOBGTR or SOBGEQ branching to itself (any counter,
-# mapped or not, optionally a wait its ISR ends) under a device whose
-# period ends its steps must leave Run, which applies the iterations of
-# a step at once, and one Step at a time in the same registers, PSL,
-# cycles, counters, device state and interrupt delivery points.
-go test -run '^$' -fuzz '^FuzzOneInstructionLoop$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cpu/
+echo "== fuzz: counting loops in closed form (10 s)"
+# Differential: a counting loop (no body, ADDL2 #k or INCL under a
+# SOBGTR, SOBGEQ or BRB back to it; any counter and body register,
+# mapped or not, optionally ended by its ISR rewriting the saved PC)
+# under a device whose period ends its steps must leave Run, which
+# applies the rounds of a step at once, and one Step at a time in the
+# same registers, PSL, cycles, counters, device state, interrupt
+# delivery points and condition codes at each delivery.
+go test -run '^$' -fuzz '^FuzzCountingLoop$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cpu/
 
 # bench/ is a module of its own, so the root ./... patterns skip it; its
 # smoke test checks the workload catalogue against BENCHMARK.json, the
@@ -334,15 +336,16 @@ echo "$pairs" | awk '{
     if (delta > 5) { print "  REGRESSION: recorder-on E3 more than 5% slower"; exit 1 }
 }'
 
-echo "== run-loop gate (bound instructions run back to back between device deadlines; delay loops in closed form)"
+echo "== run-loop gate (bound instructions run back to back between device deadlines; counting loops in closed form)"
 # Deterministic: on the throughput loop and on the §7.3 mix's
 # memory-move loops (MOVB R3, (R2)+ fill, MOVL (R6)+, (R7)+ copy), Run
 # must tick a device with a 5000-cycle period at most once per 100
 # instructions, and the device must see the same summed cycles as one
 # Step at a time gives it. A SOBGTR to itself from 0x80000000 (2^31
-# iterations) must finish with the exact counts within one second: one
-# iteration per step takes tens of seconds.
-go test -count=1 -run '^(TestRunLoopBatchesDeviceTicks|TestRunDelayLoopClosedForm)$' .
+# iterations), an ADDL2 #7 + SOBGTR loop from 0x80000000 and an INCL +
+# BRB spin (2^31 rounds each) must finish with the exact counts within
+# one second: one instruction per step takes tens of seconds.
+go test -count=1 -run '^(TestRunLoopBatchesDeviceTicks|TestRunDelayLoopClosedForm|TestRunCountingLoopClosedForm)$' .
 
 echo "== experiments output identical to EXPERIMENTS.md"
 tmpmd=$(mktemp) tmpwant=$(mktemp) tmpgot=$(mktemp)

@@ -318,6 +318,9 @@ func (a *assembler) statement(raw string) error {
 	return a.instruction(ins, splitOperands(rest))
 }
 
+// dataSizes are the widths of the data directives' values.
+var dataSizes = map[string]int{".long": 4, ".word": 2, ".byte": 1}
+
 func (a *assembler) directive(name, rest string) error {
 	args := splitOperands(rest)
 	switch name {
@@ -336,32 +339,11 @@ func (a *assembler) directive(name, rest string) error {
 			a.emit(0)
 		}
 		return nil
-	case ".long":
+	case ".long", ".word", ".byte":
 		for _, arg := range args {
-			if v, err := a.evalNow(arg); err == nil {
-				a.emitLong(v)
-			} else {
-				a.addFixup(fixup{offset: uint32(len(a.code)), size: 4, expr: arg})
-				a.emitLong(0)
-			}
-		}
-		return nil
-	case ".word":
-		for _, arg := range args {
-			v, err := a.evalNow(arg)
-			if err != nil {
+			if err := a.emitExpr(arg, dataSizes[name]); err != nil {
 				return err
 			}
-			a.emitWord(uint16(v))
-		}
-		return nil
-	case ".byte":
-		for _, arg := range args {
-			v, err := a.evalNow(arg)
-			if err != nil {
-				return err
-			}
-			a.emit(byte(v))
 		}
 		return nil
 	case ".ascii", ".asciz":
@@ -452,6 +434,9 @@ func (a *assembler) resolve() error {
 				}
 			}
 			continue
+		}
+		if err := a.fits(v, f.size); err != nil {
+			return err
 		}
 		for i := 0; i < f.size; i++ {
 			a.code[f.offset+uint32(i)] = byte(v >> (8 * i))

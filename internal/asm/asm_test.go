@@ -183,11 +183,52 @@ func TestErrors(t *testing.T) {
 		"dup: nop\ndup: nop",             // duplicate label
 		"movl undefinedsym(r0), r0\nnop", // undefined in displacement is a fixup... must resolve
 		".align 3",
-		".byte undef_fwd", // .byte cannot forward-reference
+		".byte undef_fwd", // never defined
 	}
 	for _, src := range bad {
 		if _, err := Assemble(src, 0); err == nil {
 			t.Errorf("%q: expected error", src)
+		}
+	}
+}
+
+// TestForwardReferences assembles a reference to a symbol defined on
+// a later line in every data and immediate width: each is patched at
+// the end, as a backward reference would be encoded (an immediate in
+// its full width, since its value was unknown), and a value too wide
+// for its byte or word is refused when it resolves.
+func TestForwardReferences(t *testing.T) {
+	for _, tc := range []struct {
+		src, def string
+		want     []byte
+	}{
+		{".long fwd", "fwd:", []byte{0x04, 0x01, 0x00, 0x00}},
+		{".long fwd", "fwd = 0x12345678", []byte{0x78, 0x56, 0x34, 0x12}},
+		{".word fwd", "fwd = 0xFFFE", []byte{0xFE, 0xFF}},
+		{".word fwd", "fwd = -2", []byte{0xFE, 0xFF}},
+		{".byte fwd, 7", "fwd = -2", []byte{0xFE, 0x07}},
+		{"movl #fwd, r0", "fwd:", []byte{0xD0, 0x8F, 0x07, 0x01, 0x00, 0x00, 0x50}},
+		{"movw #fwd, r0", "fwd = 0x1234", []byte{0xB0, 0x8F, 0x34, 0x12, 0x50}},
+		{"movb #fwd, r0", "fwd = 5", []byte{0x90, 0x8F, 0x05, 0x50}},
+	} {
+		src := tc.src + "\n" + tc.def
+		p, err := Assemble(src, 0x100)
+		if err != nil {
+			t.Errorf("%q: %v", src, err)
+			continue
+		}
+		if string(p.Code) != string(tc.want) {
+			t.Errorf("%q: % x, want % x", src, p.Code, tc.want)
+		}
+	}
+	for _, src := range []string{
+		".word fwd\nfwd = 0x10000",
+		".byte fwd\nfwd = 0x100",
+		"movw #fwd, r0\nfwd = 0x12345",
+		"movb #fwd, r0\nfwd = 0xFFFFFE00",
+	} {
+		if _, err := Assemble(src, 0); err == nil {
+			t.Errorf("%q: a value too wide for its field was accepted", src)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func (a *assembler) operand(text string, d opdesc) error {
 
 	case strings.HasPrefix(text, "@#"):
 		a.emit(0x9F)
-		return a.emitExprLong(text[2:])
+		return a.emitExpr(text[2:], 4)
 
 	case strings.HasPrefix(text, "@"):
 		// Displacement deferred @disp(Rn), or PC-relative deferred
@@ -91,7 +91,7 @@ func (a *assembler) operand(text string, d opdesc) error {
 
 	// Bare expression: absolute reference @#expr.
 	a.emit(0x9F)
-	return a.emitExprLong(text)
+	return a.emitExpr(text, 4)
 }
 
 // immediate encodes #expr: a short literal when the value is known and
@@ -109,29 +109,7 @@ func (a *assembler) immediate(expr string, d opdesc) error {
 		return nil
 	}
 	a.emit(0x8F)
-	switch d.size {
-	case 1:
-		v, err := a.evalNow(expr)
-		if err != nil {
-			return err
-		}
-		if v > 0xFF && v < 0xFFFFFF00 {
-			return a.errf("immediate %#x does not fit in a byte", v)
-		}
-		a.emit(byte(v))
-	case 2:
-		v, err := a.evalNow(expr)
-		if err != nil {
-			return err
-		}
-		if v > 0xFFFF && v < 0xFFFF0000 {
-			return a.errf("immediate %#x does not fit in a word", v)
-		}
-		a.emitWord(uint16(v))
-	default:
-		return a.emitExprLong(expr)
-	}
-	return nil
+	return a.emitExpr(expr, d.size)
 }
 
 // dispOperand encodes disp(Rn) or @disp(Rn). Known displacements pick
@@ -165,14 +143,31 @@ func (a *assembler) dispOperand(dispExpr string, reg int, deferred bool) error {
 	return nil
 }
 
-// emitExprLong emits a longword expression, via fixup if not yet known.
-func (a *assembler) emitExprLong(expr string) error {
-	if v, err := a.evalNow(expr); err == nil {
-		a.emitLong(v)
-		return nil
+// emitExpr emits an expression as a size-byte little-endian value (1,
+// 2 or 4), through a fixup when it is not yet known.
+func (a *assembler) emitExpr(expr string, size int) error {
+	v, err := a.evalNow(expr)
+	if err != nil {
+		a.addFixup(fixup{offset: uint32(len(a.code)), size: size, expr: expr})
+		v = 0
+	} else if err := a.fits(v, size); err != nil {
+		return err
 	}
-	a.addFixup(fixup{offset: uint32(len(a.code)), size: 4, expr: expr})
-	a.emitLong(0)
+	for i := 0; i < size; i++ {
+		a.emit(byte(v >> (8 * i)))
+	}
+	return nil
+}
+
+// fits checks that v can be stored in size bytes: a byte or a word
+// holds a value zero-extended or sign-extended from its size.
+func (a *assembler) fits(v uint32, size int) error {
+	switch {
+	case size == 1 && v > 0xFF && v < 0xFFFFFF00:
+		return a.errf("%#x does not fit in a byte", v)
+	case size == 2 && v > 0xFFFF && v < 0xFFFF0000:
+		return a.errf("%#x does not fit in a word", v)
+	}
 	return nil
 }
 

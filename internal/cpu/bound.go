@@ -28,12 +28,16 @@ import (
 // device access. So a committed bound memory move, too, cannot fault,
 // touch a device, or change the TLB, the mode or pending interrupts.
 //
-// A bound SOBGTR or SOBGEQ whose taken target is its own opcode is a
-// one-instruction loop, the "SOBGTR Rn, ." delay idiom. Every iteration
-// after the first has the same PC, translation and cost, and its
-// outcome depends only on the counter it moves, so execLoop applies the
-// n iterations a step may take at once: the loop runs in one step to
-// its exit or to the next device deadline.
+// A counting loop is a head followed on its page by a back edge that
+// branches to it: the back edge a bound SOBGTR, SOBGEQ or BRB/BRW, the
+// head either the back edge itself (the "SOBGTR Rn, ." delay idiom, a
+// one-instruction loop) or one bound ADD of a literal to a register
+// other than the counter ("ADDL2 #k, Rn", "INCL Rn"). Every round
+// after the first has the same PCs, translation and cost, and its
+// outcome depends only on the registers it moves, so execLoop applies
+// the rounds a step may take at once: the loop runs in one step to its
+// exit or to the next device deadline. The decode cache links the two
+// entries (dcache.go, link).
 
 // Bound kinds: one per operation, whatever the operand count. Each
 // mirrors its interpreter handler (exec.go, convert.go, dispatch.go)
@@ -155,15 +159,15 @@ func (c *CPU) put(o *sbOpnd, r uint32) { c.R[o.reg] = c.R[o.reg]&^o.mask | r&o.m
 // sources a and b, destination d, and the successor PCs as offsets from
 // the opcode (one physical page may be mapped at several VAs). cost is
 // the instruction's whole cycle charge: the row's cost plus
-// CostMemOperand per memory operand (mems). finishRecord sets loop on
-// a one-instruction loop recorded on one page (see loops).
+// CostMemOperand per memory operand (mems). loop is the entry's role
+// in a counting loop while the decode cache links it (see link).
 type sbBound struct {
 	kind  uint8
 	cond  uint8 // fbBcond predicate
 	next  uint8 // fallthrough offset (the instruction's length)
 	mems  uint8 // memory operands (fbMov only); 0 runs in execBound
 	cost  uint16
-	loop  bool // in the padding before a: sbBound stays 48 bytes
+	loop  uint8 // loopNone, loopHead or loopEdge; in the padding before a: sbBound stays 48 bytes
 	a, b  sbOpnd
 	d     sbOpnd
 	taken uint32 // branch target offset (branch kinds; wraps backwards)
@@ -362,51 +366,92 @@ func (c *CPU) execBound(fb *sbBound, base uint32) uint32 {
 	return pc
 }
 
-// loops reports whether fb is a one-instruction loop: a SOBGTR or
-// SOBGEQ taken to its own opcode. Other branches to themselves run one
-// iteration per step.
-func (fb *sbBound) loops() bool {
-	return (fb.kind == fbSobgtr || fb.kind == fbSobgeq) && fb.taken == 0
+// Counting-loop roles (sbBound.loop).
+const (
+	loopNone uint8 = iota
+	loopHead       // heads a linked loop; a one-instruction loop is its own head
+	loopEdge       // the back edge of a linked loop with a body
+)
+
+// loops reports whether the valid entries h and x form a counting
+// loop, h its head and x its back edge: x is a SOBGTR, SOBGEQ or
+// BRB/BRW branching to h, and either x is h, a SOB (a BRB to itself
+// runs one iteration per step), or h is an ADD of a literal to a
+// register that is not x's counter, ending where x starts, on x's
+// page. fbAdd binds only ADDL, so that register is a longword. Every
+// other shape, a SUBL or DECL body, a body of two instructions or with
+// a register or memory source, an AOBxxx, BLBx or conditional back
+// edge, runs one instruction per step.
+func loops(h, x *dcEntry) bool {
+	hb, xb := &h.bound, &x.bound
+	if xb.kind != fbSobgtr && xb.kind != fbSobgeq && xb.kind != fbBr || x.tag+xb.taken != h.tag {
+		return false
+	}
+	if h == x {
+		return xb.kind != fbBr
+	}
+	return hb.kind == fbAdd && hb.a.mask == 0 && hb.b.mask != 0 && hb.b.reg == hb.d.reg &&
+		h.tag+uint32(hb.next) == x.tag && h.tag/vax.PageSize == x.tag/vax.PageSize &&
+		(xb.kind == fbBr || xb.d.reg != hb.d.reg)
 }
 
-// execLoop runs the one-instruction loop fb, whose opcode is at base,
-// in closed form as the first step of a run with the given budget. Its
-// n iterations are those the budget allows, that start below the
-// nearest device deadline, and that come no later than the one that
-// falls through. It applies them at once: n times the cost, and the
-// counter, N and Z (V clear, C kept) and PC the last iteration leaves.
-// It returns n, or changes nothing and returns 0 when n is below 2, and
-// that iteration runs as a step of its own. The caller credits the
-// decode hits, bound hits, instructions and reused translations and
-// ticks the devices (settleRun).
-func (c *CPU) execLoop(fb *sbBound, base uint32, budget uint64) uint64 {
-	// The iteration that falls through, in execBound's int32 arithmetic
-	// with wrapping: SOBGTR from 0x80000000 runs 2^31 iterations, and
-	// SOBGEQ exits one iteration past zero. n <= 2^31+1 and cost <
-	// 2^16, so n*cost cannot overflow, and Cycles wraps as it would one
-	// iteration at a time.
-	exit := uint64(1)
-	if r := int32(c.R[fb.d.reg] - 1); r > 0 || r == 0 && fb.kind == fbSobgeq {
-		exit += uint64(r)
-		if fb.kind == fbSobgeq {
-			exit++
+// execLoop runs the linked counting loop whose head, fb, has its
+// opcode at base and pa, in closed form as the first step of a run
+// with the given budget. Its m rounds (head, then back edge) are those
+// the budget allows, whose back edge starts below the nearest device
+// deadline, and that come no later than the round whose SOB falls
+// through. Every instruction of a counted round therefore starts below
+// the deadline; a partial round is left to ordinary steps. Rounds 1 to
+// m-1 only move the registers: the counter falls by one and the body's
+// register rises by its literal in each, modulo 2^32. The last round
+// then runs bound, which leaves N, Z, V, C and PC exactly as one step
+// at a time would, since a round sets every condition code the next
+// one reads (a one-instruction loop keeps C throughout). It returns the
+// instructions applied, or changes nothing and returns 0 when they are
+// fewer than 2, and the instruction runs as a step of its own. The
+// caller credits the decode hits, bound hits, instructions and reused
+// translations and ticks the devices (settleRun).
+func (c *CPU) execLoop(fb *sbBound, base, pa uint32, budget uint64) uint64 {
+	head, edge, per, lead := (*sbBound)(nil), fb, uint64(1), uint64(0)
+	if fb.kind == fbAdd {
+		head, per, lead = fb, 2, uint64(fb.cost)
+		edge = &c.dc.entries[(pa+uint32(fb.next))&(dcSlots-1)].bound
+	}
+	cost := lead + uint64(edge.cost) // one round
+	// The round whose SOB falls through, in execBound's int32
+	// arithmetic with wrapping: SOBGTR from 0x80000000 runs 2^31
+	// rounds, and SOBGEQ exits one round past zero. A BRB never exits.
+	exit := ^uint64(0)
+	if edge.kind != fbBr {
+		exit = 1
+		if r := int32(c.R[edge.d.reg] - 1); r > 0 || r == 0 && edge.kind == fbSobgeq {
+			exit += uint64(r)
+			if edge.kind == fbSobgeq {
+				exit++
+			}
 		}
 	}
-	cost := uint64(fb.cost)
-	d := c.deadline() // ⌈d/cost⌉ iterations start below it
-	n := min(budget, exit, d/cost+min(d%cost, 1))
-	if n < 2 {
+	// Round k's back edge starts k*cost+lead cycles in. The last term
+	// keeps m*cost from overflowing: with no device and no budget a BRB
+	// spin would otherwise ask for about 2^63 rounds.
+	rounds := uint64(0)
+	if d := c.deadline(); d > lead {
+		rounds = (d-lead-1)/cost + 1
+	}
+	m := min(budget/per, exit, rounds, ^uint64(0)/cost)
+	if m*per < 2 {
 		return 0
 	}
-	c.Cycles += n * cost
-	c.R[fb.d.reg] -= uint32(n)
-	c.setNZ(c.R[fb.d.reg], 4)
-	pc := base // the taken target
-	if n == exit {
-		pc += uint32(fb.next)
+	c.Cycles += (m - 1) * cost
+	if edge.kind != fbBr {
+		c.R[edge.d.reg] -= uint32(m - 1)
 	}
-	c.R[RegPC] = pc
-	return n
+	if head != nil {
+		c.R[head.d.reg] += uint32(m-1) * head.a.imm
+		base = c.execBound(head, base)
+	}
+	c.execBound(edge, base)
+	return m * per
 }
 
 // execMem runs a pre-bound memory move (fb.mems > 0) whose opcode is at

@@ -53,10 +53,14 @@ import (
 //   - btag equals tag exactly while the entry is valid and bound with
 //     no memory operand, and mtag while it is valid and bound with one;
 //     each holds noBTag otherwise: initDecodeCache, finishRecord and
-//     dropDecode, through which every drop goes, keep them so. A
-//     one-instruction loop (bound.loop) is the exception: it carries
-//     neither tag, so a run ends at it, and step tests loop, with tag
-//     and len, only after both tags miss.
+//     dropDecode, through which every drop goes, keep them so. The
+//     entries of a linked counting loop (bound.loop, see link) are the
+//     exception: neither carries btag, so a run ends at either, and
+//     step tests for a loop head, with tag, only after both tags miss.
+//     A loop is linked whenever one of its entries is recorded while
+//     the other is valid, and dropping or evicting either gives the
+//     other its btag back (unlink), so no untagged entry outlives its
+//     link.
 
 const (
 	dcSlots     = 1024 // direct-mapped entries, indexed by PA low bits
@@ -341,6 +345,7 @@ func (c *CPU) finishRecord(pa uint32, opLen uint8, ie *instrEntry) {
 		return
 	}
 	e := &c.dc.entries[pa&(dcSlots-1)]
+	c.unlink(e)
 	e.tag = pa
 	e.ie = ie
 	e.opLen = opLen
@@ -350,8 +355,6 @@ func (c *CPU) finishRecord(pa uint32, opLen uint8, ie *instrEntry) {
 	e.btag, e.mtag = noBTag(pa), noBTag(pa)
 	switch {
 	case e.bound.kind == fbNone:
-	case e.bound.loops():
-		e.bound.loop = true
 	case e.bound.mems == 0:
 		e.btag = pa
 	default:
@@ -360,11 +363,64 @@ func (c *CPU) finishRecord(pa uint32, opLen uint8, ie *instrEntry) {
 	e.len = cu.lastOff
 	c.dc.mark(pa, n)
 	c.dc.maxLen = max(c.dc.maxLen, n)
+	c.link(e)
+}
+
+// entry returns the valid entry tagged pa, or nil.
+func (d *dcache) entry(pa uint32) *dcEntry {
+	if e := &d.entries[pa&(dcSlots-1)]; e.len != 0 && e.tag == pa {
+		return e
+	}
+	return nil
+}
+
+// link links the just-installed entry e into the counting loop (see
+// loops) it closes with the valid entry it would run after or branch
+// to, if any: the head becomes loopHead, the back edge loopEdge (a
+// one-instruction loop is loopHead alone), and neither keeps its btag.
+// So a loop is linked whenever one of its entries is recorded while the
+// other is valid, whichever came first or was evicted and recorded
+// again.
+func (c *CPU) link(e *dcEntry) {
+	h, x := e, e
+	switch e.bound.kind {
+	case fbAdd:
+		x = c.dc.entry(e.tag + uint32(e.bound.next))
+	case fbSobgtr, fbSobgeq, fbBr:
+		h = c.dc.entry(e.tag + e.bound.taken)
+	default:
+		return
+	}
+	if h == nil || x == nil || !loops(h, x) {
+		return
+	}
+	h.bound.loop, h.btag = loopHead, noBTag(h.tag)
+	if x != h {
+		x.bound.loop, x.btag = loopEdge, noBTag(x.tag)
+	}
+}
+
+// unlink ends the loop link of e, which is about to be dropped or
+// evicted, if it has one: its partner, the back edge after a head or
+// the head a back edge branches to, is an ordinary bound entry again
+// and gets its btag back. No untagged entry outlives its link.
+func (c *CPU) unlink(e *dcEntry) {
+	if e.bound.loop == loopNone {
+		return
+	}
+	off := e.bound.taken // a back edge's head; a one-instruction loop's own opcode
+	if e.bound.kind == fbAdd {
+		off = uint32(e.bound.next)
+	}
+	for _, x := range [2]*dcEntry{e, &c.dc.entries[(e.tag+off)&(dcSlots-1)]} {
+		x.bound.loop, x.btag = loopNone, x.tag
+	}
 }
 
 // dropDecode empties slot i, which holds an entry.
 func (c *CPU) dropDecode(i uint32) {
 	e := &c.dc.entries[i]
+	c.unlink(e)
 	e.len = 0
 	e.btag, e.mtag = noBTag(i), noBTag(i)
 	c.Stats.DecodeInvalidations++

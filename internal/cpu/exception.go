@@ -145,13 +145,13 @@ func (c *CPU) Run(maxSteps uint64) uint64 {
 // trap-all test — runs once, and a bound decode-cache hit then starts a
 // run of bound instructions executed back to back (runBound). A bound
 // memory move counts as a hit only once it commits; when it falls back
-// it runs as a non-bound step. A one-instruction loop carries no bound
-// tag, so it is tested only once both tags miss: then, unless trap-all
-// is armed, execLoop takes its iterations up to its exit, the budget or
-// the first one at the device deadline in one step, settled like a
-// run's (with a budget of 1 it declines, and the iteration runs as a
-// step of its own). Each step leaves every simulated count exactly as a
-// Step of its own would.
+// it runs as a non-bound step. The entries of a linked counting loop
+// carry no bound tag, so its head is tested only once both tags miss:
+// then, unless trap-all is armed, execLoop takes its rounds up to its
+// exit, the budget or the first whose back edge would start at the
+// device deadline in one step, settled like a run's (with a budget of 1
+// it declines, and the head runs as a step of its own). Each step
+// leaves every simulated count exactly as a Step of its own would.
 func (c *CPU) step(budget uint64) uint64 {
 	if c.Halted {
 		return 0
@@ -192,8 +192,8 @@ func (c *CPU) step(budget uint64) uint64 {
 		next, hit = c.execMem(&e.bound, pc)
 	}
 	if !hit {
-		if ok && e.bound.loop && e.tag == pa && e.len != 0 && !trapAll {
-			if n := c.execLoop(&e.bound, pc, budget); n > 0 {
+		if ok && e.bound.loop == loopHead && e.tag == pa && !trapAll {
+			if n := c.execLoop(&e.bound, pc, pa, budget); n > 0 {
 				c.settleRun(n, n-1, before)
 				return n
 			}
@@ -239,9 +239,10 @@ func (c *CPU) execStep(pa uint32, ok bool) {
 // one runs as the run's last step, once the counters and devices have
 // caught up, with its own snapshot and the translation the loop already
 // made. A store that drops a decoded instruction clears its tags, so
-// the loop stops at overwritten code. A one-instruction loop has no
-// tag either: the run ends at it, its first iteration replays through
-// execReplay, and the next step takes the rest in closed form.
+// the loop stops at overwritten code. Neither entry of a linked
+// counting loop has a tag either: the run ends at its head or back
+// edge, which replays through execReplay, and the next step that lands
+// on the head takes the rounds in closed form.
 //
 // While PC stays on the run's virtual page its translation is pc +
 // delta; each such reuse is credited to the MMU as the TranslateFast

@@ -74,12 +74,13 @@ func (s *irqSink) HandleException(c *CPU, e *vax.Exception) bool {
 
 // runMachine is one side of a differential pair.
 type runMachine struct {
-	c     *CPU
-	m     *mem.Memory
-	prog  *asm.Program // nil for hand-assembled code
-	start uint32
-	dev   *periodDevice
-	sink  *irqSink
+	c      *CPU
+	m      *mem.Memory
+	prog   *asm.Program // nil for hand-assembled code
+	start  uint32
+	dev    *periodDevice
+	sink   *irqSink
+	budget uint64 // the budget drive last ran with
 }
 
 // sym returns a label's virtual address.
@@ -145,6 +146,7 @@ func newRunMachine(t *testing.T, src string, mapped bool, vectors map[vax.Vector
 func (rm *runMachine) drive(t *testing.T, budget uint64) uint64 {
 	t.Helper()
 	const limit = 1_000_000
+	rm.budget = budget
 	var steps uint64
 	for !rm.c.Halted && steps < limit {
 		if budget == stepOnly {
@@ -443,6 +445,100 @@ func checkAliasedLoopSlot(t *testing.T, rm *runMachine) {
 	wantR(3, 1)(t, rm)
 }
 
+// countingLoops runs one of each counting-loop shape the workloads run
+// and their edges: ADDL2 #7 under SOBGTR from 300; INCL under SOBGEQ
+// from 40, its register crossing 0x7FFFFFFF (V); INCL under SOBGTR
+// from 10, its register crossing zero (C); ADDL2 #63 under SOBGTR from
+// 1, which exits on its first round; and an INCL + BRB spin that the
+// ISR ends on its ninth delivery by rewriting the saved PC. r10 sums
+// the registers the loops leave. The ISR counts deliveries in r5 and
+// sums the saved PSLs in r9, so the condition codes at every delivery
+// are compared too.
+const countingLoops = `
+start:	clrl r5
+	clrl r9
+	clrl r10
+	clrl r0
+	movl #300, r1
+l1:	addl2 #7, r0
+	sobgtr r1, l1
+	addl2 r0, r10
+	movl #0x7FFFFFF0, r2
+	movl #40, r1
+l2:	incl r2
+	sobgeq r1, l2
+	addl2 r2, r10
+	movl #-3, r3
+	movl #10, r1
+l3:	incl r3
+	sobgtr r1, l3
+	addl2 r3, r10
+	clrl r4
+	movl #1, r1
+l4:	addl2 #63, r4
+	sobgtr r1, l4
+	addl2 r4, r10
+	clrl r6
+spin:	incl r6
+	brb spin
+out:	halt
+	.align 4
+isr:	incl r5
+	addl2 4(sp), r9
+	cmpl r5, #9
+	blss back
+	movl #out, (sp)
+back:	rei
+`
+
+// checkCountingLoops checks countingLoops' sums and that the spin ran
+// until the ninth delivery (a tenth may come before the HALT).
+func checkCountingLoops(t *testing.T, rm *runMachine) {
+	t.Helper()
+	// 2100, 0x7FFFFFF0+41, -3+10 and 63.
+	wantR(10, 2100+0x7FFFFFF0+41+7+63)(t, rm)
+	if rm.c.R[5] < 9 || rm.c.R[6] == 0 {
+		t.Errorf("r5 = %d, r6 = %d; want at least 9 deliveries and a spin", rm.c.R[5], rm.c.R[6])
+	}
+}
+
+// evictedLoop runs the fleet's ADDL2 + SOBGTR loop three times,
+// leaving it between passes through alias, an instruction 1024 bytes
+// on in its head's decode-cache slot, which evicts the head. Before the
+// third pass it rewrites the head's literal, 7 -> 9.
+const evictedLoop = `
+start:	clrl r0
+	clrl r3
+	movl #3, r4
+pass:	movl #100, r1
+loop:	addl2 #7, r0
+	sobgtr r1, loop
+	cmpl r4, #2
+	bneq skip
+	movb #9, @#loop+1
+skip:	jmp @#alias
+next:	sobgtr r4, pass
+	halt
+	.space 996
+alias:	incl r3
+	jmp @#next
+`
+
+// checkEvictedLoop checks evictedLoop's layout and result, and that an
+// unlimited Run took each pass's rounds in closed form: the device
+// ticks about once per step, so one tick per round would be 300.
+func checkEvictedLoop(t *testing.T, rm *runMachine) {
+	t.Helper()
+	if d := rm.sym("alias") - rm.sym("loop"); d != dcSlots {
+		t.Fatalf("layout: alias is %d bytes after loop, want %d", d, dcSlots)
+	}
+	wantR(0, 200*7+100*9)(t, rm)
+	wantR(3, 3)(t, rm)
+	if rm.budget == 0 && rm.dev.ticks > 60 {
+		t.Errorf("%d ticks for 300 rounds: a loop re-entered after eviction or a patch runs a round per step", rm.dev.ticks)
+	}
+}
+
 // loopMachine builds a scenario machine for src with no device.
 func loopMachine(src string) func(t *testing.T, mapped bool) *runMachine {
 	return func(t *testing.T, mapped bool) *runMachine {
@@ -544,6 +640,18 @@ var runScenarios = []runScenario{
 		rm.c.AddDevice(rm.dev)
 		return rm
 	}, phases: 1, check: checkDelayLoops},
+	{name: "counting loops", build: func(t *testing.T, mapped bool) *runMachine {
+		rm := newRunMachine(t, countingLoops, mapped, map[vax.Vector]string{0xC4: "isr"})
+		rm.dev = newPeriodDevice(20, 0xC4, append([]uint64{3000}, irqPeriods...)...)
+		rm.c.AddDevice(rm.dev)
+		return rm
+	}, phases: 1, check: checkCountingLoops},
+	{name: "evicted loop", build: func(t *testing.T, mapped bool) *runMachine {
+		rm := newRunMachine(t, evictedLoop, mapped, nil)
+		rm.dev = newPeriodDevice(0, 0, 1<<40)
+		rm.c.AddDevice(rm.dev)
+		return rm
+	}, phases: 1, check: checkEvictedLoop},
 }
 
 // checkMemoryLoop checks memoryLoop's result, that every interrupt was
@@ -619,13 +727,23 @@ loop:	sobgtr r1, loop
 	halt
 `
 
+// trapAllCountingLoop leaves r0 = 1500 after an INCL + SOBGEQ loop.
+const trapAllCountingLoop = `
+start:	movl #1000, r0
+	movl #499, r1
+loop:	incl r0
+	sobgeq r1, loop
+	halt
+`
+
 // TestStepAndTrapAllNeverBatch checks the two cases that must take one
 // tick per step: a Step-driven machine, and Run under TrapAllInVM in VM
-// kernel mode, where every instruction traps before it executes, a
+// kernel mode, where every instruction traps before it executes, the
+// rounds of counting loops (hotLoop's ADDL2 + SOBGTR among them) and a
 // delay loop's iterations too. The trap-all Run must also match a
 // Step-driven trap-all machine.
 func TestStepAndTrapAllNeverBatch(t *testing.T) {
-	for _, src := range []string{hotLoop, trapAllDelayLoop} {
+	for _, src := range []string{hotLoop, trapAllDelayLoop, trapAllCountingLoop} {
 		rm := newRunMachine(t, src, true, nil)
 		rm.dev = newPeriodDevice(0, 0, 97)
 		rm.c.AddDevice(rm.dev)

@@ -178,3 +178,67 @@ func TestRunDelayLoopClosedForm(t *testing.T) {
 	}
 	t.Logf("%d instructions in %v", c.Stats.Instructions, time.Since(begin))
 }
+
+// TestRunCountingLoopClosedForm pins the closed form of counting loops
+// with a body: the compute guests' "l: addl2 #7, r0; sobgtr r1, l"
+// from r1 = 0x80000000 runs 2^31 rounds, and the runaway guests'
+// "spin: incl r5; brb spin" is driven to exactly 2^32 instructions,
+// 2^31 rounds, each on a machine with no device by Run(1<<24) calls.
+// One instruction per step would take tens of seconds each; the closed
+// form takes one step per call, so the test fails once a second has
+// passed. The counts, registers and condition codes must be exactly
+// those of one Step at a time.
+func TestRunCountingLoopClosedForm(t *testing.T) {
+	const rounds = 1 << 31
+	for _, tc := range []struct {
+		src      string
+		r1       uint32
+		stop     uint64 // instructions to run; 0: to HALT
+		reg      int
+		want, cc uint32 // reg and NZVC at the end
+	}{
+		// 2^31 ADDL2s, SOBGTRs and the HALT; 7*2^31 wraps to 2^31, the
+		// last ADDL2 carries nothing, and r1 ends 0: Z.
+		{"l:\taddl2 #7, r0\n\tsobgtr r1, l\n\thalt\n", 0x80000000, 0, 0, 0x80000000, vax.PSLZ},
+		// The last INCL takes r5 from 0x7FFFFFFF to 0x80000000: N and V.
+		{"l:\tincl r5\n\tbrb l\n", 0, 2 * rounds, 5, 0x80000000, vax.PSLN | vax.PSLV},
+	} {
+		prog, err := asm.Assemble(tc.src, 0x400)
+		if err != nil {
+			t.Fatalf("assemble: %v", err)
+		}
+		m := mem.New(64 * 1024)
+		if err := m.StoreBytes(prog.Origin, prog.Code); err != nil {
+			t.Fatal(err)
+		}
+		c := cpu.New(m, cpu.StandardVAX)
+		c.SetPSL(vax.PSL(0).WithCur(vax.Kernel))
+		l := prog.MustSymbol("l")
+		c.SetPC(l)
+		c.R[1] = tc.r1
+		begin := time.Now()
+		for !c.Halted && (tc.stop == 0 || c.Stats.Instructions < tc.stop) {
+			budget := uint64(1 << 24)
+			if tc.stop != 0 {
+				budget = min(budget, tc.stop-c.Stats.Instructions)
+			}
+			c.Run(budget)
+			if d := time.Since(begin); d > time.Second {
+				t.Fatalf("%q: after %v, %d instructions run: the loop runs one instruction per step",
+					tc.src, d, c.Stats.Instructions)
+			}
+		}
+		instrs, pc := uint64(2*rounds), l
+		if tc.stop == 0 {
+			instrs, pc = 2*rounds+1, prog.End()
+		}
+		if c.Stats.Instructions != instrs || c.Cycles != cpu.CostBase*instrs {
+			t.Errorf("%q: %d instructions, %d cycles; want %d and %d", tc.src, c.Stats.Instructions, c.Cycles, instrs, cpu.CostBase*instrs)
+		}
+		if c.R[tc.reg] != tc.want || c.R[1] != 0 || c.PC() != pc || uint32(c.PSL())&vax.PSLCC != tc.cc {
+			t.Errorf("%q: r%d = %#x, r1 = %#x, pc %#x, PSL %s; want %#x, 0, %#x and NZVC %04b",
+				tc.src, tc.reg, c.R[tc.reg], c.R[1], c.PC(), c.PSL(), tc.want, pc, tc.cc)
+		}
+		t.Logf("%q: %d instructions in %v", tc.src, c.Stats.Instructions, time.Since(begin))
+	}
+}
