@@ -49,16 +49,17 @@ func TestExperimentAllocParity(t *testing.T) {
 	// creation stopped formatting an audit detail with auditing off,
 	// then to 217/270/493 when the shadow tables' slot and run slices
 	// were sized once at creation (which more than pays for the frame
-	// map every VM now carries), then to these by two per CPU when the
-	// decode cache stopped hooking TBIA and TBIS (each hook was a
-	// closure).
+	// map every VM now carries), then to 209/260/471 by two per CPU when
+	// the decode cache stopped hooking TBIA and TBIS (each hook was a
+	// closure), then to these by three per shadow space when its four
+	// parallel slot slices became one slice of slots.
 	for _, tc := range []struct {
 		id   string
 		want float64
 	}{
-		{"E2", 209},
-		{"E3", 260},
-		{"E9", 471},
+		{"E2", 197},
+		{"E3", 245},
+		{"E9", 444},
 	} {
 		spec, ok := exp.ByID(tc.id)
 		if !ok {

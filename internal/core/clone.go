@@ -30,6 +30,9 @@ import (
 //   - SharedPages + PrivatePages == the VM's page count for every VM
 //     (CreateVM counts every page private); cowMask moves each page
 //     between the gauges exactly once per transition.
+//   - Outside its span, a shadow table holds only invalid entries
+//     (shadow.go): the span widens on every install and empties on
+//     every clear, so a break's alias sweep reads the spans alone.
 
 // cowMaskAll returns a mask with one bit set per page: every page
 // counted shared.
@@ -171,7 +174,7 @@ func (k *VMM) ensureShadow(vm *VM) bool {
 		// Seed the fresh cache with the current process, exactly as a
 		// checkpoint restore does: slot 0 claims the P0 base and demand
 		// fills repopulate it.
-		s.slotOwner[0] = vm.p0br
+		s.slots[0].owner = vm.p0br
 	}
 	return true
 }
@@ -191,24 +194,7 @@ func (k *VMM) cowDemote(vm *VM) error {
 		vm.cowClean = true
 		return nil
 	}
-	for i := range s.slotPhys {
-		if err := s.clearSlot(k, i); err != nil {
-			return err
-		}
-		s.slotOwner[i] = 0
-		s.slotLRU[i] = 0
-	}
-	if err := s.clearP1(k); err != nil {
-		return err
-	}
-	if err := s.clearSRegion(k); err != nil {
-		return err
-	}
-	s.active = 0
-	if vm.mapen {
-		s.slotOwner[0] = vm.p0br
-	}
-	if err := s.buildIdentity(k); err != nil {
+	if err := s.reset(k); err != nil {
 		return err
 	}
 	vm.cowClean = true
@@ -277,9 +263,10 @@ func (k *VMM) cowBreak(vm *VM, pfn uint32) bool {
 // guest may map one VM-physical page at several virtual addresses (and
 // cached process slots keep translations for processes not currently
 // running); a stale alias would keep reading the old frame, which may
-// later be recycled. The identity table needs no sweep: frames are
-// distinct within one VM, so only the entry the caller rewrites maps
-// the frame.
+// later be recycled. Only each table's span can hold a valid entry, so
+// only the spans are read; an entry nulled here leaves its span as it
+// is. The identity table needs no sweep: frames are distinct within one
+// VM, so only the entry the caller rewrites maps the frame.
 func (k *VMM) cowSweep(vm *VM, frame uint32) {
 	s := vm.shadow
 	if s == nil {
@@ -287,11 +274,8 @@ func (k *VMM) cowSweep(vm *VM, frame uint32) {
 		// clone ever ran: no shadow tables, so no stale mapping to sweep.
 		return
 	}
-	sweep := func(phys, ptes uint32) {
-		win, err := k.Mem.Window(phys, ptes*4)
-		if err != nil {
-			return
-		}
+	sweep := func(t *shadowTable) {
+		win := t.span(k)
 		for off := 0; off < len(win); off += 4 {
 			pte := vax.PTE(binary.LittleEndian.Uint32(win[off:]))
 			if pte.Valid() && pte.PFN() == frame {
@@ -299,11 +283,11 @@ func (k *VMM) cowSweep(vm *VM, frame uint32) {
 			}
 		}
 	}
-	sweep(s.sptPhys, VMSLimitPTEs)
-	for _, slot := range s.slotPhys {
-		sweep(slot, ProcTablePTEs)
+	sweep(&s.spt)
+	for i := range s.slots {
+		sweep(&s.slots[i].shadowTable)
 	}
-	sweep(s.p1Phys, P1TablePTEs)
+	sweep(&s.p1)
 }
 
 // cowModifyFault services every modify fault (Section 4.4.2): set PTE<M>
@@ -354,9 +338,7 @@ func (k *VMM) cowModifyFault(vm *VM, va uint32) {
 		return
 	}
 	spte, _ := k.shadowPTEFor(vm, gpte.WithModify(true), k.cfg.ReadOnlyShadow)
-	if slot, ok := vm.shadow.shadowSlot(va); ok {
-		_ = k.Mem.StoreLong(slot, uint32(spte))
-	}
+	vm.shadow.install(k, va, spte)
 	k.setGuestPTEModify(vm, va)
 	k.CPU.MMU.TBIS(va)
 	k.resumeVM(vm)

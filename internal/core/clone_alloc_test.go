@@ -14,7 +14,8 @@ import (
 // (a handful of fixed allocations: frame map, gauge masks, the VM);
 // cowBreak is the steady-state
 // hot path and must not allocate at all — the page copy reuses carved
-// memory and the alias sweep walks windows into the backing array.
+// memory and the alias sweep walks windows over the shadow tables'
+// spans, straight into the backing array.
 // Exact pins only hold without race instrumentation, matching the
 // raceEnabled guard the root-package parity tests use.
 func TestCloneAllocParity(t *testing.T) {

@@ -90,6 +90,10 @@ func TestCloneSmokeParity(t *testing.T) {
 				vms[i] = boot(k, img, start)
 			}
 		}
+		// Stop once on the way, while the fleet still holds its shadow
+		// tables, to check their spans.
+		k.RunParallel(workers, 2000)
+		checkShadowSpans(t, k)
 		k.RunParallel(workers, 0)
 		var out [fleet]outcome
 		for i, vm := range vms {

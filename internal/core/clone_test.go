@@ -55,7 +55,7 @@ func TestCloneRunsIdentically(t *testing.T) {
 			c1.Stats.SharedPages, c1.Stats.PrivatePages, pages)
 	}
 
-	k.Run(10_000_000)
+	runCheckingSpans(t, k, 10_000_000)
 	for _, vm := range []*VM{src, c1, c2} {
 		if h, msg := vm.Halted(); !h || !strings.Contains(msg, "HALT") {
 			t.Fatalf("%s did not halt cleanly: %t %q", vm.Name(), h, msg)
@@ -119,7 +119,7 @@ start:	movl @#0x80006100, r2
 		t.Fatalf("clone seed = %d, want 11", got)
 	}
 
-	k.Run(10_000_000)
+	runCheckingSpans(t, k, 10_000_000)
 	if got := guestLong(t, src, 0x6000); got != 21 {
 		t.Errorf("source result = %d, want 21", got)
 	}
@@ -174,6 +174,7 @@ func TestCloneDMAIntoSharedPage(t *testing.T) {
 	if src.Disk().Image()[9*vax.PageSize] != 0 {
 		t.Error("clone's disk write leaked into the source's disk")
 	}
+	checkShadowSpans(t, k)
 }
 
 // TestCloneCheckpointRestore checkpoints a running clone, restores it
@@ -203,6 +204,7 @@ loop:	addl2 r11, r2
 	if h, _ := c.Halted(); h {
 		t.Fatal("clone finished before the checkpoint; shorten the prefix")
 	}
+	checkShadowSpans(t, k)
 	snap, err := k.Snapshot(c)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +224,8 @@ loop:	addl2 r11, r2
 		t.Errorf("restored clone gauges: shared=%d private=%d, want 0/%d",
 			c.Stats.SharedPages, c.Stats.PrivatePages, pages)
 	}
-	k.Run(10_000_000)
+	checkShadowSpans(t, k)
+	runCheckingSpans(t, k, 10_000_000)
 	for _, vm := range []*VM{src, c} {
 		if h, msg := vm.Halted(); !h || !strings.Contains(msg, "HALT") {
 			t.Fatalf("%s did not finish: %t %q", vm.Name(), h, msg)
@@ -238,7 +241,7 @@ loop:	addl2 r11, r2
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2.Run(10_000_000)
+	runCheckingSpans(t, k2, 10_000_000)
 	if got := guestLong(t, vm2, 0x6000); got != want {
 		t.Errorf("cross-monitor restore result %#x, want %#x", got, want)
 	}
@@ -270,7 +273,7 @@ start:	movl #0x11223344, @#0x80005FFE   ; straddles pages 0x2F/0x30
 			if err != nil {
 				t.Fatal(err)
 			}
-			k.Run(10_000_000)
+			runCheckingSpans(t, k, 10_000_000)
 			for _, vm := range []*VM{src, c} {
 				if h, msg := vm.Halted(); !h || !strings.Contains(msg, "HALT") {
 					t.Fatalf("%s did not halt: %t %q", vm.Name(), h, msg)
@@ -338,7 +341,7 @@ func TestCloneOvercommit(t *testing.T) {
 	if nominal, real := k.NominalPages(), k.Mem.Pages(); nominal <= real {
 		t.Fatalf("fleet is not overcommitted: nominal %d <= physical %d", nominal, real)
 	}
-	k.Run(50_000_000)
+	runCheckingSpans(t, k, 50_000_000)
 	for _, vm := range k.VMs() {
 		if h, msg := vm.Halted(); !h || !strings.Contains(msg, "HALT") {
 			t.Fatalf("%s did not halt: %t %q", vm.Name(), h, msg)

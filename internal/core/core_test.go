@@ -569,7 +569,10 @@ touchB:	movl (r3), r4
 			vm.writePhys(0x300+4*i, uint32(vax.NewPTE(true, vax.ProtUW, true, 48+i)))
 			vm.writePhys(0x340+4*i, uint32(vax.NewPTE(true, vax.ProtUW, true, 56+i)))
 		}
-		runVM(t, k, vm, 10_000_000)
+		runCheckingSpans(t, k, 10_000_000)
+		if h, _ := vm.Halted(); !h {
+			t.Fatalf("%d slots: VM did not halt", slots)
+		}
 		return vm.Stats.ShadowFills
 	}
 	without := run(1)

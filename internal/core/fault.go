@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/fault"
@@ -105,31 +106,38 @@ func (k *VMM) injectTick() {
 }
 
 // corruptShadowPTE flips the frame number of one live shadow S-space
-// PTE of the VM — the injected divergence the self-check repairs.
+// PTE of the VM — the injected divergence the self-check repairs. Only
+// the S shadow's span can hold a live entry, so only the span is read:
+// the live entries are counted first, then the picked one is found.
 func (k *VMM) corruptShadowPTE(vm *VM) {
 	s := vm.shadow
-	var live []uint32
-	for vpn := uint32(0); vpn < VMSLimitPTEs; vpn++ {
-		if v, err := k.Mem.LoadLong(s.sptPhys + 4*vpn); err == nil && vax.PTE(v).Valid() {
-			live = append(live, vpn)
+	win := s.spt.span(k)
+	valid := func(off int) bool { return vax.PTE(binary.LittleEndian.Uint32(win[off:])).Valid() }
+	live := 0
+	for off := 0; off < len(win); off += 4 {
+		if valid(off) {
+			live++
 		}
 	}
-	if len(live) == 0 {
+	if live == 0 {
 		return
 	}
-	vpn := live[k.faults.Pick(len(live))]
-	slot := s.sptPhys + 4*vpn
-	v, err := k.Mem.LoadLong(slot)
-	if err != nil {
-		return
+	off := 0
+	for n := k.faults.Pick(live); ; off += 4 {
+		if valid(off) {
+			if n == 0 {
+				break
+			}
+			n--
+		}
 	}
-	pte := vax.PTE(v)
+	pte := vax.PTE(binary.LittleEndian.Uint32(win[off:]))
 	badPFN := (pte.PFN() ^ uint32(1+k.faults.Pick(7))) % k.Mem.Pages()
 	if badPFN == pte.PFN() {
 		badPFN = (badPFN + 1) % k.Mem.Pages()
 	}
-	va := vax.SystemBase + vpn*vax.PageSize
-	_ = k.Mem.StoreLong(slot, uint32(vax.NewPTE(true, pte.Prot(), pte.Modified(), badPFN)))
+	va := vax.SystemBase + (s.spt.lo+uint32(off/4))*vax.PageSize
+	s.install(k, va, vax.NewPTE(true, pte.Prot(), pte.Modified(), badPFN))
 	k.CPU.MMU.TBIS(va)
 	k.faults.NoteCorruption()
 	if vm.rec != nil {
@@ -181,13 +189,13 @@ func (k *VMM) selfCheckVM(vm *VM) int {
 			}
 		}
 	}
-	scan(s.sptPhys, VMSLimitPTEs, func(vpn uint32) uint32 {
+	scan(s.spt.phys, VMSLimitPTEs, func(vpn uint32) uint32 {
 		return vax.SystemBase + vpn*vax.PageSize
 	})
-	scan(s.slotPhys[s.active], ProcTablePTEs, func(vpn uint32) uint32 {
+	scan(s.slots[s.active].phys, ProcTablePTEs, func(vpn uint32) uint32 {
 		return vpn * vax.PageSize
 	})
-	scan(s.p1Phys, P1TablePTEs, func(vpn uint32) uint32 {
+	scan(s.p1.phys, P1TablePTEs, func(vpn uint32) uint32 {
 		return vax.P1Base + vpn*vax.PageSize
 	})
 	k.charge(uint64(scanned) / 16) // the scrub is VMM work, not free

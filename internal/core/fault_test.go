@@ -247,9 +247,10 @@ spin:	sobgtr r11, spin
 	if h, _ := vm.Halted(); h {
 		t.Fatal("guest finished before the corruption window")
 	}
+	checkShadowSpans(t, k)
 
 	// Repoint the shadow PTE for S VPN 35 at the wrong frame.
-	slot := vm.shadow.sptPhys + 4*35
+	slot := vm.shadow.spt.phys + 4*35
 	v, err := k.Mem.LoadLong(slot)
 	if err != nil || !vax.PTE(v).Valid() {
 		t.Fatalf("shadow PTE for VPN 35 not live: %#x %v", v, err)
@@ -272,6 +273,7 @@ spin:	sobgtr r11, spin
 	if !auditHas(k, trace.EvSelfCheckRepair) {
 		t.Error("no selfcheck-repair audit event")
 	}
+	checkShadowSpans(t, k)
 
 	runVM(t, k, vm, 1_000_000)
 	if k.CPU.R[3] != 0x5A5A {

@@ -299,6 +299,7 @@ func TestCaptureAfterRestoreOfOlderGeneration(t *testing.T) {
 	if err := k.RecoverNow(vm); err != nil {
 		t.Fatal(err)
 	}
+	checkShadowSpans(t, k)
 	if !bytes.Equal(vm.DumpMemory(), mems[0]) {
 		t.Fatal("restore did not bring back the oldest generation's memory")
 	}
@@ -370,6 +371,7 @@ func TestPoisonedGenerationLeavesSharedBlobs(t *testing.T) {
 	if err := k.RecoverNow(vm); err != nil {
 		t.Fatal(err)
 	}
+	checkShadowSpans(t, k)
 	if inj.Stats.CkptCorruptions != 1 || vm.Stats.RecoveryFallbacks != 1 {
 		t.Fatalf("poisoned %d, fallbacks %d; want 1 and 1", inj.Stats.CkptCorruptions, vm.Stats.RecoveryFallbacks)
 	}

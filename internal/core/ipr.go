@@ -105,7 +105,7 @@ func (k *VMM) emulateMTPR(vm *VM, info *vax.VMTrapInfo) {
 			k.haltVM(vm, err.Error())
 			return
 		}
-		vm.shadow.slotOwner[vm.shadow.active] = vm.p0br
+		vm.shadow.slots[vm.shadow.active].owner = vm.p0br
 		_ = vm.shadow.clearP1(k)
 		c.MMU.TBIA()
 	case vax.IPRTBIS:

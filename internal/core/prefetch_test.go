@@ -31,11 +31,11 @@ func setupP0(t *testing.T, vm *VM, tablePhys, pages, frame0 uint32, modified boo
 // shadowPTE reads the live shadow PTE for va.
 func shadowPTE(t *testing.T, k *VMM, vm *VM, va uint32) vax.PTE {
 	t.Helper()
-	slot, ok := vm.shadow.shadowSlot(va)
+	tab, i, ok := vm.shadow.entry(va)
 	if !ok {
 		t.Fatalf("no shadow slot for %#x", va)
 	}
-	v, err := k.Mem.LoadLong(slot)
+	v, err := k.Mem.LoadLong(tab.phys + 4*i)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,22 +24,27 @@ import (
 // VMM itself — can touch it; the VM, running at executive mode or
 // below, cannot (footnote 4 of the paper: the VMM's shadow process
 // page tables must live in the shared virtual address space).
+//
+// Each shadow table the VM's references go through — the S shadow,
+// every cached P0 slot and P1 — keeps the span of its entries that may
+// be valid. Tables start null and fill on demand, so a span is a small
+// part of its table. install, the one store of a valid shadow PTE,
+// widens it; a clear empties it. Outside its span a table therefore
+// holds only invalid entries, and cowSweep reads the spans alone.
 type shadowSpace struct {
 	vm *VM
 
-	sptPhys uint32 // real physical address of the real SPT
-	realSLR uint32 // total length of the real SPT in PTEs
+	spt     shadowTable // the real SPT; its span covers the VM S shadow
+	realSLR uint32      // total length of the real SPT in PTEs
 
 	// Shadow P0 table slots (the multi-process cache of Section 7.2).
-	slotPhys  []uint32 // physical base of each slot's table
-	slotVA    []uint32 // S-space virtual address of each slot
-	slotOwner []uint32 // VM P0BR value cached in the slot; 0 = free
-	slotLRU   []uint64 // last-use stamp
-	active    int      // slot currently wired into real P0BR
-	lruClock  uint64
+	slots    []procSlot
+	active   int // slot currently wired into real P0BR
+	lruClock uint64
 
-	p1Phys, p1VA       uint32 // single shadow P1 table
-	identPhys, identVA uint32 // identity P0 table for MAPEN=0
+	p1                 shadowTable // single shadow P1 table
+	p1VA               uint32      // S-space virtual address of the P1 table
+	identPhys, identVA uint32      // identity P0 table for MAPEN=0
 	identPTEs          uint32
 
 	// runs records every page run backing these tables {page, pages},
@@ -49,18 +54,60 @@ type shadowSpace struct {
 	released bool
 }
 
+// shadowTable is one shadow page table in real memory and the span
+// [lo, hi) of its entries written valid since its last clear.
+type shadowTable struct {
+	phys   uint32 // real physical address of entry 0
+	lo, hi uint32 // the span; empty when hi == 0
+}
+
+// procSlot is one cached shadow P0 table.
+type procSlot struct {
+	shadowTable
+	va    uint32 // S-space virtual address of the table
+	owner uint32 // VM P0BR value cached in the slot; 0 = free
+	lru   uint64 // last-use stamp
+}
+
+// widen grows the span to cover entry i.
+func (t *shadowTable) widen(i uint32) {
+	if t.hi == 0 || i < t.lo {
+		t.lo = i
+	}
+	if i >= t.hi {
+		t.hi = i + 1
+	}
+}
+
+// clear resets the table's first n entries to the null PTE and empties
+// its span.
+func (t *shadowTable) clear(k *VMM, n uint32) error {
+	if err := k.Mem.FillLong(t.phys, n, uint32(nullPTE)); err != nil {
+		return err
+	}
+	t.lo, t.hi = 0, 0
+	return nil
+}
+
+// span returns the table's entries in its span, as bytes of real
+// memory.
+func (t *shadowTable) span(k *VMM) []byte {
+	win, err := k.Mem.Window(t.phys+4*t.lo, 4*(t.hi-t.lo))
+	if err != nil {
+		return nil
+	}
+	return win
+}
+
 // newShadowSpace allocates and wires a VM's shadow tables. A build
 // refused part-way (out of physical memory) parks every run it already
 // carved back in the pool, so a failed build holds no pages.
 func (k *VMM) newShadowSpace(vm *VM) (_ *shadowSpace, err error) {
 	slots := k.cfg.ShadowCacheSlots
 	s := &shadowSpace{
-		vm:        vm,
-		slotPhys:  make([]uint32, slots),
-		slotVA:    make([]uint32, slots),
-		slotOwner: make([]uint32, slots),
-		slotLRU:   make([]uint64, slots),
-		runs:      make([][2]uint32, 0, slots+3), // SPT, slots, P1, identity
+		vm:    vm,
+		slots: make([]procSlot, slots),
+		runs:  make([][2]uint32, 0, slots+3), // SPT, slots, P1, identity
 	}
 	defer func() {
 		if err != nil {
@@ -81,12 +128,12 @@ func (k *VMM) newShadowSpace(vm *VM) (_ *shadowSpace, err error) {
 		return nil, err
 	}
 	s.runs = append(s.runs, [2]uint32{sptPage, sptPages})
-	s.sptPhys = sptPage * vax.PageSize
+	s.spt.phys = sptPage * vax.PageSize
 
 	// Null-initialize the whole SPT run (clear-on-reuse: a pooled run
 	// carries the previous owner's PTEs). The private-region PTEs are
 	// written over the tail below.
-	if err := k.Mem.FillLong(s.sptPhys, sptPages*vax.PageSize/4, uint32(nullPTE)); err != nil {
+	if err := k.Mem.FillLong(s.spt.phys, sptPages*vax.PageSize/4, uint32(nullPTE)); err != nil {
 		return nil, err
 	}
 
@@ -107,7 +154,7 @@ func (k *VMM) newShadowSpace(vm *VM) (_ *shadowSpace, err error) {
 		va = vax.SystemBase + vpn*vax.PageSize
 		for i := uint32(0); i < pages; i++ {
 			pte := vax.NewPTE(true, vax.ProtKW, true, page+i)
-			if err := k.Mem.StoreLong(s.sptPhys+4*vpn, uint32(pte)); err != nil {
+			if err := k.Mem.StoreLong(s.spt.phys+4*vpn, uint32(pte)); err != nil {
 				return 0, 0, err
 			}
 			vpn++
@@ -120,14 +167,14 @@ func (k *VMM) newShadowSpace(vm *VM) (_ *shadowSpace, err error) {
 	// that dominates VM creation and cloning. The *simulated* cost and
 	// the ShadowClears count stay exactly what clearSlot would have
 	// charged per slot, so guest-visible cycle totals are unchanged.
-	for i := 0; i < slots; i++ {
-		if s.slotPhys[i], s.slotVA[i], err = mapRegion(procSlotPages); err != nil {
+	for i := range s.slots {
+		if s.slots[i].phys, s.slots[i].va, err = mapRegion(procSlotPages); err != nil {
 			return nil, err
 		}
 		vm.Stats.ShadowClears++
 		k.CPU.AddCycles(uint64(ProcTablePTEs) / 8)
 	}
-	if s.p1Phys, s.p1VA, err = mapRegion(p1TablePages); err != nil {
+	if s.p1.phys, s.p1VA, err = mapRegion(p1TablePages); err != nil {
 		return nil, err
 	}
 	if s.identPhys, s.identVA, err = mapRegion(identPages); err != nil {
@@ -160,7 +207,7 @@ func (s *shadowSpace) buildIdentity(k *VMM) error {
 // fill replaces a 2048-iteration store loop; the simulated cost charged
 // is unchanged.
 func (s *shadowSpace) clearSlot(k *VMM, slot int) error {
-	if err := k.Mem.FillLong(s.slotPhys[slot], ProcTablePTEs, uint32(nullPTE)); err != nil {
+	if err := s.slots[slot].clear(k, ProcTablePTEs); err != nil {
 		return err
 	}
 	s.vm.Stats.ShadowClears++
@@ -169,18 +216,42 @@ func (s *shadowSpace) clearSlot(k *VMM, slot int) error {
 }
 
 func (s *shadowSpace) clearP1(k *VMM) error {
-	return k.Mem.FillLong(s.p1Phys, P1TablePTEs, uint32(nullPTE))
+	return s.p1.clear(k, P1TablePTEs)
 }
 
 // clearSRegion resets the VM S shadow to null PTEs (SBR/SLR change or
 // guest TBIA).
 func (s *shadowSpace) clearSRegion(k *VMM) error {
-	if err := k.Mem.FillLong(s.sptPhys, VMSLimitPTEs, uint32(nullPTE)); err != nil {
+	if err := s.spt.clear(k, VMSLimitPTEs); err != nil {
 		return err
 	}
 	s.vm.Stats.ShadowClears++
 	k.CPU.AddCycles(uint64(VMSLimitPTEs) / 8)
 	return nil
+}
+
+// reset empties every shadow table the VM's references go through,
+// seeds slot 0 with the VM's current process and rebuilds the identity
+// table over the VM's current frames: the shadow a COW demotion or an
+// in-place restore leaves, refilled on demand from then on.
+func (s *shadowSpace) reset(k *VMM) error {
+	for i := range s.slots {
+		if err := s.clearSlot(k, i); err != nil {
+			return err
+		}
+		s.slots[i].owner, s.slots[i].lru = 0, 0
+	}
+	if err := s.clearP1(k); err != nil {
+		return err
+	}
+	if err := s.clearSRegion(k); err != nil {
+		return err
+	}
+	s.active = 0
+	if s.vm.mapen {
+		s.slots[0].owner = s.vm.p0br
+	}
+	return s.buildIdentity(k)
 }
 
 // releaseRuns parks every page run backing these tables in the shared
@@ -198,7 +269,7 @@ func (s *shadowSpace) releaseRuns(k *VMM) {
 // activate wires this VM's shadow tables into the real mapping
 // registers.
 func (s *shadowSpace) activate(c *cpu.CPU) {
-	c.MMU.SBR = s.sptPhys
+	c.MMU.SBR = s.spt.phys
 	c.MMU.SLR = s.realSLR
 	c.MMU.Enabled = true
 	vm := s.vm
@@ -211,7 +282,7 @@ func (s *shadowSpace) activate(c *cpu.CPU) {
 		c.MMU.P1LR = 0
 		return
 	}
-	c.MMU.P0BR = s.slotVA[s.active]
+	c.MMU.P0BR = s.slots[s.active].va
 	c.MMU.P0LR = min32(vm.p0lr, ProcTablePTEs)
 	c.MMU.P1BR = s.p1VA
 	c.MMU.P1LR = min32(vm.p1lr, P1TablePTEs)
@@ -228,11 +299,11 @@ func (s *shadowSpace) switchProcess(k *VMM, p0br uint32) error {
 	k.noteProgress(vm)
 	s.lruClock++
 	// Cache lookup.
-	for i, owner := range s.slotOwner {
-		if owner == p0br && owner != 0 && len(s.slotOwner) > 1 {
+	for i := range s.slots {
+		if owner := s.slots[i].owner; owner == p0br && owner != 0 && len(s.slots) > 1 {
 			vm.Stats.CacheHits++
 			s.active = i
-			s.slotLRU[i] = s.lruClock
+			s.slots[i].lru = s.lruClock
 			s.activate(k.CPU)
 			k.CPU.MMU.TBIA()
 			return nil
@@ -241,51 +312,53 @@ func (s *shadowSpace) switchProcess(k *VMM, p0br uint32) error {
 	vm.Stats.CacheMisses++
 	// Evict the least recently used slot.
 	victim := 0
-	for i := range s.slotLRU {
-		if s.slotLRU[i] < s.slotLRU[victim] {
+	for i := range s.slots {
+		if s.slots[i].lru < s.slots[victim].lru {
 			victim = i
 		}
 	}
 	if err := s.clearSlot(k, victim); err != nil {
 		return err
 	}
-	s.slotOwner[victim] = p0br
-	s.slotLRU[victim] = s.lruClock
+	s.slots[victim].owner = p0br
+	s.slots[victim].lru = s.lruClock
 	s.active = victim
 	s.activate(k.CPU)
 	k.CPU.MMU.TBIA()
 	return nil
 }
 
-// shadowSlot returns the physical address of the shadow PTE covering
-// va, or false if va is outside the shadowed ranges.
-func (s *shadowSpace) shadowSlot(va uint32) (uint32, bool) {
-	vpn := vax.VPN(va)
+// entry locates the shadow PTE covering va: its table and its index
+// there, or ok=false if va is outside the shadowed ranges.
+func (s *shadowSpace) entry(va uint32) (t *shadowTable, i uint32, ok bool) {
+	i = vax.VPN(va)
 	switch vax.Region(va) {
 	case vax.RegionSystem:
-		if vpn >= VMSLimitPTEs {
-			return 0, false
-		}
-		return s.sptPhys + 4*vpn, true
+		return &s.spt, i, i < VMSLimitPTEs
 	case vax.RegionP0:
-		if vpn >= ProcTablePTEs {
-			return 0, false
-		}
-		return s.slotPhys[s.active] + 4*vpn, true
+		return &s.slots[s.active].shadowTable, i, i < ProcTablePTEs
 	case vax.RegionP1:
-		if vpn >= P1TablePTEs {
-			return 0, false
-		}
-		return s.p1Phys + 4*vpn, true
+		return &s.p1, i, i < P1TablePTEs
 	}
-	return 0, false
+	return nil, 0, false
+}
+
+// install stores a valid shadow PTE for va and widens its table's span.
+// It is the one way a valid shadow PTE is written; a va outside the
+// shadowed ranges installs nothing.
+func (s *shadowSpace) install(k *VMM, va uint32, pte vax.PTE) {
+	if t, i, ok := s.entry(va); ok {
+		_ = k.Mem.StoreLong(t.phys+4*i, uint32(pte))
+		t.widen(i)
+	}
 }
 
 // invalidate restores the null PTE for the page containing va (guest
-// TBIS, or a guest PTE change the VMM observes).
+// TBIS, or a guest PTE change the VMM observes). The span stays: it
+// bounds where valid entries may be, not where they are.
 func (s *shadowSpace) invalidate(k *VMM, va uint32) {
-	if slot, ok := s.shadowSlot(va); ok {
-		_ = k.Mem.StoreLong(slot, uint32(nullPTE))
+	if t, i, ok := s.entry(va); ok {
+		_ = k.Mem.StoreLong(t.phys+4*i, uint32(nullPTE))
 	}
 	k.CPU.MMU.TBIS(va)
 }
@@ -300,8 +373,7 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 	if vm.rec != nil {
 		fillStart = k.CPU.Cycles
 	}
-	slot, ok := vm.shadow.shadowSlot(va)
-	if !ok {
+	if _, _, ok := vm.shadow.entry(va); !ok {
 		// Outside the VM's maximum table sizes: length violation.
 		return vm.avFault(va, wantWrite, true)
 	}
@@ -326,7 +398,7 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		k.haltNonexistent(vm, gpte.PFN())
 		return nil
 	}
-	_ = k.Mem.StoreLong(slot, uint32(spte))
+	vm.shadow.install(k, va, spte)
 	vm.Stats.ShadowFills++
 	k.charge(cpu.CostVMMShadowFill)
 	k.CPU.MMU.TBIS(va)
@@ -339,8 +411,7 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		if vax.Region(nva) != vax.Region(va) {
 			break
 		}
-		nslot, ok := vm.shadow.shadowSlot(nva)
-		if !ok {
+		if _, _, ok := vm.shadow.entry(nva); !ok {
 			break
 		}
 		nPhys, w := vm.guestWalk(nva)
@@ -352,7 +423,7 @@ func (k *VMM) fillShadow(vm *VM, va uint32, wantWrite bool) *guestFault {
 		if m != mapped {
 			continue
 		}
-		_ = k.Mem.StoreLong(nslot, uint32(ns))
+		vm.shadow.install(k, nva, ns)
 		vm.Stats.PrefetchFills++
 		k.charge(cpu.CostVMMShadowFill)
 	}
@@ -553,10 +624,10 @@ func (vm *VM) SharedSpaceLayout() []LayoutRegion {
 		Bytes:  VMSLimitPTEs * vax.PageSize,
 		Access: "VM protection codes, ring-compressed",
 	}}
-	for i, va := range s.slotVA {
+	for i, slot := range s.slots {
 		out = append(out, LayoutRegion{
 			Name:   fmt.Sprintf("VMM: shadow P0 page table, slot %d", i),
-			BaseVA: va,
+			BaseVA: slot.va,
 			Bytes:  procSlotPages * vax.PageSize,
 			Access: "KW (VMM only)",
 		})

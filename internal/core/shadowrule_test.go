@@ -52,7 +52,7 @@ func TestROShadowUpgradeNonexistentFrameHalts(t *testing.T) {
 	// real page.
 	setupRORewrite(t, vm, victim.frames[0]-vm.frames[0])
 
-	k.Run(1_000_000)
+	runCheckingSpans(t, k, 1_000_000)
 	for i, b := range victim.DumpMemory() {
 		if b != 0xA5 {
 			t.Fatalf("victim memory modified at %#x", i)
@@ -73,7 +73,7 @@ func TestROShadowUpgradeNonexistentFrameHaltsClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Run(1_000_000)
+	runCheckingSpans(t, k, 1_000_000)
 	for _, vm := range []*VM{src, c} {
 		if h, msg := vm.Halted(); !h || !strings.Contains(msg, "nonexistent") {
 			t.Fatalf("%s: halted=%t %q, want a nonexistent-page halt", vm.Name(), h, msg)

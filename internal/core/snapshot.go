@@ -541,7 +541,7 @@ func (k *VMM) ReadCheckpoint(name string, r io.Reader) (*VM, error) {
 	// process: slot 0 claims the VM's current P0 base and demand fills
 	// repopulate it, exactly as after a context switch.
 	if vm.mapen && vm.p0br != 0 {
-		vm.shadow.slotOwner[0] = vm.p0br
+		vm.shadow.slots[0].owner = vm.p0br
 	}
 	k.event(vm, trace.EvVMCreated, 0, "restored from checkpoint")
 	return vm, nil
@@ -592,30 +592,12 @@ func (k *VMM) restoreInPlace(vm *VM, image []byte) error {
 
 	// Rebuild the shadow caches for the restored mapping from scratch:
 	// every slot back to null PTEs, slot 0 claiming the restored P0
-	// base. switchProcess is not used here — it activates the shadow on
-	// the live processor, which may be running another VM.
+	// base, and the identity table over the privatized map (all frames
+	// now exclusive, so every entry comes back premodified).
+	// switchProcess is not used here — it activates the shadow on the
+	// live processor, which may be running another VM.
 	if s != nil {
-		for i := range s.slotOwner {
-			if err := s.clearSlot(k, i); err != nil {
-				return err
-			}
-			s.slotOwner[i] = 0
-			s.slotLRU[i] = 0
-		}
-		if err := s.clearP1(k); err != nil {
-			return err
-		}
-		if err := s.clearSRegion(k); err != nil {
-			return err
-		}
-		s.active = 0
-		if vm.mapen && vm.p0br != 0 {
-			s.slotOwner[0] = vm.p0br
-		}
-		// The identity table may still point at pre-restore frames;
-		// rebuild it over the privatized map (all frames now exclusive,
-		// so every entry comes back premodified).
-		if err := s.buildIdentity(k); err != nil {
+		if err := s.reset(k); err != nil {
 			return err
 		}
 	}

@@ -46,7 +46,7 @@ func TestWatchdogRecovery(t *testing.T) {
 		CheckpointEvery: 3, CheckpointGenerations: 4,
 		Recover: true, RecoverBudget: 8,
 	}, flagGuest, nil, WithRecorder(trace.NewRecorder(256)))
-	runVM(t, k, vm, 50_000_000)
+	runCheckingSpans(t, k, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {
 		t.Fatalf("halt reason %q, want normal HALT after recovery", msg)
 	}
@@ -119,7 +119,7 @@ slow:	sobgtr r10, slow     ; ~1 tick per iteration: checkpoints interleave
 	}, victim, nil)
 	k.EnableRecorder(64)
 	k.AttachFaults(fault.New(3, fault.Config{TargetVM: 0, PermanentDiskRate: 0.25}))
-	runVM(t, k, vm, 50_000_000)
+	runCheckingSpans(t, k, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {
 		t.Fatalf("halt reason %q, want normal HALT after recovery", msg)
 	}
@@ -152,7 +152,7 @@ func TestRecoveryFallbackOnCorruptGeneration(t *testing.T) {
 	k.EnableRecorder(64)
 	inj := fault.New(5, fault.Config{TargetVM: 0, CkptCorruptions: 1})
 	k.AttachFaults(inj)
-	runVM(t, k, vm, 50_000_000)
+	runCheckingSpans(t, k, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {
 		t.Fatalf("halt reason %q, want normal HALT after fallback recovery", msg)
 	}
@@ -209,7 +209,7 @@ inner:	sobgtr r11, inner
 		t.Fatal(err)
 	}
 	vmW.SPs[vax.Kernel] = gKSP
-	k.Run(50_000_000)
+	runCheckingSpans(t, k, 50_000_000)
 	if _, msg := vmR.Halted(); !strings.Contains(msg, "watchdog") {
 		t.Errorf("runaway halt reason %q, want watchdog", msg)
 	}
@@ -277,6 +277,7 @@ inner:	sobgtr r11, inner
 	vmW.SPs[vax.Kernel] = gKSP
 
 	k.RunParallel(2, 100_000_000)
+	checkShadowSpans(t, k)
 
 	for i, vm := range victims {
 		if h, msg := vm.Halted(); !h || !strings.Contains(msg, "HALT") {
@@ -356,7 +357,7 @@ spin:	sobgtr r11, spin
 	// recovery restores the mid-WAIT generation; the second wake must
 	// come ~remain ticks later, after which the second trip exhausts
 	// the budget and the run ends.
-	k.Run(100_000_000)
+	runCheckingSpans(t, k, 100_000_000)
 	if _, msg := vmWait.Halted(); !strings.Contains(msg, "watchdog") {
 		t.Fatalf("waiter halt reason %q, want watchdog", msg)
 	}
@@ -434,7 +435,7 @@ spin:	incl r5              ; patched path: die by watchdog
 	if !vm.writePhys(patchPhys, old&^uint32(0xFF00)|0x0200) {
 		t.Fatal("writePhys failed")
 	}
-	runVM(t, k, vm, 50_000_000)
+	runCheckingSpans(t, k, 50_000_000)
 	if _, msg := vm.Halted(); !strings.Contains(msg, "HALT") {
 		t.Fatalf("halt reason %q, want clean HALT from the restored life", msg)
 	}

@@ -174,9 +174,7 @@ func (k *VMM) tryROShadowUpgrade(vm *VM, va uint32) bool {
 	}
 	k.setGuestPTEModify(vm, va)
 	spte, _ := k.shadowPTEFor(vm, gpte.WithModify(true), k.cfg.ReadOnlyShadow)
-	if slot, ok := vm.shadow.shadowSlot(va); ok {
-		_ = k.Mem.StoreLong(slot, uint32(spte))
-	}
+	vm.shadow.install(k, va, spte)
 	k.CPU.MMU.TBIS(va)
 	return true
 }

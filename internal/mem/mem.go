@@ -144,8 +144,8 @@ func (m *Memory) StoreBytes(addr uint32, b []byte) error {
 
 // Window returns the live backing slice for [addr, addr+n): no copy,
 // valid until Release. Intended for bulk scanners (the COW alias sweep
-// walks whole shadow tables) where per-longword Load calls would pay a
-// bounds check and a decode per entry.
+// walks the shadow tables' spans) where per-longword Load calls would
+// pay a bounds check and a decode per entry.
 func (m *Memory) Window(addr, n uint32) ([]byte, error) {
 	if !m.Contains(addr, n) {
 		return nil, &BusError{Addr: addr}
