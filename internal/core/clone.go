@@ -145,7 +145,7 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 	vm.Stats.SharedPages = uint64(pages)
 
 	k.nextID++
-	k.vms = append(k.vms, vm)
+	k.addVM(vm)
 	if k.rec != nil {
 		vm.rec = k.rec.VM(vm.ID, vm.name)
 		k.event(vm, trace.EvVMCreated, 0, fmt.Sprintf("cloned from %s (%d shared pages)", src.name, pages))
@@ -163,7 +163,7 @@ func (k *VMM) ensureShadow(vm *VM) bool {
 	}
 	s, err := k.newShadowSpace(vm)
 	if err != nil {
-		vm.halted = true
+		k.halt(vm)
 		vm.haltMsg = "out of physical memory building shadow tables"
 		vm.haltCycles = k.CPU.Cycles
 		k.event(vm, trace.EvVMHalted, 0, vm.haltMsg)

@@ -94,7 +94,9 @@ func TestCloneSmokeParity(t *testing.T) {
 		// tables, to check their spans.
 		k.RunParallel(workers, 2000)
 		checkShadowSpans(t, k)
+		checkSchedLists(t, k)
 		k.RunParallel(workers, 0)
+		checkSchedLists(t, k)
 		var out [fleet]outcome
 		for i, vm := range vms {
 			halted, msg := vm.Halted()

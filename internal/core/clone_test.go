@@ -72,6 +72,7 @@ func TestCloneRunsIdentically(t *testing.T) {
 		t.Errorf("clone should end partially private: shared=%d private=%d",
 			c1.Stats.SharedPages, c1.Stats.PrivatePages)
 	}
+	checkSchedLists(t, k)
 }
 
 // TestCloneWriteIsolation seeds the source, clones it, perturbs the
@@ -128,6 +129,7 @@ start:	movl @#0x80006100, r2
 	}
 	gaugeInvariant(t, src)
 	gaugeInvariant(t, c)
+	checkSchedLists(t, k)
 }
 
 // TestCloneDMAIntoSharedPage drives the virtual disk's DMA engine at a
@@ -175,6 +177,7 @@ func TestCloneDMAIntoSharedPage(t *testing.T) {
 		t.Error("clone's disk write leaked into the source's disk")
 	}
 	checkShadowSpans(t, k)
+	checkSchedLists(t, k)
 }
 
 // TestCloneCheckpointRestore checkpoints a running clone, restores it
@@ -245,6 +248,8 @@ loop:	addl2 r11, r2
 	if got := guestLong(t, vm2, 0x6000); got != want {
 		t.Errorf("cross-monitor restore result %#x, want %#x", got, want)
 	}
+	checkSchedLists(t, k)
+	checkSchedLists(t, k2)
 }
 
 // TestCloneStraddleStoreAndTBI runs a guest whose first stores after
@@ -355,6 +360,7 @@ func TestCloneOvercommit(t *testing.T) {
 	if carved := k.CarvedPages(); carved > k.Mem.Pages() {
 		t.Errorf("carved %d pages out of %d physical", carved, k.Mem.Pages())
 	}
+	checkSchedLists(t, k)
 }
 
 // TestCloneRejections: the error paths.
@@ -372,4 +378,6 @@ func TestCloneRejections(t *testing.T) {
 		t.Error("cloning a halted VM succeeded")
 	}
 	runVM(t, k2, vm2, 1000)
+	checkSchedLists(t, k)
+	checkSchedLists(t, k2)
 }

@@ -90,7 +90,7 @@ func (k *VMM) ConsoleCommand(vm *VM, line string) (string, error) {
 		if k.Current() == vm {
 			k.suspend(vm)
 		}
-		vm.halted = true
+		k.halt(vm)
 		vm.haltMsg = "halted from the console"
 		k.event(vm, trace.EvVMHalted, 0, vm.haltMsg)
 		return fmt.Sprintf("halted at %08X", vm.pc), nil
@@ -113,8 +113,8 @@ func (k *VMM) ConsoleCommand(vm *VM, line string) (string, error) {
 // consoleUnhalt makes a console-stopped VM schedulable again, clearing
 // a machine-level halt if every VM had stopped.
 func (k *VMM) consoleUnhalt(vm *VM) {
-	vm.halted = false
 	vm.haltMsg = ""
 	vm.waiting = false
+	k.unhalt(vm)
 	k.CPU.ClearHalt()
 }

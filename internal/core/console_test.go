@@ -56,6 +56,7 @@ func TestConsoleBootAndDebug(t *testing.T) {
 	if v3 <= v2 {
 		t.Error("console CONTINUE did not resume the VM")
 	}
+	checkSchedLists(t, k)
 }
 
 func TestConsoleInitialize(t *testing.T) {
@@ -76,6 +77,7 @@ func TestConsoleInitialize(t *testing.T) {
 	if vm.vmpsl.IPL() != 31 {
 		t.Errorf("power-up IPL = %d", vm.vmpsl.IPL())
 	}
+	checkSchedLists(t, k)
 }
 
 func TestConsoleErrors(t *testing.T) {
@@ -108,4 +110,5 @@ func TestConsoleErrors(t *testing.T) {
 	if err != nil || !strings.Contains(out, "0000002A") {
 		t.Errorf("abbreviated examine: %q %v", out, err)
 	}
+	checkSchedLists(t, k)
 }

@@ -218,8 +218,21 @@ type VMM struct {
 	Clock *dev.Clock
 
 	cfg Config
-	vms []*VM
-	cur int // index of the VM owning the processor, -1 = none
+	vms []*VM // every VM of the monitor, in ID order
+	cur *VM   // the VM owning the processor, nil = none
+
+	// live and ticked are the walks the world switch and the clock tick
+	// take instead of the VM table, so a halted or idle VM costs them
+	// nothing. Both are in table order. live holds the VMs that have not
+	// halted: halt and unhalt are the only writers of vm.halted, and
+	// they keep it. ticked holds the live VMs the tick has work for,
+	// those waiting or keeping an uptime cell: a VM joins where it starts
+	// waiting or gets a cell (tickJoin), and leaves at the tick that
+	// finds it halted or neither. Both start in listBuf, so a monitor of
+	// up to four VMs grows no backing array.
+	live    []*VM
+	ticked  []*VM
+	listBuf [2][4]*VM
 
 	// nextID is the monotonic VM ID counter. IDs used to be the VM's
 	// index in vms, which DestroyVM would recycle; with the counter a
@@ -281,11 +294,11 @@ func newInstance(m *mem.Memory, cfg Config, shared *vmmShared, rec *trace.Record
 		Mem:    m,
 		Clock:  dev.NewClock(),
 		cfg:    cfg,
-		cur:    -1,
 		rec:    rec,
 		shared: shared,
 		ioBuf:  make([]byte, vax.PageSize),
 	}
+	k.live, k.ticked = k.listBuf[0][:0], k.listBuf[1][:0]
 	c.Sink = k
 	c.AddDevice(k.Clock)
 	c.TrapAllInVM = cfg.Scheme == TrapAll
@@ -340,12 +353,7 @@ func (k *VMM) guestPC(vm *VM) uint32 {
 func (k *VMM) VMs() []*VM { return k.vms }
 
 // Current returns the VM owning the processor, or nil.
-func (k *VMM) Current() *VM {
-	if k.cur < 0 || k.cur >= len(k.vms) {
-		return nil
-	}
-	return k.vms[k.cur]
-}
+func (k *VMM) Current() *VM { return k.cur }
 
 // ErrOutOfMemory is the monitor's one out-of-memory refusal: every
 // failed page allocation wraps it, so callers test for it with

@@ -424,6 +424,7 @@ clkh:	mtpr #0xC1, #24
 	if guestLong(t, vm, 0x6100) < 2 {
 		t.Error("uptime cell not maintained by VMM")
 	}
+	checkSchedLists(t, k)
 }
 
 func TestTwoVMsShareProcessor(t *testing.T) {
@@ -456,6 +457,7 @@ start:	incl r6
 	if k.Stats.WorldSwitches < 2 {
 		t.Errorf("WorldSwitches = %d", k.Stats.WorldSwitches)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestWAITYieldsProcessor(t *testing.T) {
@@ -499,6 +501,7 @@ start:	incl r6
 	if vmW.Stats.Waits != 2 {
 		t.Errorf("Waits = %d", vmW.Stats.Waits)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestNonexistentMemoryHaltsVM(t *testing.T) {

@@ -42,8 +42,9 @@ func checkShadowSpans(t *testing.T, k *VMM) {
 }
 
 // runCheckingSpans runs the serial engine like k.Run(maxSteps), in
-// slices with checkShadowSpans after each, so a test whose VMs run to
-// their halt checks the spans while the shadow tables are still live.
+// slices with checkShadowSpans and checkSchedLists after each, so a test
+// whose VMs run to their halt checks the spans while the shadow tables
+// are still live, and the scheduler's lists as VMs halt and recover.
 // A slice that ends on a machine halt is followed by one more Run, which
 // recovers what an armed supervisor can, as one long Run would.
 func runCheckingSpans(t *testing.T, k *VMM, maxSteps uint64) {
@@ -52,6 +53,7 @@ func runCheckingSpans(t *testing.T, k *VMM, maxSteps uint64) {
 	for done := uint64(0); done < maxSteps; {
 		n := k.Run(min(slice, maxSteps-done))
 		checkShadowSpans(t, k)
+		checkSchedLists(t, k)
 		if n == 0 {
 			return
 		}

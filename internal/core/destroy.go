@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/vax"
 )
@@ -29,7 +30,7 @@ func (k *VMM) DestroyVM(vm *VM) error {
 	if !vm.halted {
 		return fmt.Errorf("vmm: cannot destroy a live VM (halt it first)")
 	}
-	idx := k.vmIndex(vm)
+	idx := slices.Index(k.vms, vm)
 	if idx < 0 {
 		return fmt.Errorf("vmm: vm %d already destroyed", vm.ID)
 	}
@@ -58,12 +59,12 @@ func (k *VMM) DestroyVM(vm *VM) error {
 		}
 	}
 	vm.frames = nil
-	k.vms = append(k.vms[:idx], k.vms[idx+1:]...)
-	switch {
-	case k.cur == idx:
-		k.cur = -1
-	case k.cur > idx:
-		k.cur--
+	k.vms = slices.Delete(k.vms, idx, idx+1)
+	// Halted, the VM is off the live list, but the tick list keeps it
+	// until the next tick.
+	k.ticked = removeVM(k.ticked, vm)
+	if k.cur == vm {
+		k.cur = nil
 	}
 	// The VM's event log and histograms leave with it.
 	if vm.rec != nil {

@@ -20,6 +20,7 @@ func TestDestroyRequiresHalted(t *testing.T) {
 	if err := k.DestroyVM(vm); err == nil {
 		t.Fatal("double destroy succeeded")
 	}
+	checkSchedLists(t, k)
 }
 
 // TestDestroyRecyclesContiguousRun pins the takeRun/freeRun pairing: a
@@ -49,6 +50,7 @@ func TestDestroyRecyclesContiguousRun(t *testing.T) {
 	vm2.SPs[0] = gKSP
 	k.CPU.ClearHalt()
 	runVM(t, k, vm2, 10_000_000)
+	checkSchedLists(t, k)
 }
 
 // TestDestroyCloneDropsRefs destroys a clone and checks the shared
@@ -68,6 +70,7 @@ func TestDestroyCloneDropsRefs(t *testing.T) {
 	if len(k.VMs()) != 1 {
 		t.Fatalf("%d VMs, want just the source", len(k.VMs()))
 	}
+	checkSchedLists(t, k)
 }
 
 func TestDestroyKeepsIDsUnique(t *testing.T) {
@@ -94,6 +97,7 @@ func TestDestroyKeepsIDsUnique(t *testing.T) {
 	if got := k.VMByID(first); got != nil {
 		t.Fatalf("VMByID(%d) = %v for a destroyed VM", first, got)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestHaltVMExported(t *testing.T) {
@@ -107,4 +111,5 @@ func TestHaltVMExported(t *testing.T) {
 	if _, msg := vm.Halted(); msg != "operator says stop" {
 		t.Fatalf("msg = %q after double halt", msg)
 	}
+	checkSchedLists(t, k)
 }

@@ -147,6 +147,7 @@ func (k *VMM) emulateWAIT(vm *VM, info *vax.VMTrapInfo) {
 	k.noteProgress(vm)
 	vm.waiting = true
 	vm.waitDeadline = k.Stats.ClockTicks + k.cfg.WaitTimeout
+	k.tickJoin(vm)
 	vm.pc = info.NextPC
 	k.CPU.SetPC(info.NextPC)
 	k.scheduleNext()

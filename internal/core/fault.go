@@ -94,10 +94,7 @@ func (k *VMM) checkWatchdog(vm *VM) bool {
 // guest never runs on a corrupted translation).
 func (k *VMM) injectTick() {
 	tick := k.Stats.ClockTicks
-	for _, vm := range k.vms {
-		if vm.halted {
-			continue
-		}
+	for vm := k.nextLive(-1); vm != nil; vm = k.nextLive(vm.ID) {
 		for k.faults.TakeCorruption(vm.ID, tick) {
 			k.corruptShadowPTE(vm)
 			k.selfCheckVM(vm)
@@ -108,9 +105,14 @@ func (k *VMM) injectTick() {
 // corruptShadowPTE flips the frame number of one live shadow S-space
 // PTE of the VM — the injected divergence the self-check repairs. Only
 // the S shadow's span can hold a live entry, so only the span is read:
-// the live entries are counted first, then the picked one is found.
+// the live entries are counted first, then the picked one is found. A
+// clone that has not run yet has no shadow tables, so nothing to
+// corrupt, and draws no pick.
 func (k *VMM) corruptShadowPTE(vm *VM) {
 	s := vm.shadow
+	if s == nil {
+		return
+	}
 	win := s.spt.span(k)
 	valid := func(off int) bool { return vax.PTE(binary.LittleEndian.Uint32(win[off:])).Valid() }
 	live := 0
@@ -149,7 +151,7 @@ func (k *VMM) corruptShadowPTE(vm *VM) {
 // and returns the number of repaired PTEs.
 func (k *VMM) SelfCheck() int {
 	repairs := 0
-	for _, vm := range k.vms {
+	for vm := k.nextLive(-1); vm != nil; vm = k.nextLive(vm.ID) {
 		repairs += k.selfCheckVM(vm)
 	}
 	return repairs
@@ -158,9 +160,10 @@ func (k *VMM) SelfCheck() int {
 // selfCheckVM revalidates every valid shadow PTE of one VM against the
 // VM's own page tables. A shadow entry that no longer matches what the
 // demand fill would compute is cleared to the null PTE — the next
-// reference refills it from the guest's tables — and audited.
+// reference refills it from the guest's tables — and audited. A clone
+// that has not run yet has no shadow tables to check.
 func (k *VMM) selfCheckVM(vm *VM) int {
-	if vm.halted || !vm.mapen {
+	if vm.halted || !vm.mapen || vm.shadow == nil {
 		return 0
 	}
 	s := vm.shadow

@@ -229,6 +229,7 @@ start:	incl r5
 	if !auditHas(k, trace.EvWatchdogTrip) {
 		t.Error("no watchdog-trip audit event")
 	}
+	checkSchedLists(t, k)
 }
 
 func TestShadowSelfCheckRepairsCorruption(t *testing.T) {
@@ -401,4 +402,37 @@ spin:	sobgtr r11, spin
 	if vmA.Stats.Waits != 1 || vmB.Stats.Waits != 1 {
 		t.Errorf("Waits = %d/%d, want 1/1", vmA.Stats.Waits, vmB.Stats.Waits)
 	}
+	checkSchedLists(t, k)
+}
+
+// TestSelfCheckSkipsUndispatchedClone: a clone has no shadow tables
+// until its first dispatch, so the periodic self-check that reaches it
+// earlier, and an injected shadow-PTE corruption aimed at it, must skip
+// it rather than fault the host.
+func TestSelfCheckSkipsUndispatchedClone(t *testing.T) {
+	t.Run("self-check", func(t *testing.T) {
+		k, src, _ := bootVM(t, Config{SelfCheckInterval: 1}, cloneComputeSrc, nil)
+		c, err := k.Clone(src, "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Run(10_000_000)
+		assertAllHaltedNormally(t, []*VM{src, c})
+		checkSchedLists(t, k)
+	})
+	t.Run("injected corruption", func(t *testing.T) {
+		k, src, _ := bootVM(t, Config{}, cloneComputeSrc, nil)
+		c, err := k.Clone(src, "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := fault.New(1, fault.Config{TargetVM: c.ID, PTECorruptions: 2, Horizon: 1})
+		k.AttachFaults(inj)
+		k.Run(10_000_000)
+		assertAllHaltedNormally(t, []*VM{src, c})
+		if inj.Stats.PTECorruptions != 0 {
+			t.Errorf("%d corruptions applied to a clone with no shadow tables", inj.Stats.PTECorruptions)
+		}
+		checkSchedLists(t, k)
+	})
 }

@@ -54,6 +54,7 @@ func (k *VMM) kcall(vm *VM, _ uint32) {
 		c.R[1] = uint32(vm.ticks)
 	case KCallSetUptime:
 		vm.uptime = c.R[1]
+		k.tickJoin(vm)
 	default:
 		vm.Stats.UnknownKCALLs++
 		k.event(vm, trace.EvUnknownKCALL, fn, "")

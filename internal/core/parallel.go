@@ -110,7 +110,7 @@ func (k *VMM) resetShard(s *VMM) {
 	s.Stats = Stats{ClockTicks: k.Stats.ClockTicks}
 	s.vmmCycles = 0
 	s.switchStart = 0
-	s.cur = -1
+	s.cur = nil
 	s.rec = k.rec
 	// The root's config may have moved since the shard was built
 	// (SetCheckpointPolicy, SetRecovery, SetWatchdog); shards carry a
@@ -146,7 +146,9 @@ func (k *VMM) mergeShard(s *VMM) {
 // all shards. workers < 1 selects one per host CPU, and no more
 // workers start than there are live VMs. On a shard, or with a fault
 // injector attached, it runs the serial engine (Run) instead, with
-// maxSteps bounding the machine.
+// maxSteps bounding the machine. Each shard's live and tick lists are
+// filled as its VMs are dealt to it, and the root's are rebuilt from
+// the VM table after the merge.
 func (k *VMM) RunParallel(workers int, maxSteps uint64) uint64 {
 	if k.parent != nil || k.faults != nil {
 		return k.Run(maxSteps)
@@ -154,12 +156,7 @@ func (k *VMM) RunParallel(workers int, maxSteps uint64) uint64 {
 	if cur := k.Current(); cur != nil {
 		k.suspend(cur)
 	}
-	var live []*VM
-	for _, vm := range k.vms {
-		if !vm.halted {
-			live = append(live, vm)
-		}
-	}
+	live := k.live
 	if len(live) == 0 {
 		return 0
 	}
@@ -179,6 +176,8 @@ func (k *VMM) RunParallel(workers int, maxSteps uint64) uint64 {
 	for i, vm := range live {
 		s := shards[i%workers]
 		s.vms = append(s.vms, vm)
+		s.live = append(s.live, vm)
+		s.tickJoin(vm)
 		vm.k = s
 	}
 
@@ -214,12 +213,15 @@ func (k *VMM) RunParallel(workers int, maxSteps uint64) uint64 {
 		pr.Dispatches += s.Stats.WorldSwitches
 		k.mergeShard(s)
 		clear(s.vms)
-		s.vms = s.vms[:0]
+		clear(s.live)
+		clear(s.ticked)
+		s.vms, s.live, s.ticked = s.vms[:0], s.live[:0], s.ticked[:0]
 	}
 	for _, vm := range live {
 		vm.k = k
 		pr.CowBreaks += vm.Stats.COWBreaks
 	}
+	k.relist()
 	// The VMs stored into their own pages through the shards'
 	// processors, so decodes the root cached before this run may be
 	// stale.
@@ -227,4 +229,19 @@ func (k *VMM) RunParallel(workers int, maxSteps uint64) uint64 {
 	pr.Cycles = k.CPU.Cycles
 	k.lastParallel = pr
 	return pr.Steps
+}
+
+// relist rebuilds the root's live and tick lists from the VM table
+// after a parallel run, in which the VMs halted, waited and set their
+// uptime cells on the shards' lists.
+func (k *VMM) relist() {
+	clear(k.live)
+	clear(k.ticked)
+	k.live, k.ticked = k.live[:0], k.ticked[:0]
+	for _, vm := range k.vms {
+		if !vm.halted {
+			k.live = append(k.live, vm)
+			k.tickJoin(vm)
+		}
+	}
 }

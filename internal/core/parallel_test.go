@@ -125,6 +125,7 @@ func TestSerialFairnessMixedWorkloads(t *testing.T) {
 	if vms[3].Stats.Waits != 3 {
 		t.Errorf("waiter Waits = %d, want 3", vms[3].Stats.Waits)
 	}
+	checkSchedLists(t, k)
 }
 
 // TestParallelMixedWorkloadConcurrent runs 4 VMs concurrently through
@@ -171,6 +172,7 @@ func TestParallelMixedWorkloadConcurrent(t *testing.T) {
 	if pr.Instrs == 0 {
 		t.Error("no guest instructions accounted")
 	}
+	checkSchedLists(t, k)
 }
 
 // TestParallelFairnessFewerWorkers runs 6 VMs on 2 workers: the
@@ -187,6 +189,7 @@ func TestParallelFairnessFewerWorkers(t *testing.T) {
 	if pr := k.LastParallelRun(); pr.Workers != 2 || pr.VMs != 6 {
 		t.Errorf("LastParallelRun = %+v, want 6 VMs on 2 workers", pr)
 	}
+	checkSchedLists(t, k)
 }
 
 // TestAllWaitingIdleWakeSerial: every VM WAITs with nothing pending;
@@ -200,6 +203,7 @@ func TestAllWaitingIdleWakeSerial(t *testing.T) {
 	}
 	k.Run(10_000_000)
 	assertAllHaltedNormally(t, vms)
+	checkSchedLists(t, k)
 }
 
 // TestAllWaitingIdleWakeParallel: the same all-idle fleet under the
@@ -215,6 +219,7 @@ func TestAllWaitingIdleWakeParallel(t *testing.T) {
 	}
 	k.RunParallel(3, 10_000_000)
 	assertAllHaltedNormally(t, vms)
+	checkSchedLists(t, k)
 }
 
 // TestExternalPostIRQWakesParkedWorker: a guest that WAITs until an
@@ -244,6 +249,7 @@ func TestExternalPostIRQWakesParkedWorker(t *testing.T) {
 	if idle.Stats.VirtualIRQs == 0 {
 		t.Error("idle VM never saw the posted interrupt")
 	}
+	checkSchedLists(t, k)
 }
 
 // TestParallelMatchesSerialResults: the same compute images produce
@@ -315,6 +321,7 @@ func TestVMMCyclesBucket(t *testing.T) {
 		t.Errorf("per-VM cycles %d + VMM bucket %d = %d exceed machine cycles %d",
 			used, k.VMMCycles(), total, k.CPU.Cycles)
 	}
+	checkSchedLists(t, k)
 }
 
 // TestAuditTrailParallel: events recorded by concurrent shards surface
@@ -346,6 +353,7 @@ func TestAuditTrailParallel(t *testing.T) {
 			t.Errorf("no audit events from vm%d", vm.ID)
 		}
 	}
+	checkSchedLists(t, k)
 }
 
 // auditBefore reports whether a sorts strictly before b in the audit
@@ -363,6 +371,7 @@ func TestSerialEngineStaysDefault(t *testing.T) {
 	if pr := k.LastParallelRun(); pr.VMs != 0 {
 		t.Errorf("serial config used the parallel engine: %+v", pr)
 	}
+	checkSchedLists(t, k)
 }
 
 // vmCounts is a VM's simulated outcome: everything the one-engine
@@ -406,6 +415,8 @@ func TestOneWorkerIsSerial(t *testing.T) {
 			t.Errorf("%s:\n Run            %+v\n RunParallel(1) %+v", serial[i].Name(), s, p)
 		}
 	}
+	checkSchedLists(t, kS)
+	checkSchedLists(t, kP)
 }
 
 // TestParallelRepeatable: a VM stays on one worker's serial engine for
@@ -427,6 +438,7 @@ func TestParallelRepeatable(t *testing.T) {
 		}
 		k.RunParallel(3, 0)
 		assertAllHaltedNormally(t, vms)
+		checkSchedLists(t, k)
 		counts := make([]vmCounts, len(vms))
 		for i, vm := range vms {
 			counts[i] = countsOf(vm)
@@ -510,6 +522,7 @@ func TestParkPostWakeChurn(t *testing.T) {
 	if pr.VMs != nVMs || pr.Workers != 4 {
 		t.Errorf("LastParallelRun = %d VMs on %d workers, want %d on 4", pr.VMs, pr.Workers, nVMs)
 	}
+	checkSchedLists(t, k)
 }
 
 // selfPatchSrc rewrites its own code once per outer pass: the short

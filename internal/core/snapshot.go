@@ -504,6 +504,7 @@ func (k *VMM) applyVirtState(vm *VM, g *generation) {
 	vm.ticks = g.ticks
 	vm.uptime = g.uptime
 	vm.clockOn, vm.clockIE = g.clockOn, g.clockIE
+	k.tickJoin(vm)
 }
 
 // ReadCheckpoint creates a new VM in this monitor from a checkpoint

@@ -53,6 +53,8 @@ loop:	addl2 r11, r2
 	if got := guestLong(t, vm1, 0x6000); got != want {
 		t.Errorf("original result %#x, want %#x", got, want)
 	}
+	checkSchedLists(t, k1)
+	checkSchedLists(t, k2)
 }
 
 // TestSnapshotPreservesVirtualizedState checks the virtualized
@@ -92,6 +94,8 @@ spin:	brb spin
 			t.Fatalf("memory differs at %#x", i)
 		}
 	}
+	checkSchedLists(t, k)
+	checkSchedLists(t, k2)
 }
 
 // TestRestoreFlushesDecodeCache restores a snapshot into a monitor that
@@ -132,6 +136,7 @@ loop:	addl2 r11, r2
 	if got := guestLong(t, vm2, 0x6000); got != want {
 		t.Errorf("restored result %#x, want %#x", got, want)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestSnapshotErrors(t *testing.T) {
@@ -147,4 +152,6 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := k2.Restore("x", nil); err == nil {
 		t.Error("restore of nil should fail")
 	}
+	checkSchedLists(t, k)
+	checkSchedLists(t, k2)
 }

@@ -193,7 +193,7 @@ func (k *VMM) tryRecover(vm *VM) bool {
 	// generation further back — the backoff that walks a stall whose
 	// cause was checkpointed out of reach of the newest generation.
 	vm.ckptFallback++
-	vm.halted = false
+	k.unhalt(vm)
 	vm.haltMsg = ""
 	vm.haltCycles = 0
 	vm.Stats.Recoveries++

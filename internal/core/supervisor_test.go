@@ -86,6 +86,7 @@ func TestWatchdogRecovery(t *testing.T) {
 	if !sawCkpt || !sawRecover {
 		t.Errorf("trace events checkpoint=%v recover=%v, want both", sawCkpt, sawRecover)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestHandlerlessMCheckRecovery(t *testing.T) {
@@ -138,6 +139,7 @@ slow:	sobgtr r10, slow     ; ~1 tick per iteration: checkpoints interleave
 	if !auditHas(k, trace.EvRecover) {
 		t.Error("no vm-recovered audit event")
 	}
+	checkSchedLists(t, k)
 }
 
 func TestRecoveryFallbackOnCorruptGeneration(t *testing.T) {
@@ -174,6 +176,7 @@ func TestRecoveryFallbackOnCorruptGeneration(t *testing.T) {
 	if !auditHas(k, trace.EvRecover) {
 		t.Error("no vm-recovered audit event")
 	}
+	checkSchedLists(t, k)
 }
 
 func TestRecoveryEscalation(t *testing.T) {
@@ -232,6 +235,7 @@ inner:	sobgtr r11, inner
 	if out := vmW.ConsoleOutput(); out != strings.Repeat("w", 10) {
 		t.Errorf("worker console %q", out)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestRecoverUnderParallel(t *testing.T) {
@@ -307,6 +311,7 @@ inner:	sobgtr r11, inner
 	if checkpoints == 0 {
 		t.Error("fleet Checkpoints = 0")
 	}
+	checkSchedLists(t, k)
 }
 
 func TestRestoreRebasesWaitDeadline(t *testing.T) {
@@ -383,6 +388,7 @@ spin:	sobgtr r11, spin
 	if wokeTicks > remain+16 {
 		t.Errorf("restored waiter died %d ticks after recovery, want about %d remaining + the 8-tick watchdog", wokeTicks, remain)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestRestoreInvalidatesDecodeCache(t *testing.T) {
@@ -448,6 +454,7 @@ spin:	incl r5              ; patched path: die by watchdog
 	if vm.Stats.Recoveries != 1 {
 		t.Errorf("Recoveries = %d, want 1", vm.Stats.Recoveries)
 	}
+	checkSchedLists(t, k)
 }
 
 func TestCheckpointStreamRoundTripNewVM(t *testing.T) {
@@ -489,4 +496,5 @@ spin:	sobgtr r11, spin
 			t.Errorf("vm %d console %q, want %q", i, out, "ab")
 		}
 	}
+	checkSchedLists(t, k)
 }

@@ -195,7 +195,10 @@ func (k *VMM) handleModifyFault(vm *VM, e *vax.Exception) {
 // system only the interval clock, which drives virtual timer delivery,
 // uptime maintenance, WAIT timeouts and time slicing. start is the
 // CPU cycle count at VMM entry, so tick-wide housekeeping can be
-// re-attributed to the VMM bucket instead of the interrupted VM.
+// re-attributed to the VMM bucket instead of the interrupted VM. The
+// tick's passes walk the tick list, not the VM table: a VM that is
+// neither waiting nor keeps an uptime cell, or has halted, costs them
+// nothing.
 func (k *VMM) handleRealInterrupt(e *vax.Exception, start uint64) {
 	c := k.CPU
 	if e.Vector != vax.VecClock {
@@ -219,18 +222,37 @@ func (k *VMM) handleRealInterrupt(e *vax.Exception, start uint64) {
 	// maintains system up time and stores it into the VMOS's memory.
 	// Therefore the VMOS code should read this time rather than
 	// computing it." The cell carries real uptime for every VM,
-	// running, waiting or preempted.
-	for _, vm := range k.vms {
+	// running, waiting or preempted: each live VM with a cell is on the
+	// tick list. A write may halt its own VM (a COW break out of memory)
+	// and schedule another, which changes the live list but not this
+	// one, so every listed VM is visited once, in table order.
+	for _, vm := range k.ticked {
 		if !vm.halted && vm.uptime != 0 {
 			vm.writePhys(vm.uptime, uint32(k.Stats.ClockTicks))
 		}
 	}
-	// Wake WAITing VMs whose timeout expired or that have work.
-	for _, vm := range k.vms {
+	// Wake WAITing VMs whose timeout expired or that have work, and drop
+	// the VMs the tick has no more work for: halted, or neither waiting
+	// nor timed. A waiting VM drains its mailbox here; so does the
+	// running VM, so a checkpoint taken below holds every post made
+	// before the tick.
+	kept := k.ticked[:0]
+	for _, vm := range k.ticked {
+		if vm.halted {
+			continue
+		}
 		vm.drainExternalIRQs()
 		if vm.waiting && (vm.pendingAbove(0) > 0 || k.Stats.ClockTicks >= vm.waitDeadline) {
 			vm.waiting = false
 		}
+		if vm.waiting || vm.uptime != 0 {
+			kept = append(kept, vm)
+		}
+	}
+	clear(k.ticked[len(kept):])
+	k.ticked = kept
+	if running := k.Current(); running != nil {
+		running.drainExternalIRQs()
 	}
 
 	// VMM hardening hooks: scheduled fault injection, the periodic

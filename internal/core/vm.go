@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cpu"
@@ -288,7 +290,7 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 		vm.slr = min32(cfg.SLR, VMSLimitPTEs)
 		vm.scbb = cfg.SCBB
 	}
-	k.vms = append(k.vms, vm)
+	k.addVM(vm)
 	// Register with the recorder only once creation can no longer fail,
 	// so the recorder never holds a log for a VM that does not exist.
 	if k.rec != nil {
@@ -479,8 +481,9 @@ func (vm *VM) postIRQ(level uint8, vec vax.Vector) {
 // PostIRQ posts a virtual device interrupt to the VM from outside its
 // execution goroutine. Safe to call concurrently with a running
 // engine; the interrupt is folded into the VM's pending set at its
-// next delivery opportunity — at the latest the next clock tick, whose
-// wake scan drains every mailbox, so a VM idling in WAIT sees it.
+// next delivery opportunity: the next delivery while it runs, the next
+// world switch that visits it, or, while it idles in WAIT, the next
+// clock tick, whose wake pass drains the mailboxes of the waiting VMs.
 func (vm *VM) PostIRQ(level uint8, vec vax.Vector) {
 	if level >= 32 || vec == 0 {
 		return
@@ -524,28 +527,17 @@ func (k *VMM) suspend(vm *VM) {
 	vm.pslLow = uint32(c.PSL()) & 0xFF
 	vm.vmpsl = c.VMPSL
 	k.saveGuestSP(vm)
-	k.cur = -1
+	k.cur = nil
 	// Open the between-VMs window: cycles charged from here until the
 	// next resume (world-switch cost, halt bookkeeping) belong to the
 	// VMM bucket, not to any guest.
 	k.switchStart = c.Cycles
 }
 
-// vmIndex locates vm in this monitor's VM table (-1 if absent). The
-// table is small and the call sits on the cold world-switch path.
-func (k *VMM) vmIndex(vm *VM) int {
-	for i, v := range k.vms {
-		if v == vm {
-			return i
-		}
-	}
-	return -1
-}
-
 // resume loads a VM's state into the CPU and continues guest execution.
 func (k *VMM) resume(vm *VM) {
 	c := k.CPU
-	k.cur = k.vmIndex(vm)
+	k.cur = vm
 	if k.switchStart != 0 {
 		k.vmmCycles += c.Cycles - k.switchStart
 		k.switchStart = 0
@@ -628,13 +620,12 @@ func (k *VMM) haltVM(vm *VM, msg string) {
 // one's — but keeps the shadow frames and marks the VM for deferred
 // recovery at the next safe point.
 func (k *VMM) haltVMCause(vm *VM, msg string, cause haltCause) {
-	vm.halted = true
+	k.halt(vm)
 	vm.haltMsg = msg
 	vm.haltCycles = k.CPU.Cycles
 	k.event(vm, trace.EvVMHalted, 0, msg)
 	if k.Current() == vm {
 		k.suspend(vm)
-		vm.halted = true // suspend does not clear it; keep explicit
 	}
 	if cause != haltFatal && k.cfg.Recover {
 		vm.pendingRecover = true
@@ -652,52 +643,110 @@ func (k *VMM) haltVMCause(vm *VM, msg string, cause haltCause) {
 	k.scheduleNext()
 }
 
-// scheduleNext picks the next runnable VM (round robin from the current
-// position) and resumes it; with none runnable the machine idles in
-// WAIT until a clock tick, or halts when every VM has halted.
+// addVM enters a new VM, whose ID is the highest yet, in the VM table
+// and the live list, and on the tick list if the tick has work for it
+// (a clone of a waiting or timed VM).
+func (k *VMM) addVM(vm *VM) {
+	k.vms = append(k.vms, vm)
+	k.live = append(k.live, vm)
+	k.tickJoin(vm)
+}
+
+// halt marks vm halted and takes it off the live list. With unhalt it
+// is the only writer of vm.halted. The VM stays on the tick list until
+// the next tick finds it halted, so a halt in the middle of the tick's
+// uptime pass changes no list that pass walks.
+func (k *VMM) halt(vm *VM) {
+	vm.halted = true
+	k.live = removeVM(k.live, vm)
+}
+
+// unhalt makes vm live again, back at its place in table order, and
+// puts it back on the tick list if the tick has work for it.
+func (k *VMM) unhalt(vm *VM) {
+	vm.halted = false
+	k.live = insertVM(k.live, vm)
+	k.tickJoin(vm)
+}
+
+// tickJoin puts vm on the tick list, in table order, if the tick has
+// work for it: it is waiting, or it keeps an uptime cell. Called
+// wherever either starts; a VM already on the list stays where it is.
+func (k *VMM) tickJoin(vm *VM) {
+	if vm.waiting || vm.uptime != 0 {
+		k.ticked = insertVM(k.ticked, vm)
+	}
+}
+
+// nextLive returns the first live VM whose ID is above id, or nil. A
+// walk over the live list whose work can halt VMs steps with it, so it
+// visits every VM still live when reached, once, in table order.
+func (k *VMM) nextLive(id int) *VM {
+	i, found := slices.BinarySearchFunc(k.live, id, byID)
+	if found {
+		i++
+	}
+	if i < len(k.live) {
+		return k.live[i]
+	}
+	return nil
+}
+
+// byID orders a VM against an ID: every VM list is in table order,
+// which is ID order.
+func byID(vm *VM, id int) int { return cmp.Compare(vm.ID, id) }
+
+// insertVM inserts vm into list at its place in ID order, unless it is
+// already there.
+func insertVM(list []*VM, vm *VM) []*VM {
+	if i, found := slices.BinarySearchFunc(list, vm.ID, byID); !found {
+		return slices.Insert(list, i, vm)
+	}
+	return list
+}
+
+// removeVM removes vm from list, if it is there, clearing the slot it
+// leaves at the end.
+func removeVM(list []*VM, vm *VM) []*VM {
+	if i, found := slices.BinarySearchFunc(list, vm.ID, byID); found {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
+}
+
+// scheduleNext suspends the current VM, picks the next runnable VM and
+// resumes it; with none runnable the machine idles in WAIT until a
+// clock tick, or halts when every VM has halted. The scan walks the
+// live list from the front: the lowest-index runnable VM wins, since
+// suspend leaves no current VM to start after. Each VM the scan visits
+// drains its interrupt mailbox first.
 func (k *VMM) scheduleNext() {
 	if cur := k.Current(); cur != nil {
 		k.suspend(cur)
 	}
-	n := len(k.vms)
-	if n == 0 {
+	if len(k.live) == 0 {
 		k.CPU.Halt(cpu.HaltInstruction)
 		return
 	}
-	start := k.cur
-	if start < 0 {
-		start = n - 1
-	}
-	allHalted := true
-	for i := 1; i <= n; i++ {
-		vm := k.vms[(start+i)%n]
-		if vm.halted {
+	for _, vm := range k.live {
+		vm.drainExternalIRQs()
+		if !vm.runnable() {
 			continue
 		}
-		allHalted = false
-		vm.drainExternalIRQs()
-		if vm.runnable() {
-			if vm.shadow == nil && !k.ensureShadow(vm) {
-				// Out of memory building the clone's deferred shadow
-				// tables: the VM just halted; rescan with it excluded.
-				k.scheduleNext()
-				return
-			}
-			if vm.waiting {
-				vm.waiting = false
-			}
-			k.Stats.WorldSwitches++
-			k.charge(cpu.CostVMMWorldSwitch)
-			if vm.rec != nil {
-				vm.rec.Record(trace.EvSchedRun, k.CPU.Cycles, vm.pc, vm.pc)
-			}
-			k.resume(vm)
-			k.deliverPendingIRQs(vm)
+		if vm.shadow == nil && !k.ensureShadow(vm) {
+			// Out of memory building the clone's deferred shadow
+			// tables: the VM just halted and left the live list; rescan.
+			k.scheduleNext()
 			return
 		}
-	}
-	if allHalted {
-		k.CPU.Halt(cpu.HaltInstruction)
+		vm.waiting = false
+		k.Stats.WorldSwitches++
+		k.charge(cpu.CostVMMWorldSwitch)
+		if vm.rec != nil {
+			vm.rec.Record(trace.EvSchedRun, k.CPU.Cycles, vm.pc, vm.pc)
+		}
+		k.resume(vm)
+		k.deliverPendingIRQs(vm)
 		return
 	}
 	// Everything is waiting: idle until the next real clock tick.
