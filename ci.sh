@@ -249,16 +249,15 @@ go test ./...
 echo "== go test -race (all packages)"
 go test -race ./...
 
-echo "== migration race check (event-log, decode-hygiene, mailbox, page-pool, shadow-span and scheduler-list tests on the parallel engine, -count=10)"
+echo "== migration race check (event-log, decode-hygiene, page-pool, shadow-span and scheduler-list tests on the parallel engine, -count=10)"
 # A VM's event log is unsynchronized: only the worker running the VM
 # writes it, and readers wait for the merge barrier. A VM stays on one
 # worker for a whole run, so its decodes never move mid-run; what
 # crosses engines is the root's decode cache, which the merge flushes
-# because the workers' stores changed the VMs' pages under it. Host
-# goroutines post interrupts into running VMs' mailboxes. Every shard
-# allocation takes the shared page-pool mutex, and the clone smoke (256
-# overcommitted clones on 8 workers) is where shards allocate
-# concurrently. A VM's shadow-table spans are written by whichever
+# because the workers' stores changed the VMs' pages under it. Every
+# shard allocation takes the shared page-pool mutex, and the clone
+# smoke (256 overcommitted clones on 8 workers) is where shards
+# allocate concurrently. A VM's shadow-table spans are written by whichever
 # worker runs it and read by its COW breaks and by the checks after the
 # merge; the alias test breaks shared frames on two workers. Each
 # monitor's live and tick lists are per-shard state: RunParallel fills
@@ -269,7 +268,7 @@ echo "== migration race check (event-log, decode-hygiene, mailbox, page-pool, sh
 # Repeating the tests that cross those handoffs gives a rare
 # interleaving ten chances to show.
 go test -race -count=10 \
-    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes|TestCloneSmokeParity|TestCOWBreakSweepsAliases|TestHaltedVMRunsRecycledAfterParallelRun|TestParkPostWakeChurn|TestParallelRepeatable|TestSchedulePinned|TestUptimeHaltMidTick|TestConsoleContinueKeepsTableOrder|TestRecoveryKeepsTableOrder)$' \
+    -run '^(TestRecorderParallelAllShards|TestAuditTrailParallel|TestEventLogRetentionBothEngines|TestRecoverUnderParallel|TestMigrationDropsStaleDecodes|TestCloneSmokeParity|TestCOWBreakSweepsAliases|TestHaltedVMRunsRecycledAfterParallelRun|TestParallelRepeatable|TestSchedulePinned|TestUptimeHaltMidTick|TestConsoleContinueKeepsTableOrder|TestRecoveryKeepsTableOrder)$' \
     ./internal/core/
 
 echo "== fuzz: checkpoint decoder and both restore paths (10 s each)"

@@ -119,29 +119,16 @@ func (k *VMM) Clone(src *VM, name string) (*VM, error) {
 
 	// Virtual processor state: the clone resumes from the source's
 	// exact machine state (captureLive refreshed it above).
-	vm.regs = src.regs
-	vm.pc = src.pc
-	vm.pslLow = src.pslLow
-	vm.vmpsl = src.vmpsl
-	vm.SPs = src.SPs
-	vm.ISP = src.ISP
-	vm.scbb = src.scbb
-	vm.pcbb = src.pcbb
-	vm.p0br, vm.p0lr = src.p0br, src.p0lr
-	vm.p1br, vm.p1lr = src.p1br, src.p1lr
-	vm.sbr, vm.slr = src.sbr, src.slr
-	vm.mapen = src.mapen
-	vm.sisr = src.sisr
-	vm.astlvl = src.astlvl
-	vm.clockOn = src.clockOn
-	vm.clockIE = src.clockIE
-	vm.ticks = src.ticks
-	vm.uptime = src.uptime
-	vm.pendingIRQ = src.pendingIRQ
-	vm.waiting = src.waiting
+	vm.vcpu = src.vcpu
 	vm.waitDeadline = src.waitDeadline
 	vm.lastProgress = vm.ticks
 	vm.disk = src.disk.clone()
+	// The console's interrupt enables are device state, as a checkpoint
+	// records them; its output and pending input are not: the clone's
+	// console starts a fresh stream.
+	src.cons.mu.Lock()
+	vm.cons.rxIE, vm.cons.txIE = src.cons.rxIE, src.cons.txIE
+	src.cons.mu.Unlock()
 	vm.Stats.SharedPages = uint64(pages)
 
 	k.nextID++

@@ -104,7 +104,7 @@ func (k *VMM) ConsoleCommand(vm *VM, line string) (string, error) {
 		vm.vmpsl = vm.vmpsl.WithCur(0).WithPrv(0).WithIPL(31)
 		vm.mapen = false
 		vm.waiting = false
-		vm.pendingIRQ = [32]vax.Vector{}
+		vm.irqs = vax.IRQs{}
 		return "initialized", nil
 	}
 	return "", fmt.Errorf("console: unknown command %q", cmd)

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/vax"
 )
 
 // TestConsoleBootAndDebug drives the virtual console subset end to end:
@@ -66,12 +68,12 @@ func TestConsoleInitialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm.regs[3] = 99
-	vm.pendingIRQ[22] = 0xC0
+	vm.irqs.Post(vax.IPLClock, vax.VecClock)
 	out, err := k.ConsoleCommand(vm, "INITIALIZE")
 	if err != nil || out != "initialized" {
 		t.Fatalf("%q %v", out, err)
 	}
-	if vm.regs[3] != 0 || vm.pendingIRQ[22] != 0 {
+	if vm.regs[3] != 0 || vm.irqs != (vax.IRQs{}) {
 		t.Error("INITIALIZE did not reset state")
 	}
 	if vm.vmpsl.IPL() != 31 {

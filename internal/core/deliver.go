@@ -277,26 +277,18 @@ func (k *VMM) deliverPendingIRQs(vm *VM) {
 	if vm.halted || k.Current() != vm {
 		return
 	}
-	vm.drainExternalIRQs()
 	// Injected clock-interrupt storm: the timer line "sticks" and the
 	// VM sees a clock interrupt at every delivery opportunity while the
 	// storm window is open. Bounded: handling the interrupts advances
 	// real time past the window.
 	if k.faults != nil && k.faults.StormHit(vm.ID, k.Stats.ClockTicks) {
-		vm.postIRQ(vax.IPLClock, vax.VecClock)
+		vm.irqs.Post(vax.IPLClock, vax.VecClock)
 	}
-	level := vm.pendingAbove(k.CPU.VMPSL.IPL())
+	level := vm.irqs.Above(k.CPU.VMPSL.IPL(), vm.sisr)
 	if level == 0 {
 		return
 	}
-	var vec vax.Vector
-	if vm.pendingIRQ[level] != 0 {
-		vec = vm.pendingIRQ[level]
-		vm.pendingIRQ[level] = 0
-	} else {
-		vec = vax.SoftwareVector(level)
-		vm.sisr &^= 1 << level
-	}
+	vec := vm.irqs.Take(level, &vm.sisr)
 	vm.Stats.VirtualIRQs++
 	k.Stats.VirtualIRQs++
 	if vm.rec != nil {

@@ -101,7 +101,7 @@ func (k *VMM) kcallDisk(vm *VM, write bool) uint32 {
 	switch err {
 	case nil:
 		k.noteProgress(vm)
-		vm.postIRQ(vax.IPLDisk, vax.VecDisk)
+		vm.irqs.Post(vax.IPLDisk, vax.VecDisk)
 		return KCallStatusOK
 	case errOutOfRange:
 		// The guest asked for a block that does not exist: its own
@@ -315,7 +315,7 @@ func (k *VMM) diskRegWrite(vm *VM, off, v uint32) {
 			}
 		}
 		if d.csr&devCSRIE != 0 {
-			vm.postIRQ(vax.IPLDisk, vax.VecDisk)
+			vm.irqs.Post(vax.IPLDisk, vax.VecDisk)
 		}
 	case devRegBlock:
 		d.block = v

@@ -114,7 +114,7 @@ func (k *VMM) emulateMTPR(vm *VM, info *vax.VMTrapInfo) {
 		vm.clockOn = v&vax.ICCSRun != 0
 		vm.clockIE = v&vax.ICCSIE != 0
 		if v&vax.ICCSInt != 0 {
-			vm.pendingIRQ[vax.IPLClock] = 0
+			vm.irqs.Clear(vax.IPLClock)
 		}
 	case vax.IPRNICR, vax.IPRICR, vax.IPRTODR:
 		// The virtual clock period is the VMM's tick; reload values are

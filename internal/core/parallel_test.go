@@ -62,19 +62,6 @@ loop:	wait
 	halt
 `
 
-// parIdleUntilIRQSrc waits until an externally posted disk interrupt
-// flips r7, then halts — the post handshake under test.
-const parIdleUntilIRQSrc = `
-start:	tstl r7
-	bneq done
-	wait
-	brb start
-done:	halt
-	.align 4
-dskh:	incl r7
-	rei
-`
-
 // addTestVM creates one pre-mapped VM running src on k.
 func addTestVM(t *testing.T, k *VMM, name, src string, vectors map[vax.Vector]string) *VM {
 	t.Helper()
@@ -130,8 +117,8 @@ func TestSerialFairnessMixedWorkloads(t *testing.T) {
 
 // TestParallelMixedWorkloadConcurrent runs 4 VMs concurrently through
 // compute, disk I/O, virtual-timer interrupts and WAIT, with host-side
-// console and mailbox traffic in flight — the race-detector workout
-// for the sharded engine.
+// console traffic in flight — the race-detector workout for the
+// sharded engine.
 func TestParallelMixedWorkloadConcurrent(t *testing.T) {
 	k, vms := mixedFleet(t, Config{WaitTimeout: 2})
 
@@ -141,7 +128,7 @@ func TestParallelMixedWorkloadConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Host-side traffic against running VMs: console feeds and
-		// reads, plus external interrupt posts into the mailbox.
+		// reads.
 		for {
 			select {
 			case <-stop:
@@ -152,7 +139,6 @@ func TestParallelMixedWorkloadConcurrent(t *testing.T) {
 				vm.FeedConsole("x")
 				_ = vm.ConsoleOutput()
 			}
-			vms[1].PostIRQ(vax.IPLDisk, vax.VecDisk) // io VM has a disk handler
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -219,36 +205,6 @@ func TestAllWaitingIdleWakeParallel(t *testing.T) {
 	}
 	k.RunParallel(3, 10_000_000)
 	assertAllHaltedNormally(t, vms)
-	checkSchedLists(t, k)
-}
-
-// TestExternalPostIRQWakesParkedWorker: a guest that WAITs until an
-// interrupt arrives leaves its worker idling from timeout to timeout;
-// a host-side PostIRQ must reach it through the mailbox, which the
-// worker's next clock tick drains, and get the interrupt delivered.
-func TestExternalPostIRQWakesParkedWorker(t *testing.T) {
-	k := New(16<<20, Config{})
-	idle := addTestVM(t, k, "idle", parIdleUntilIRQSrc,
-		map[vax.Vector]string{vax.VecDisk: "dskh"})
-	compute := addTestVM(t, k, "compute", parComputeSrc, nil)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		k.RunParallel(2, 50_000_000)
-	}()
-	// Let the idle guest reach its parked WAIT, then post the interrupt.
-	time.Sleep(20 * time.Millisecond)
-	idle.PostIRQ(vax.IPLDisk, vax.VecDisk)
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("parallel run did not finish after external post")
-	}
-	assertAllHaltedNormally(t, []*VM{idle, compute})
-	if idle.Stats.VirtualIRQs == 0 {
-		t.Error("idle VM never saw the posted interrupt")
-	}
 	checkSchedLists(t, k)
 }
 
@@ -453,76 +409,6 @@ func TestParallelRepeatable(t *testing.T) {
 			}
 		}
 	}
-}
-
-// parChurnSrc needs four separately delivered disk interrupts before
-// it halts, WAITing between each — the repeated wait/post/wake cycle
-// the churn test hammers.
-const parChurnSrc = `
-start:	cmpl r7, #4
-	bgeq done
-	wait
-	brb start
-done:	halt
-	.align 4
-dskh:	incl r7
-	rei
-`
-
-// TestParkPostWakeChurn is the lost-post stress: 64 VMs that each need
-// four externally posted interrupts, on 4 workers, with host
-// goroutines hammering PostIRQ the whole time. Every post must reach
-// its VM through the mailbox whatever the VM is doing when it lands;
-// a single lost post leaves a VM waiting forever and the run never
-// finishes (caught by the timeout). Run under -race this also
-// exercises the mailbox's cross-goroutine handoff.
-func TestParkPostWakeChurn(t *testing.T) {
-	const nVMs = 64
-	k := New(16<<20, Config{WaitTimeout: 4})
-	vms := make([]*VM, nVMs)
-	for i := range vms {
-		vms[i] = addTestVM(t, k, fmt.Sprintf("churn%d", i), parChurnSrc,
-			map[vax.Vector]string{vax.VecDisk: "dskh"})
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		k.RunParallel(4, 0)
-	}()
-	// Four hammers, one per stripe of the fleet, posting until the run
-	// completes. Posting to an already-halted VM is a harmless no-op,
-	// so the hammers need no per-VM completion tracking.
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				for i := g; i < nVMs; i += 4 {
-					vms[i].PostIRQ(vax.IPLDisk, vax.VecDisk)
-				}
-				time.Sleep(500 * time.Microsecond)
-			}
-		}(g)
-	}
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("fleet did not finish: a posted interrupt was lost")
-	}
-	wg.Wait()
-	assertAllHaltedNormally(t, vms)
-	pr := k.LastParallelRun()
-	if pr.VMs != nVMs || pr.Workers != 4 {
-		t.Errorf("LastParallelRun = %d VMs on %d workers, want %d on 4", pr.VMs, pr.Workers, nVMs)
-	}
-	checkSchedLists(t, k)
 }
 
 // selfPatchSrc rewrites its own code once per outer pass: the short

@@ -82,30 +82,17 @@ func (r *leReader) u64() uint64 {
 
 func (r *leReader) flag() bool { return r.u32() != 0 }
 
-// A generation is one checkpoint of a VM held in memory: the small
-// sections as decoded fields, and each page of VM memory and each block
-// of the virtual disk as a reference to an immutable blob, nil for a
-// page of zeros. Consecutive generations of one VM share the blobs of
-// the pages that did not change between them (capture), so a blob is
-// never written once made. The stream a generation encodes to carries
-// every byte: an exported checkpoint stands alone.
+// A generation is one checkpoint of a VM held in memory: the VM's state
+// record and the device registers as decoded fields, and each page of
+// VM memory and each block of the virtual disk as a reference to an
+// immutable blob, nil for a page of zeros. Consecutive generations of
+// one VM share the blobs of the pages that did not change between them
+// (capture), so a blob is never written once made. The stream a
+// generation encodes to carries every byte: an exported checkpoint
+// stands alone.
 type generation struct {
-	regs       [14]uint32
-	pc         uint32
-	pslLow     uint32
-	vmpsl      vax.PSL
-	SPs        [4]uint32
-	ISP        uint32
-	scbb, pcbb uint32
-	sisr       uint32
-	astlvl     uint32
-	pendingIRQ [32]vax.Vector
-	waiting    bool
-	waitRemain uint64
-
-	p0br, p0lr, p1br, p1lr uint32
-	sbr, slr               uint32
-	mapen                  bool
+	vcpu
+	waitRemain uint64 // ticks left of a WAIT's timeout
 
 	pages []*ckpt.Page
 
@@ -116,10 +103,6 @@ type generation struct {
 	hasConsole bool
 	rxIE, txIE bool
 	consoleOut []byte
-	ticks      uint64
-	uptime     uint32
-	clockOn    bool
-	clockIE    bool
 
 	// poisoned is the generation's stream once a fault plan has
 	// corrupted it in the ring (tryRecover). Restores decode it in place
@@ -174,13 +157,9 @@ func (k *VMM) capture(vm *VM, prev *generation) (*generation, error) {
 	k.captureLive(vm)
 	d := vm.disk
 	g := &generation{
-		regs: vm.regs, pc: vm.pc, pslLow: vm.pslLow, vmpsl: vm.vmpsl,
-		SPs: vm.SPs, ISP: vm.ISP, scbb: vm.scbb, pcbb: vm.pcbb,
-		sisr: vm.sisr, astlvl: vm.astlvl, pendingIRQ: vm.pendingIRQ, waiting: vm.waiting,
-		p0br: vm.p0br, p0lr: vm.p0lr, p1br: vm.p1br, p1lr: vm.p1lr,
-		sbr: vm.sbr, slr: vm.slr, mapen: vm.mapen,
+		vcpu:    vm.vcpu,
 		hasDisk: true, csr: d.csr, dblock: d.block, addr: d.addr, count: d.count, dst: d.stat,
-		hasConsole: true, ticks: vm.ticks, uptime: vm.uptime, clockOn: vm.clockOn, clockIE: vm.clockIE,
+		hasConsole: true,
 	}
 	// The WAIT deadline travels as ticks-remaining: absolute tick counts
 	// do not survive a move between machines (or a rollback in time).
@@ -269,7 +248,7 @@ func (g *generation) sections() []ckpt.Section {
 	cpuSec.u32(g.pcbb)
 	cpuSec.u32(g.sisr)
 	cpuSec.u32(g.astlvl)
-	for _, v := range g.pendingIRQ {
+	for _, v := range g.irqs.Vectors() {
 		cpuSec.u32(uint32(v))
 	}
 	cpuSec.flag(g.waiting)
@@ -403,9 +382,11 @@ func decodeGeneration(r io.Reader) (*generation, error) {
 	g.pcbb = cr.u32()
 	g.sisr = cr.u32()
 	g.astlvl = cr.u32()
-	for i := range g.pendingIRQ {
-		g.pendingIRQ[i] = vax.Vector(cr.u32())
+	var vecs [32]vax.Vector
+	for i := range vecs {
+		vecs[i] = vax.Vector(cr.u32())
 	}
+	g.irqs = vax.IRQsFrom(vecs)
 	g.waiting = cr.flag()
 	g.waitRemain = cr.u64()
 	if cr.short {
@@ -487,23 +468,8 @@ func copyPages(dst []byte, pages []*ckpt.Page) {
 // clock state into a VM (shared by ReadCheckpoint and the in-place
 // recovery path).
 func (k *VMM) applyVirtState(vm *VM, g *generation) {
-	vm.regs = g.regs
-	vm.pc = g.pc
-	vm.pslLow = g.pslLow
-	vm.vmpsl = g.vmpsl
-	vm.SPs = g.SPs
-	vm.ISP = g.ISP
-	vm.scbb, vm.pcbb = g.scbb, g.pcbb
-	vm.sisr, vm.astlvl = g.sisr, g.astlvl
-	vm.pendingIRQ = g.pendingIRQ
-	vm.waiting = g.waiting
+	vm.vcpu = g.vcpu
 	vm.waitDeadline = k.Stats.ClockTicks + g.waitRemain
-	vm.p0br, vm.p0lr, vm.p1br, vm.p1lr = g.p0br, g.p0lr, g.p1br, g.p1lr
-	vm.sbr, vm.slr = g.sbr, g.slr
-	vm.mapen = g.mapen
-	vm.ticks = g.ticks
-	vm.uptime = g.uptime
-	vm.clockOn, vm.clockIE = g.clockOn, g.clockIE
 	k.tickJoin(vm)
 }
 
@@ -604,9 +570,7 @@ func (k *VMM) restoreInPlace(vm *VM, image []byte) error {
 	}
 	k.CPU.MMU.TBIA()
 
-	// The rolled-back guest restarts its watchdog budget; external
-	// interrupt mailboxes survive untouched (posts that raced the
-	// failure still deliver).
+	// The rolled-back guest restarts its watchdog budget.
 	vm.lastProgress = vm.ticks
 	return nil
 }

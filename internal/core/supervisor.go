@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -74,12 +75,15 @@ func (k *VMM) checkpointVM(vm *VM) error {
 		}
 		return err
 	}
+	// The ring keeps the newest gens generations, so a policy change
+	// deepens or shortens it here, at the VM's next checkpoint.
 	if vm.ckptGens == nil {
-		vm.ckptGens = make([]*generation, gens)
-		vm.ckptHead = gens - 1 // first advance lands on index 0
+		vm.ckptGens = make([]*generation, 0, gens)
 	}
-	vm.ckptHead = (vm.ckptHead + 1) % len(vm.ckptGens)
-	vm.ckptGens[vm.ckptHead] = g
+	if drop := len(vm.ckptGens) + 1 - gens; drop > 0 {
+		vm.ckptGens = slices.Delete(vm.ckptGens, 0, drop)
+	}
+	vm.ckptGens = append(vm.ckptGens, g)
 	vm.ckptSeq++
 	vm.ckptLastTick = vm.ticks
 	vm.ckptMark = vm.progressSeq
@@ -97,32 +101,16 @@ func (k *VMM) checkpointVM(vm *VM) error {
 // checkpointGen returns the generation back steps behind the newest
 // (0 = newest), or nil when the ring holds no such generation.
 func (vm *VM) checkpointGen(back int) *generation {
-	n := len(vm.ckptGens)
-	if n == 0 || back < 0 {
+	i := len(vm.ckptGens) - 1 - back
+	if back < 0 || i < 0 {
 		return nil
 	}
-	avail := n
-	if vm.ckptSeq < uint64(n) {
-		avail = int(vm.ckptSeq)
-	}
-	if back >= avail {
-		return nil
-	}
-	return vm.ckptGens[((vm.ckptHead-back)%n+n)%n]
+	return vm.ckptGens[i]
 }
 
 // CheckpointGenerations reports how many restorable generations the
 // VM's ring currently holds.
-func (vm *VM) CheckpointGenerations() int {
-	n := len(vm.ckptGens)
-	if n == 0 {
-		return 0
-	}
-	if vm.ckptSeq < uint64(n) {
-		return int(vm.ckptSeq)
-	}
-	return n
-}
+func (vm *VM) CheckpointGenerations() int { return len(vm.ckptGens) }
 
 // recoverPending recovers every VM marked for deferred recovery,
 // reporting whether at least one came back runnable. Safe-point only.
@@ -249,15 +237,23 @@ func (k *VMM) RecoverNow(vm *VM) error {
 }
 
 // SetCheckpointPolicy sets (or, with every = 0, disables) periodic
-// checkpointing at run time. Existing rings are kept; a deeper ring
-// takes effect at each VM's next checkpoint.
-func (k *VMM) SetCheckpointPolicy(every uint64, generations int) {
-	k.cfg.CheckpointEvery = every
-	if generations > 0 {
-		k.cfg.CheckpointGenerations = generations
-	} else if k.cfg.CheckpointGenerations == 0 {
-		k.cfg.CheckpointGenerations = 4
+// checkpointing at run time; generations = 0 keeps the ring depth. A
+// policy Validate would refuse is refused, and the old one stays.
+// Each VM's ring takes the new depth at its next checkpoint, keeping
+// its newest generations.
+func (k *VMM) SetCheckpointPolicy(every uint64, generations int) error {
+	cfg := k.cfg
+	cfg.CheckpointEvery = every
+	if generations != 0 {
+		cfg.CheckpointGenerations = generations
+	} else if cfg.CheckpointGenerations == 0 {
+		cfg.CheckpointGenerations = 4
 	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("vmm: checkpoint policy: %w", err)
+	}
+	k.cfg = cfg
+	return nil
 }
 
 // SetRecovery arms or disarms the supervisor at run time.

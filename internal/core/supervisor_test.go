@@ -498,3 +498,63 @@ spin:	sobgtr r11, spin
 	}
 	checkSchedLists(t, k)
 }
+
+// TestSetCheckpointPolicy: the run-time setter refuses a ring depth
+// Validate would refuse, leaving the policy as it was, and each VM's
+// ring takes a new depth at its next checkpoint, keeping its newest
+// generations.
+func TestSetCheckpointPolicy(t *testing.T) {
+	k, vm, _ := bootVM(t, Config{CheckpointEvery: 1, CheckpointGenerations: 2}, `
+start:	brb start
+`, nil)
+	for _, gens := range []int{-1, 65, 1000} {
+		if err := k.SetCheckpointPolicy(1, gens); err == nil {
+			t.Errorf("SetCheckpointPolicy(1, %d) accepted", gens)
+		}
+		if cfg := k.Config(); cfg.CheckpointEvery != 1 || cfg.CheckpointGenerations != 2 {
+			t.Errorf("refused SetCheckpointPolicy(1, %d) left every %d, %d generations",
+				gens, cfg.CheckpointEvery, cfg.CheckpointGenerations)
+		}
+	}
+
+	checkpoints := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := k.CheckpointNow(vm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkpoints(5)
+	if got := vm.CheckpointGenerations(); got != 2 {
+		t.Fatalf("ring holds %d generations, want 2", got)
+	}
+	if err := k.SetCheckpointPolicy(1, 6); err != nil {
+		t.Fatal(err)
+	}
+	for want := 3; want <= 6; want++ {
+		checkpoints(1)
+		if got := vm.CheckpointGenerations(); got != want {
+			t.Fatalf("after deepening to 6, ring holds %d generations, want %d", got, want)
+		}
+	}
+	checkpoints(3)
+	if got := vm.CheckpointGenerations(); got != 6 {
+		t.Fatalf("ring of 6 holds %d generations", got)
+	}
+
+	newest := []*generation{vm.checkpointGen(0), vm.checkpointGen(1)}
+	if err := k.SetCheckpointPolicy(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetCheckpointPolicy(4, 0); err != nil || k.Config().CheckpointGenerations != 3 {
+		t.Fatalf("SetCheckpointPolicy(4, 0) = %v, depth %d; want the depth kept at 3", err, k.Config().CheckpointGenerations)
+	}
+	checkpoints(1)
+	if got := vm.CheckpointGenerations(); got != 3 {
+		t.Fatalf("after shortening to 3, ring holds %d generations", got)
+	}
+	if vm.checkpointGen(1) != newest[0] || vm.checkpointGen(2) != newest[1] || vm.checkpointGen(3) != nil {
+		t.Error("shortening the ring did not keep the newest generations")
+	}
+}

@@ -215,7 +215,7 @@ func (k *VMM) handleRealInterrupt(e *vax.Exception, start uint64) {
 		// running (Section 5, "Time") ...
 		cur.ticks++
 		if cur.clockOn && cur.clockIE {
-			cur.postIRQ(vax.IPLClock, vax.VecClock)
+			cur.irqs.Post(vax.IPLClock, vax.VecClock)
 		}
 	}
 	// ... which is precisely why counting them is not a clock: "the VMM
@@ -233,16 +233,13 @@ func (k *VMM) handleRealInterrupt(e *vax.Exception, start uint64) {
 	}
 	// Wake WAITing VMs whose timeout expired or that have work, and drop
 	// the VMs the tick has no more work for: halted, or neither waiting
-	// nor timed. A waiting VM drains its mailbox here; so does the
-	// running VM, so a checkpoint taken below holds every post made
-	// before the tick.
+	// nor timed.
 	kept := k.ticked[:0]
 	for _, vm := range k.ticked {
 		if vm.halted {
 			continue
 		}
-		vm.drainExternalIRQs()
-		if vm.waiting && (vm.pendingAbove(0) > 0 || k.Stats.ClockTicks >= vm.waitDeadline) {
+		if vm.waiting && (vm.irqs.Above(0, vm.sisr) > 0 || k.Stats.ClockTicks >= vm.waitDeadline) {
 			vm.waiting = false
 		}
 		if vm.waiting || vm.uptime != 0 {
@@ -251,9 +248,6 @@ func (k *VMM) handleRealInterrupt(e *vax.Exception, start uint64) {
 	}
 	clear(k.ticked[len(kept):])
 	k.ticked = kept
-	if running := k.Current(); running != nil {
-		running.drainExternalIRQs()
-	}
 
 	// VMM hardening hooks: scheduled fault injection, the periodic
 	// shadow-table scrub, and the per-VM watchdog. Injection or the

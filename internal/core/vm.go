@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/mem"
@@ -108,6 +106,38 @@ type VMConfig struct {
 	SCBB      uint32
 }
 
+// vcpu is a VM's architectural processor state: what the VM's own
+// processor would hold. A checkpoint generation holds one too, so
+// Clone, capture and restore each copy it with one assignment.
+type vcpu struct {
+	regs   [14]uint32 // R0..R13 when suspended
+	pc     uint32
+	pslLow uint32  // condition codes / trap enables when suspended
+	vmpsl  vax.PSL // VM modes/IPL when suspended
+	SPs    [4]uint32
+	ISP    uint32
+
+	// Virtualized processor registers (all in VM terms).
+	scbb, pcbb             uint32
+	p0br, p0lr, p1br, p1lr uint32
+	sbr, slr               uint32
+	mapen                  bool
+
+	// Virtual interrupts: the software requests, the AST level, the
+	// device interrupts pending by level, and whether the VM idles in
+	// WAIT until one is deliverable.
+	sisr    uint32
+	astlvl  uint32
+	irqs    vax.IRQs
+	waiting bool
+
+	// Virtual interval clock.
+	clockOn bool
+	clockIE bool
+	ticks   uint64 // virtual uptime in ticks (advances only while running)
+	uptime  uint32 // VM-physical address of the uptime cell, 0 = unset
+}
+
 // VM is one virtual VAX processor plus its memory and devices.
 type VM struct {
 	ID   int
@@ -135,49 +165,15 @@ type VM struct {
 	// summing to the page count.
 	cowMask []uint64
 
-	// Virtual processor state (live in the CPU while running).
-	regs   [14]uint32 // R0..R13 when suspended
-	pc     uint32
-	pslLow uint32  // condition codes / trap enables when suspended
-	vmpsl  vax.PSL // VM modes/IPL when suspended
-	SPs    [4]uint32
-	ISP    uint32
-
-	// Virtualized processor registers (all in VM terms).
-	scbb, pcbb             uint32
-	p0br, p0lr, p1br, p1lr uint32
-	sbr, slr               uint32
-	mapen                  bool
-	sisr                   uint32
-	astlvl                 uint32
-
-	// Virtual interval clock.
-	clockOn bool
-	clockIE bool
-	ticks   uint64 // virtual uptime in ticks (advances only while running)
-	uptime  uint32 // VM-physical address of the uptime cell, 0 = unset
+	// Virtual processor state (registers, PC and PSL live in the CPU
+	// while the VM runs).
+	vcpu
 
 	// CPU accounting: real cycles consumed while this VM owned the
 	// processor (including VMM emulation work done on its behalf).
 	cyclesUsed   uint64
 	resumeCycles uint64 // k.CPU.Cycles at the last resume
 
-	pendingIRQ [32]vax.Vector // virtual device interrupts by level
-
-	// Cross-goroutine interrupt mailbox, padded on both sides so
-	// concurrent posts against one VM never bounce cache lines holding
-	// a neighbor VM's (or this VM's owner-confined) hot fields.
-	// pendingIRQ above is owned by the goroutine executing the VM; any
-	// other goroutine (tests, the fleet, cross-VM wiring) posts through
-	// PostIRQ, which stores the vector in extIRQ and sets the level's
-	// bit in extMask. The owner folds the mailbox into pendingIRQ with
-	// drainExternalIRQs at every delivery opportunity.
-	_       [64]byte
-	extIRQ  [32]atomic.Uint32
-	extMask atomic.Uint32
-	_       [64]byte
-
-	waiting      bool
 	waitDeadline uint64 // real tick count at which WAIT times out
 	halted       bool
 	haltMsg      string
@@ -189,8 +185,7 @@ type VM struct {
 	// Everything here is lazily initialized by the first checkpoint so
 	// a VM on a monitor with checkpointing disabled carries only zero
 	// values (CreateVM stays allocation-neutral).
-	ckptGens     []*generation // generation ring; nil until the first checkpoint
-	ckptHead     int           // ring index of the newest generation
+	ckptGens     []*generation // generation ring, oldest first; nil until the first checkpoint
 	ckptSeq      uint64        // checkpoints taken over the VM's lifetime
 	ckptLastTick uint64        // vm.ticks at the last periodic checkpoint
 	ckptMark     uint64        // progressSeq at the last periodic checkpoint
@@ -451,67 +446,9 @@ func (vm *VM) runnable() bool {
 		return false
 	}
 	if vm.waiting {
-		return vm.pendingAbove(0) > 0
+		return vm.irqs.Above(0, vm.sisr) > 0
 	}
 	return true
-}
-
-// pendingAbove returns the highest pending virtual interrupt level
-// above ipl (including virtual software interrupts), or 0.
-func (vm *VM) pendingAbove(ipl uint8) uint8 {
-	for l := uint8(31); l > ipl; l-- {
-		if vm.pendingIRQ[l] != 0 {
-			return l
-		}
-		if l <= vax.IPLSoftwareMax && vm.sisr&(1<<l) != 0 {
-			return l
-		}
-	}
-	return 0
-}
-
-// postIRQ records a pending virtual interrupt for the VM. Owner-
-// goroutine only; other goroutines must go through PostIRQ.
-func (vm *VM) postIRQ(level uint8, vec vax.Vector) {
-	if level < 32 {
-		vm.pendingIRQ[level] = vec
-	}
-}
-
-// PostIRQ posts a virtual device interrupt to the VM from outside its
-// execution goroutine. Safe to call concurrently with a running
-// engine; the interrupt is folded into the VM's pending set at its
-// next delivery opportunity: the next delivery while it runs, the next
-// world switch that visits it, or, while it idles in WAIT, the next
-// clock tick, whose wake pass drains the mailboxes of the waiting VMs.
-func (vm *VM) PostIRQ(level uint8, vec vax.Vector) {
-	if level >= 32 || vec == 0 {
-		return
-	}
-	vm.extIRQ[level].Store(uint32(vec))
-	for {
-		old := vm.extMask.Load()
-		if vm.extMask.CompareAndSwap(old, old|1<<level) {
-			break
-		}
-	}
-}
-
-// drainExternalIRQs folds mailbox posts into the owner-confined pending
-// table. Called only by the goroutine executing the VM; a no-op (one
-// atomic load) when nothing was posted.
-func (vm *VM) drainExternalIRQs() {
-	if vm.extMask.Load() == 0 {
-		return
-	}
-	m := vm.extMask.Swap(0)
-	for m != 0 {
-		l := uint8(bits.TrailingZeros32(m))
-		m &^= 1 << l
-		if vec := vax.Vector(vm.extIRQ[l].Swap(0)); vec != 0 {
-			vm.postIRQ(l, vec)
-		}
-	}
 }
 
 // --- suspend / resume (world switch) ---
@@ -718,8 +655,7 @@ func removeVM(list []*VM, vm *VM) []*VM {
 // resumes it; with none runnable the machine idles in WAIT until a
 // clock tick, or halts when every VM has halted. The scan walks the
 // live list from the front: the lowest-index runnable VM wins, since
-// suspend leaves no current VM to start after. Each VM the scan visits
-// drains its interrupt mailbox first.
+// suspend leaves no current VM to start after.
 func (k *VMM) scheduleNext() {
 	if cur := k.Current(); cur != nil {
 		k.suspend(cur)
@@ -729,7 +665,6 @@ func (k *VMM) scheduleNext() {
 		return
 	}
 	for _, vm := range k.live {
-		vm.drainExternalIRQs()
 		if !vm.runnable() {
 			continue
 		}

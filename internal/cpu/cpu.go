@@ -9,7 +9,6 @@ package cpu
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -155,9 +154,8 @@ type CPU struct {
 	iprs    []IPRHandler
 	mmio    []MMIOHandler
 
-	pendingIRQ [32]uint32 // vector per device IPL; 0 = none
-	irqSummary uint32     // bit per IPL with a pending device interrupt
-	waiting    bool       // inside a WAIT (bare modified machine never waits)
+	irqs    vax.IRQs // pending device interrupts
+	waiting bool     // inside a WAIT (bare modified machine never waits)
 
 	// TrapAllInVM models Goldberg's first ring-mapping scheme (paper
 	// Section 7.1): while the VM is in its most privileged mode, every
@@ -304,36 +302,18 @@ func (c *CPU) AddDevice(d Device) {
 // given SCB vector. It stays pending until delivered or cleared.
 func (c *CPU) RequestInterrupt(ipl uint8, vec vax.Vector) {
 	if ipl < 32 {
-		c.pendingIRQ[ipl] = uint32(vec)
-		c.irqSummary |= 1 << ipl
+		c.irqs.Post(ipl, vec)
 		c.waiting = false
 	}
 }
 
 // ClearInterrupt withdraws a pending interrupt at the given IPL.
-func (c *CPU) ClearInterrupt(ipl uint8) {
-	if ipl < 32 {
-		c.pendingIRQ[ipl] = 0
-		c.irqSummary &^= 1 << ipl
-	}
-}
+func (c *CPU) ClearInterrupt(ipl uint8) { c.irqs.Clear(ipl) }
 
 // PendingAbove returns the highest pending interrupt level above ipl,
 // considering both device interrupts and software interrupt requests,
-// or 0 if none. The per-level vectors are summarized into one bitmask
-// (irqSummary; SISR already is one), so the poll every Step performs is
-// a mask and a leading-zero count instead of a 31-level scan.
-func (c *CPU) PendingAbove(ipl uint8) uint8 {
-	m := c.irqSummary | c.SISR&sisrMask
-	m &^= (uint32(2) << ipl) - 1 // keep bits strictly above ipl
-	if m == 0 {
-		return 0
-	}
-	return uint8(31 - bits.LeadingZeros32(m))
-}
-
-// sisrMask bounds software interrupt requests to levels 1..15.
-const sisrMask = (uint32(1)<<(vax.IPLSoftwareMax+1) - 1) &^ 1
+// or 0 if none.
+func (c *CPU) PendingAbove(ipl uint8) uint8 { return c.irqs.Above(ipl, c.SISR) }
 
 // AddCycles charges extra cycles to the machine (used by the VMM for its
 // emulation-path costs; see costs.go).

@@ -83,16 +83,7 @@ func (c *CPU) DispatchSCB(e *vax.Exception, newMode vax.Mode) error {
 
 // deliverInterrupt dispatches the pending interrupt at the given level.
 func (c *CPU) deliverInterrupt(level uint8) {
-	var vec vax.Vector
-	if c.pendingIRQ[level] != 0 {
-		vec = vax.Vector(c.pendingIRQ[level])
-		c.pendingIRQ[level] = 0
-		c.irqSummary &^= 1 << level
-	} else {
-		// Software interrupt: delivering clears the SISR bit.
-		vec = vax.SoftwareVector(level)
-		c.SISR &^= 1 << level
-	}
+	vec := c.irqs.Take(level, &c.SISR)
 	c.Stats.Interrupts++
 	c.raise(c.scratch.Set1(vec, vax.Interrupt, uint32(level)))
 }

@@ -545,7 +545,9 @@ func (m *Monitor) recoverCmd(args []string) string {
 			}
 			gens = v
 		}
-		m.VMM.SetCheckpointPolicy(every, gens)
+		if err := m.VMM.SetCheckpointPolicy(every, gens); err != nil {
+			return "recover every refused: " + err.Error()
+		}
 		cfg := m.VMM.Config()
 		if cfg.CheckpointEvery == 0 {
 			return "periodic checkpoints off"

@@ -364,3 +364,19 @@ func TestRecoverCommand(t *testing.T) {
 		t.Errorf("recover fatal vm = %q", out)
 	}
 }
+
+// TestRecoverEveryRefusesDeepRing: a ring depth the configuration
+// check refuses is refused at the prompt too, and the policy stays.
+func TestRecoverEveryRefusesDeepRing(t *testing.T) {
+	m, k := vmMonitor(t)
+	run(t, m, "recover every 100 8")
+	for _, cmd := range []string{"recover every 1 65", "recover every 1 1000000000"} {
+		if out := run(t, m, cmd); !strings.Contains(out, "refused") {
+			t.Errorf("%s = %q, want refused", cmd, out)
+		}
+		if cfg := k.Config(); cfg.CheckpointEvery != 100 || cfg.CheckpointGenerations != 8 {
+			t.Errorf("after %q: every %d, %d generations; want 100, 8",
+				cmd, cfg.CheckpointEvery, cfg.CheckpointGenerations)
+		}
+	}
+}

@@ -4,8 +4,9 @@
 // longword, the four access modes, page table entries and their protection
 // codes, internal processor registers, and the system control block.
 //
-// The package is purely declarative; execution semantics live in
-// internal/cpu and internal/mmu.
+// Apart from the pending-interrupt table (IRQs) that the processor and
+// the VMM share, the package is declarative; execution semantics live
+// in internal/cpu and internal/mmu.
 package vax
 
 import "fmt"
